@@ -212,8 +212,7 @@ let run host port shards externals data_root shard_exe shard_workers fsync
     let specs = managed @ List.map parse_external externals in
     let config =
       {
-        Router.default_config with
-        host;
+        Router.host;
         port;
         max_body_bytes = max_body;
         auth_token;

@@ -252,8 +252,7 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
   try
     let config =
       {
-        Server.default_config with
-        host;
+        Server.host;
         port;
         workers;
         queue_capacity = queue;

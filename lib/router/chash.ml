@@ -1,13 +1,16 @@
-type t = { points : (int64 * string) array; names : string list; vnodes : int }
+type t = { points : (int64 * string) array; names : string list }
+
+(* Points per shard: enough for smooth arcs, few enough for a small
+   lookup table. *)
+let vnodes = 160
 
 (* The first 8 bytes of the MD5 as an unsigned ring position.  MD5 is
    in the stdlib, fast, and mixes well; nothing here needs collision
    resistance. *)
 let point s = Bytes.get_int64_be (Bytes.unsafe_of_string (Digest.string s)) 0
 
-let create ?(vnodes = 160) names =
+let create names =
   if names = [] then invalid_arg "Chash.create: no shards";
-  if vnodes <= 0 then invalid_arg "Chash.create: vnodes must be positive";
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Chash.create: duplicate shard names";
   let count = List.length names in
@@ -27,7 +30,7 @@ let create ?(vnodes = 160) names =
       | 0 -> String.compare an bn
       | c -> c)
     points;
-  { points; names; vnodes }
+  { points; names }
 
 let shard t key =
   let h = point key in
@@ -42,4 +45,3 @@ let shard t key =
   snd t.points.(if !lo = n then 0 else !lo)
 
 let shards t = t.names
-let vnodes t = t.vnodes

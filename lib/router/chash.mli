@@ -18,11 +18,10 @@
 
 type t
 
-(** [create ?vnodes names] builds the ring.  [vnodes] (default 160)
-    trades balance (more points, smoother arcs) for lookup-table size.
+(** [create names] builds the ring, {!vnodes} points per shard.
     @raise Invalid_argument on an empty or duplicate-carrying name
     list. *)
-val create : ?vnodes:int -> string list -> t
+val create : string list -> t
 
 (** [shard t key] is the shard that owns [key]. *)
 val shard : t -> string -> string
@@ -30,5 +29,6 @@ val shard : t -> string -> string
 (** The shard names the ring was built from, in the given order. *)
 val shards : t -> string list
 
-(** Points per shard. *)
-val vnodes : t -> int
+(** Points per shard (160): more points give smoother arcs, fewer a
+    smaller lookup table. *)
+val vnodes : int

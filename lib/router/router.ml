@@ -1,16 +1,10 @@
 module Http = Standoff_server.Http
+module Listener = Standoff_server.Listener
 module Metrics = Standoff_obs.Metrics
 module Timing = Standoff_util.Timing
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
-
-let m_requests code =
-  Metrics.counter "standoff_router_requests_total"
-    ~labels:[ ("code", string_of_int code) ]
-    ~help:"Router responses by status code"
-
-let count_response code = Metrics.incr (m_requests code)
 
 let m_restarts shard =
   Metrics.counter "standoff_router_shard_restarts_total"
@@ -29,13 +23,8 @@ type config = {
   host : string;
   port : int;
   max_body_bytes : int;
-  max_conns : int;
   auth_token : string option;
   shard_token : string option;
-  shard_timeout_s : float;
-  probe_interval_s : float;
-  retry_after_s : int;
-  vnodes : int;
 }
 
 let default_config =
@@ -43,14 +32,18 @@ let default_config =
     host = "127.0.0.1";
     port = 8080;
     max_body_bytes = 64 * 1024 * 1024;
-    max_conns = 128;
     auth_token = None;
     shard_token = None;
-    shard_timeout_s = 30.0;
-    probe_interval_s = 0.25;
-    retry_after_s = 1;
-    vnodes = 160;
   }
+
+(* Concurrent client connections; the acceptor sheds with 503 past it. *)
+let max_conns = 128
+
+(* Socket timeout on the client side and on a proxied shard hop. *)
+let socket_timeout_s = 30.0
+
+(* Readiness-probe cadence of each shard supervisor. *)
+let probe_interval_s = 0.25
 
 type shard_spec = {
   sp_name : string;
@@ -80,31 +73,20 @@ type shard = {
   mutable restarts : int;
 }
 
-type state = Created | Running | Stopped
-
 type t = {
   cfg : config;
   shards : shard array;
   ring : Chash.t;
-  listen_fd : Unix.file_descr;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  bound_port : int;
-  stopping : bool Atomic.t;
+  listener : Listener.t;
   active_conns : int Atomic.t;
-  mutable acceptor : Thread.t option;
   mutable monitors : Thread.t list;
-  mutable state : state;
-  state_m : Mutex.t;
 }
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let create ?(config = default_config) specs =
   if specs = [] then invalid_arg "Router.create: no shards";
-  let ring =
-    Chash.create ~vnodes:config.vnodes (List.map (fun s -> s.sp_name) specs)
-  in
+  let ring = Chash.create (List.map (fun s -> s.sp_name) specs) in
   let shards =
     Array.of_list
       (List.map
@@ -121,38 +103,18 @@ let create ?(config = default_config) specs =
            })
          specs)
   in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen fd 128
-   with e ->
-     close_noerr fd;
-     raise e);
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   {
     cfg = config;
     shards;
     ring;
-    listen_fd = fd;
-    wake_r;
-    wake_w;
-    bound_port;
-    stopping = Atomic.make false;
+    listener =
+      Listener.create ~name:"router" ~host:config.host ~port:config.port;
     active_conns = Atomic.make 0;
-    acceptor = None;
     monitors = [];
-    state = Created;
-    state_m = Mutex.create ();
   }
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
+let stopping t = Listener.stopping t.listener
 let shard_of_doc t doc = Chash.shard t.ring doc
 
 let shard_by_name t name =
@@ -169,7 +131,7 @@ let shard_health sh =
   h
 
 let ready t =
-  (not (Atomic.get t.stopping))
+  (not (stopping t))
   && Array.for_all (fun sh -> shard_health sh = Ready) t.shards
 
 (* ------------------------------------------------------------------ *)
@@ -244,7 +206,7 @@ let spawn_shard sh =
 
 (* A sleep the stop path can cut short. *)
 let rec nap t s =
-  if s > 0.0 && not (Atomic.get t.stopping) then begin
+  if s > 0.0 && not (stopping t) then begin
     Thread.delay (Float.min s 0.1);
     nap t (s -. 0.1)
   end
@@ -261,7 +223,7 @@ let status_label = function
    WAL and its own [/healthz?ready=1] turns 200. *)
 let monitor t sh =
   let backoff = ref 0.2 in
-  while not (Atomic.get t.stopping) do
+  while not (stopping t) do
     (match sh.pid with
     | Some pid -> (
         let dead =
@@ -284,7 +246,7 @@ let monitor t sh =
               sh.name label !backoff;
             nap t !backoff;
             backoff := Float.min 5.0 (!backoff *. 2.0);
-            if not (Atomic.get t.stopping) then spawn_shard sh)
+            if not (stopping t) then spawn_shard sh)
     | None -> ());
     let up = probe_ready t sh in
     Mutex.lock sh.sm;
@@ -295,7 +257,7 @@ let monitor t sh =
        | (Starting | Down) as h -> sh.health <- h);
     Mutex.unlock sh.sm;
     if up then backoff := 0.2;
-    nap t t.cfg.probe_interval_s
+    nap t probe_interval_s
   done
 
 let terminate_children ~grace_s t =
@@ -343,26 +305,6 @@ let terminate_children ~grace_s t =
       sh.pid <- None;
       Mutex.unlock sh.sm)
     (living ())
-
-(* ------------------------------------------------------------------ *)
-(* Replies                                                             *)
-
-(* Raised by handlers; turned into a buffered JSON error reply. *)
-exception Reply of int * (string * string) list * string
-
-let fail ?(headers = []) status msg = raise (Reply (status, headers, msg))
-
-let json_error_body msg =
-  Printf.sprintf "{\"error\": \"%s\"}\n" (Metrics.json_escape msg)
-
-let respond fd ~keep_alive ?(headers = [])
-    ?(content_type = "application/json") status body =
-  count_response status;
-  Http.write_response fd ~status ~headers ~content_type ~keep_alive body;
-  keep_alive
-
-let unavailable t msg =
-  fail 503 ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ] msg
 
 (* ------------------------------------------------------------------ *)
 (* Routing                                                             *)
@@ -424,20 +366,22 @@ let query_shard t (req : Http.request) =
       | [] ->
           if Array.length t.shards = 1 then t.shards.(0)
           else
-            fail 400
-              "cannot route: query references no document (use ?context= or \
-               doc(\"...\"))"
+            raise
+              (Http.Bad_request
+                 "cannot route: query references no document (use \
+                  ?context= or doc(\"...\"))")
       | refs -> (
           match
             List.sort_uniq String.compare (List.map (shard_of_doc t) refs)
           with
           | [ name ] -> shard_by_name t name
           | names ->
-              fail 400
-                (Printf.sprintf
-                   "cannot route: documents span shards %s — a query runs on \
-                    one shard"
-                   (String.concat ", " names))))
+              raise
+                (Http.Bad_request
+                   (Printf.sprintf
+                      "cannot route: documents span shards %s — a query runs \
+                       on one shard"
+                      (String.concat ", " names)))))
 
 (* ------------------------------------------------------------------ *)
 (* Proxying                                                            *)
@@ -458,107 +402,60 @@ let head_content_type (head : Http.response_head) =
 
 (* Pipe one request to [sh] and its response back, re-chunked, as the
    bytes arrive — the router never buffers more than the chunk-writer
-   threshold of the body.  A shard failing before its status line is a
-   502; one dying mid-body aborts the client's chunk stream without
-   the terminator, the same truncation signal the shard itself
-   uses. *)
-let proxy t client_fd ~keep_alive sh (req : Http.request) =
-  (match shard_health sh with
-  | Ready -> ()
+   threshold of the body.  Status and headers come from the shard's
+   head, read before anything is committed to the client: a shard
+   failing before its status line is a 502.  One dying mid-body aborts
+   the client's chunk stream without the terminator, the same
+   truncation signal the shard itself uses. *)
+let proxy t sh (req : Http.request) =
+  match shard_health sh with
   | Starting | Down ->
-      unavailable t
-        (Printf.sprintf "shard %s is not ready (recovering or down)" sh.name));
-  let fd =
-    match connect_shard ~timeout_s:t.cfg.shard_timeout_s sh with
-    | Some fd -> fd
-    | None ->
-        unavailable t (Printf.sprintf "shard %s refused connection" sh.name)
-  in
-  Metrics.incr (m_proxied sh.name);
-  Fun.protect
-    ~finally:(fun () -> close_noerr fd)
-    (fun () ->
-      let r = Http.reader fd in
-      let head =
-        try
-          Http.write_request fd ~meth:req.Http.meth ~target:req.Http.target
-            ~headers:(shard_headers t (Some req))
-            req.Http.body;
-          Http.read_response_head r
-        with
-        | Http.Closed | Http.Bad_request _ ->
-            fail 502 (Printf.sprintf "shard %s: bad response" sh.name)
-        | Unix.Unix_error (e, _, _) ->
-            fail 502
-              (Printf.sprintf "shard %s: %s" sh.name (Unix.error_message e))
-      in
-      (* Committed: from here on a failure can only truncate. *)
-      count_response head.Http.h_status;
-      Http.write_response_head client_fd ~status:head.Http.h_status
-        ~headers:(("X-Standoff-Shard", sh.name) :: relay_headers head)
-        ~content_type:(head_content_type head) ~keep_alive ();
-      let w = Http.chunk_writer client_fd in
-      match Http.iter_response_body r head (Http.chunk w) with
-      | () ->
-          Http.chunk_end w;
-          keep_alive
-      | exception exn ->
-          Printf.eprintf
-            "standoff-router: stream from shard %s aborted: %s\n%!" sh.name
-            (Printexc.to_string exn);
-          false)
+      Listener.unavailable
+        (Printf.sprintf "shard %s is not ready (recovering or down)" sh.name)
+  | Ready -> (
+      match connect_shard ~timeout_s:socket_timeout_s sh with
+      | None ->
+          Listener.unavailable
+            (Printf.sprintf "shard %s refused connection" sh.name)
+      | Some fd -> (
+          Metrics.incr (m_proxied sh.name);
+          let bad_response _ =
+            Listener.json_error 502
+              (Printf.sprintf "shard %s: bad response" sh.name)
+          in
+          let r = Http.reader fd in
+          match
+            Http.write_request fd ~meth:req.Http.meth ~target:req.Http.target
+              ~headers:(shard_headers t (Some req))
+              req.Http.body;
+            Http.read_response_head r
+          with
+          | exception ((Http.Closed | Http.Bad_request _) as e) ->
+              close_noerr fd;
+              bad_response e
+          | exception Unix.Unix_error (e, _, _) ->
+              close_noerr fd;
+              Listener.json_error 502
+                (Printf.sprintf "shard %s: %s" sh.name (Unix.error_message e))
+          | head ->
+              let sf emit =
+                Fun.protect
+                  ~finally:(fun () -> close_noerr fd)
+                  (fun () ->
+                    (* Commit the head now, as the shard already has:
+                       from here on a failure can only truncate. *)
+                    emit "";
+                    Http.iter_response_body r head emit)
+              in
+              {
+                Listener.status = head.Http.h_status;
+                headers = ("X-Standoff-Shard", sh.name) :: relay_headers head;
+                content_type = head_content_type head;
+                body = Listener.Stream { sf; on_error = bad_response };
+              }))
 
 (* ------------------------------------------------------------------ *)
 (* Fan-out endpoints                                                   *)
-
-(* Frame scan for bulk ingest: [<name> <length>\n] then exactly
-   [length] payload bytes, whitespace between frames skipped — the
-   same framing the server accepts, so sub-batches are rebuilt
-   verbatim. *)
-let scan_frames body on_part =
-  let n = String.length body in
-  let pos = ref 0 in
-  let skip_ws () =
-    while
-      !pos < n
-      && match body.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  skip_ws ();
-  if !pos >= n then fail 400 "empty ingest body";
-  while !pos < n do
-    let nl =
-      match String.index_from_opt body !pos '\n' with
-      | Some i -> i
-      | None -> fail 400 "truncated ingest frame header"
-    in
-    let header = String.trim (String.sub body !pos (nl - !pos)) in
-    let name, len =
-      match String.rindex_opt header ' ' with
-      | Some i -> (
-          let name = String.trim (String.sub header 0 i) in
-          let len_s =
-            String.sub header (i + 1) (String.length header - i - 1)
-          in
-          match int_of_string_opt len_s with
-          | Some l when l >= 0 && name <> "" -> (name, l)
-          | _ ->
-              fail 400
-                (Printf.sprintf "malformed ingest frame header %S" header))
-      | None ->
-          fail 400
-            (Printf.sprintf
-               "malformed ingest frame header %S (want \"<name> <length>\")"
-               header)
-    in
-    if nl + 1 + len > n then
-      fail 400 (Printf.sprintf "ingest frame %S: payload truncated" name);
-    on_part name (String.sub body (nl + 1) len);
-    pos := nl + 1 + len;
-    skip_ws ()
-  done
 
 (* Split a framed batch per shard and forward the sub-batches.  Each
    shard's ingest is atomic, so per-document outcomes are the outcome
@@ -566,16 +463,15 @@ let scan_frames body on_part =
    with its shard and status — partial failure is visible per
    document, and the overall status is 200 only when every sub-batch
    landed. *)
-let handle_ingest t client_fd ~keep_alive (req : Http.request) =
+let handle_ingest t (req : Http.request) =
   match Http.param req "name" with
-  | Some name ->
-      proxy t client_fd ~keep_alive (shard_by_name t (shard_of_doc t name)) req
+  | Some name -> proxy t (shard_by_name t (shard_of_doc t name)) req
   | None ->
       let per_shard : (string, Buffer.t * string list ref) Hashtbl.t =
         Hashtbl.create 8
       in
       let order = ref [] in
-      scan_frames req.Http.body (fun name payload ->
+      Http.iter_frames req.Http.body (fun name payload ->
           let sname = shard_of_doc t name in
           let buf, docs =
             match Hashtbl.find_opt per_shard sname with
@@ -601,7 +497,7 @@ let handle_ingest t client_fd ~keep_alive (req : Http.request) =
           | Starting | Down -> (sname, docs, 503, "shard not ready")
           | Ready -> (
               match
-                shard_call ~req ~timeout_s:t.cfg.shard_timeout_s t sh
+                shard_call ~req ~timeout_s:socket_timeout_s t sh
                   ~meth:"POST" ~target:req.Http.target (Buffer.contents buf)
               with
               | None -> (sname, docs, 502, "shard unreachable")
@@ -648,14 +544,14 @@ let handle_ingest t client_fd ~keep_alive (req : Http.request) =
                  (Metrics.json_escape sname) st (Metrics.json_escape body))
         |> String.concat ", "
       in
-      respond client_fd ~keep_alive
+      Listener.json_reply
         (if all_ok then 200 else 502)
         (Printf.sprintf
            "{\"ok\": %b, \"docs\": [%s], \"shards\": [%s]}\n" all_ok docs_json
            shards_json)
 
 (* Broadcast: every shard snapshots; 200 only when all do. *)
-let handle_snapshot t client_fd ~keep_alive (req : Http.request) =
+let handle_snapshot t (req : Http.request) =
   let results =
     Array.to_list t.shards
     |> List.map (fun sh ->
@@ -663,7 +559,7 @@ let handle_snapshot t client_fd ~keep_alive (req : Http.request) =
            | Starting | Down -> (sh.name, 503, "shard not ready")
            | Ready -> (
                match
-                 shard_call ~req ~timeout_s:t.cfg.shard_timeout_s t sh
+                 shard_call ~req ~timeout_s:socket_timeout_s t sh
                    ~meth:"POST" ~target:req.Http.target req.Http.body
                with
                | None -> (sh.name, 502, "shard unreachable")
@@ -678,7 +574,7 @@ let handle_snapshot t client_fd ~keep_alive (req : Http.request) =
              (Metrics.json_escape name) st (Metrics.json_escape resp))
     |> String.concat ", "
   in
-  respond client_fd ~keep_alive
+  Listener.json_reply
     (if all_ok then 200 else 502)
     (Printf.sprintf "{\"ok\": %b, \"shards\": [%s]}\n" all_ok body)
 
@@ -703,7 +599,7 @@ let relabel_line ~shard line =
               (String.sub line 0 sp ^ "{" ^ label ^ "}"
               ^ String.sub line sp (String.length line - sp)))
 
-let handle_metrics t client_fd ~keep_alive _req =
+let handle_metrics t _req =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Metrics.expose ());
   Array.iter
@@ -731,11 +627,9 @@ let handle_metrics t client_fd ~keep_alive _req =
            (Metrics.escape_label_value sh.name)
            up))
     t.shards;
-  respond client_fd ~keep_alive
-    ~content_type:"text/plain; version=0.0.4; charset=utf-8" 200
-    (Buffer.contents buf)
+  Listener.metrics_reply (Buffer.contents buf)
 
-let handle_shards t client_fd ~keep_alive _req =
+let handle_shards t _req =
   let body =
     Array.to_list t.shards
     |> List.map (fun sh ->
@@ -755,247 +649,70 @@ let handle_shards t client_fd ~keep_alive _req =
              | None -> ""))
     |> String.concat ", "
   in
-  respond client_fd ~keep_alive 200
-    (Printf.sprintf "{\"vnodes\": %d, \"shards\": [%s]}\n"
-       (Chash.vnodes t.ring) body)
+  Listener.json_reply 200
+    (Printf.sprintf "{\"vnodes\": %d, \"shards\": [%s]}\n" Chash.vnodes body)
 
-let handle_healthz t client_fd ~keep_alive (req : Http.request) =
-  let want_ready =
-    match Http.param req "ready" with
-    | None -> false
-    | Some v -> (
-        match String.lowercase_ascii (String.trim v) with
-        | "off" | "0" | "false" | "no" -> false
-        | _ -> true)
-  in
-  if not want_ready then
-    respond client_fd ~keep_alive ~content_type:"text/plain; charset=utf-8" 200
-      "ok\n"
-  else
-    let laggards =
-      Array.to_list t.shards
-      |> List.filter (fun sh -> shard_health sh <> Ready)
-      |> List.map (fun sh -> sh.name)
-    in
-    if laggards = [] && not (Atomic.get t.stopping) then
-      respond client_fd ~keep_alive ~content_type:"text/plain; charset=utf-8"
-        200 "ready\n"
-    else
-      respond client_fd ~keep_alive
-        ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ]
-        ~content_type:"text/plain; charset=utf-8" 503
-        (if Atomic.get t.stopping then "draining\n"
-         else
-           Printf.sprintf "not ready: %s\n" (String.concat ", " laggards))
+(* The shards that keep [/healthz?ready=1] from answering 200. *)
+let not_ready t () =
+  match
+    Array.to_list t.shards
+    |> List.filter (fun sh -> shard_health sh <> Ready)
+    |> List.map (fun sh -> sh.name)
+  with
+  | [] -> None
+  | laggards -> Some ("not ready: " ^ String.concat ", " laggards)
 
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-
-let protected_path path =
-  match path with
-  | "/query" | "/update" | "/ingest" -> true
-  | _ -> String.length path >= 7 && String.sub path 0 7 = "/admin/"
-
-let authorized t (req : Http.request) =
-  match t.cfg.auth_token with
-  | None -> true
-  | Some token when protected_path req.Http.path -> (
-      match Http.bearer_token req.Http.headers with
-      | Some presented -> Http.const_time_eq token presented
-      | None -> false)
-  | Some _ -> true
-
-let known_paths =
+let routes t =
+  let route = Listener.route in
   [
-    ("/query", [ "POST" ]);
-    ("/update", [ "POST" ]);
-    ("/ingest", [ "POST" ]);
-    ("/admin/snapshot", [ "POST" ]);
-    ("/metrics", [ "GET" ]);
-    ("/shards", [ "GET" ]);
-    ("/healthz", [ "GET" ]);
+    route [ "GET" ] "/metrics" (handle_metrics t);
+    route [ "GET" ] "/shards" (handle_shards t);
+    route ~protected:true [ "POST" ] "/query" (fun req ->
+        proxy t (query_shard t req) req);
+    route ~protected:true [ "POST" ] "/update" (fun req ->
+        match Http.param req "doc" with
+        | Some doc -> proxy t (shard_by_name t (shard_of_doc t doc)) req
+        | None -> raise (Http.Bad_request "missing required doc parameter"));
+    route ~protected:true [ "POST" ] "/ingest" (handle_ingest t);
+    route ~protected:true [ "POST" ] "/admin/snapshot" (handle_snapshot t);
   ]
 
-let handle t client_fd ~keep_alive (req : Http.request) =
-  try
-    if not (authorized t req) then
-      respond client_fd ~keep_alive
-        ~headers:[ ("WWW-Authenticate", "Bearer") ]
-        401
-        (json_error_body "missing or invalid bearer token")
-    else
-      match (req.Http.meth, req.Http.path) with
-      | "GET", "/healthz" -> handle_healthz t client_fd ~keep_alive req
-      | "GET", "/metrics" -> handle_metrics t client_fd ~keep_alive req
-      | "GET", "/shards" -> handle_shards t client_fd ~keep_alive req
-      | "POST", "/query" ->
-          proxy t client_fd ~keep_alive (query_shard t req) req
-      | "POST", "/update" ->
-          let doc =
-            match Http.param req "doc" with
-            | Some d -> d
-            | None -> fail 400 "missing required doc parameter"
-          in
-          proxy t client_fd ~keep_alive
-            (shard_by_name t (shard_of_doc t doc))
-            req
-      | "POST", "/ingest" -> handle_ingest t client_fd ~keep_alive req
-      | "POST", "/admin/snapshot" -> handle_snapshot t client_fd ~keep_alive req
-      | meth, path -> (
-          match List.assoc_opt path known_paths with
-          | Some allowed ->
-              respond client_fd ~keep_alive
-                ~headers:[ ("Allow", String.concat ", " allowed) ]
-                405
-                (json_error_body ("method not allowed: " ^ meth))
-          | None -> respond client_fd ~keep_alive 404
-                      (json_error_body ("no such endpoint: " ^ path)))
-  with
-  | Reply (status, headers, msg) ->
-      respond client_fd ~keep_alive ~headers status (json_error_body msg)
-  | Unix.Unix_error _ as e -> raise e
-  | exn -> (
-      Printf.eprintf "standoff-router: internal error on %s %s: %s\n%!"
-        req.Http.meth req.Http.target (Printexc.to_string exn);
-      try
-        respond client_fd ~keep_alive:false 500
-          (json_error_body "internal router error")
-      with Unix.Unix_error _ -> false)
-
 (* ------------------------------------------------------------------ *)
-(* Connection serving                                                  *)
+(* Admission: a thread per connection, under a cap                     *)
 
-let serve_connection t fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0;
-     (* Proxied replies leave as head + chunks in separate small
-        writes; without TCP_NODELAY, Nagle holds each one for the
-        peer's delayed ACK (~40ms per routed request). *)
-     Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ -> ());
-  let reader = Http.reader fd in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    match Http.read_request ~max_body:t.cfg.max_body_bytes reader with
-    | exception Http.Closed -> ()
-    | exception
-        Unix.Unix_error
-          ((EAGAIN | EWOULDBLOCK | ETIMEDOUT | ECONNRESET | EPIPE | EBADF), _, _)
-      ->
-        ()
-    | exception Http.Bad_request msg -> (
-        try ignore (respond fd ~keep_alive:false 400 (json_error_body msg))
-        with Unix.Unix_error _ -> ())
-    | exception Http.Not_implemented msg -> (
-        try ignore (respond fd ~keep_alive:false 501 (json_error_body msg))
-        with Unix.Unix_error _ -> ())
-    | exception Http.Payload_too_large cap -> (
-        try
-          ignore
-            (respond fd ~keep_alive:false 413
-               (json_error_body
-                  (Printf.sprintf "request body exceeds %d bytes" cap)))
-        with Unix.Unix_error _ -> ())
-    | req -> (
-        let keep_alive =
-          Http.wants_keep_alive req && not (Atomic.get t.stopping)
-        in
-        match handle t fd ~keep_alive req with
-        | ka -> continue := ka
-        | exception Unix.Unix_error _ -> ())
-  done
-
-let shed t fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-     ignore
-       (respond fd ~keep_alive:false
-          ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ]
-          503
-          (json_error_body "router overloaded"))
-   with Unix.Unix_error _ -> ());
-  close_noerr fd
-
-let rec accept_loop t =
-  if Atomic.get t.stopping then ()
-  else
-    match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error ((EINTR | EAGAIN), _, _) -> accept_loop t
-    | exception Unix.Unix_error (EBADF, _, _) -> ()
-    | ready_fds, _, _ ->
-        if List.mem t.wake_r ready_fds then ()
-        else begin
-          (match Unix.accept ~cloexec:true t.listen_fd with
-          | exception
-              Unix.Unix_error
-                ((EBADF | EINVAL | ECONNABORTED | EINTR | EAGAIN), _, _) ->
-              ()
-          | fd, _ ->
-              if Atomic.get t.stopping then close_noerr fd
-              else if Atomic.get t.active_conns >= t.cfg.max_conns then
-                shed t fd
-              else begin
-                Atomic.incr t.active_conns;
-                ignore
-                  (Thread.create
-                     (fun fd ->
-                       Fun.protect
-                         ~finally:(fun () ->
-                           close_noerr fd;
-                           Atomic.decr t.active_conns)
-                         (fun () ->
-                           try serve_connection t fd
-                           with exn ->
-                             Printf.eprintf "standoff-router: connection: %s\n%!"
-                               (Printexc.to_string exn)))
-                     fd)
-              end);
-          accept_loop t
-        end
+let admit t fd =
+  Atomic.get t.active_conns < max_conns
+  && begin
+       Atomic.incr t.active_conns;
+       ignore
+         (Thread.create
+            (fun fd ->
+              Fun.protect
+                ~finally:(fun () ->
+                  close_noerr fd;
+                  Atomic.decr t.active_conns)
+                (fun () -> Listener.serve t.listener fd))
+            fd);
+       true
+     end
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
+(* The router's instance of the listener: 30 s socket timeouts like its
+   shard hops, and keep-alive without a per-connection bound. *)
 let start t =
-  Mutex.lock t.state_m;
-  (match t.state with
-  | Created -> t.state <- Running
-  | _ ->
-      Mutex.unlock t.state_m;
-      invalid_arg "Standoff_router.Router.start: already started");
-  Mutex.unlock t.state_m;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
+  Listener.start t.listener ~routes:(routes t) ~not_ready:(not_ready t)
+    ~auth_token:t.cfg.auth_token ~max_body:t.cfg.max_body_bytes
+    ~max_requests:max_int ~socket_timeout_s ~shed_message:"router overloaded"
+    ~admit:(admit t);
   Array.iter spawn_shard t.shards;
   t.monitors <-
     Array.to_list
-      (Array.map (fun sh -> Thread.create (fun () -> monitor t sh) ()) t.shards);
-  t.acceptor <- Some (Thread.create accept_loop t)
+      (Array.map (fun sh -> Thread.create (fun () -> monitor t sh) ()) t.shards)
 
 let stop ?(grace_s = 5.0) t =
-  let prev =
-    Mutex.lock t.state_m;
-    let p = t.state in
-    t.state <- Stopped;
-    Mutex.unlock t.state_m;
-    p
-  in
-  match prev with
-  | Stopped -> ()
-  | Created ->
-      close_noerr t.listen_fd;
-      close_noerr t.wake_r;
-      close_noerr t.wake_w
-  | Running ->
-      Atomic.set t.stopping true;
-      (try ignore (Unix.write_substring t.wake_w "x" 0 1)
-       with Unix.Unix_error _ -> ());
-      (match t.acceptor with Some th -> Thread.join th | None -> ());
-      close_noerr t.listen_fd;
-      close_noerr t.wake_r;
-      close_noerr t.wake_w;
+  Listener.stop t.listener ~drain:(fun () ->
       (* Let in-flight proxying drain; connection threads exit on
          their own once their client goes away or times out. *)
       let deadline = Timing.now () +. grace_s in
@@ -1004,4 +721,4 @@ let stop ?(grace_s = 5.0) t =
       done;
       List.iter Thread.join t.monitors;
       t.monitors <- [];
-      terminate_children ~grace_s t
+      terminate_children ~grace_s t)

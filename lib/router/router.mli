@@ -45,6 +45,11 @@
     (SIGTERM, then SIGKILL after the grace).  External shards (no
     [sp_spawn]) are probed but never spawned.
 
+    The front door is {!Standoff_server.Listener}, the same one the
+    server runs: a thread per client connection, at most 128 at once
+    ([503] + [Retry-After] past that), 30 s socket timeouts on client
+    and shard sockets, readiness probes every 250 ms.
+
     When [config.auth_token] is set the router enforces
     [Authorization: Bearer] on [/query], [/update], [/ingest] and
     [/admin/*] exactly as the server does (constant-time compare,
@@ -56,15 +61,10 @@ type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port (see {!port}) *)
   max_body_bytes : int;  (** request body cap, 413 past it *)
-  max_conns : int;  (** concurrent connections; 503 past it *)
   auth_token : string option;
       (** token clients must present; [None] = open *)
   shard_token : string option;
       (** token the router presents to shards; [None] = none *)
-  shard_timeout_s : float;  (** socket timeout talking to a shard *)
-  probe_interval_s : float;  (** health-probe cadence *)
-  retry_after_s : int;  (** [Retry-After] on 503s *)
-  vnodes : int;  (** ring points per shard (see {!Chash.create}) *)
 }
 
 val default_config : config

@@ -191,6 +191,34 @@ let read_headers r =
 
 let assoc_header headers name = List.assoc_opt (String.lowercase_ascii name) headers
 
+(* RFC 9110 §8.6: [Content-Length = 1*DIGIT].  [int_of_string] would
+   also take "0x10", "1_0", "+5" or "0b11", and a body length that
+   differs from what a front proxy computes is a request-smuggling
+   vector — so digits only, no overflow, and several headers must
+   agree. *)
+let content_length headers =
+  let parse v =
+    let v = String.trim v in
+    if v = "" then raise (Bad_request "malformed content-length");
+    String.fold_left
+      (fun n c ->
+        match c with
+        | '0' .. '9' when n <= (max_int - 9) / 10 ->
+            (10 * n) + Char.code c - Char.code '0'
+        | _ -> raise (Bad_request "malformed content-length"))
+      0 v
+  in
+  match
+    List.filter_map
+      (fun (k, v) -> if k = "content-length" then Some (parse v) else None)
+      headers
+  with
+  | [] -> None
+  | n :: rest ->
+      if List.exists (( <> ) n) rest then
+        raise (Bad_request "conflicting content-length headers");
+      Some n
+
 (* A request body framed with [Transfer-Encoding: chunked] is valid
    HTTP/1.1 that this server simply does not serve: answering 501 (and
    closing, since the body boundary is unknown) beats dropping the
@@ -202,14 +230,11 @@ let body_length headers ~max_body =
   | Some v ->
       raise (Bad_request (Printf.sprintf "unsupported transfer-encoding %S" v))
   | None -> (
-      match assoc_header headers "content-length" with
+      match content_length headers with
       | None -> 0
-      | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 ->
-              if n > max_body then raise (Payload_too_large max_body);
-              n
-          | _ -> raise (Bad_request "malformed content-length")))
+      | Some n ->
+          if n > max_body then raise (Payload_too_large max_body);
+          n)
 
 let read_request ?(max_body = 1024 * 1024) r =
   let meth, target, version = parse_request_line (read_line r) in
@@ -220,6 +245,58 @@ let read_request ?(max_body = 1024 * 1024) r =
 
 let header req name = assoc_header req.headers name
 let param req name = List.assoc_opt name req.query
+
+(* Bulk-ingest body framing: a header line [<name> <decimal-length>]
+   followed by exactly [length] payload bytes, whitespace between
+   frames skipped.  One forward cursor; each part goes to [on_part] as
+   it is reached. *)
+let iter_frames body on_part =
+  let n = String.length body in
+  let pos = ref 0 in
+  let skip_ws () =
+    while
+      !pos < n
+      && match body.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false
+    do
+      incr pos
+    done
+  in
+  skip_ws ();
+  if !pos >= n then raise (Bad_request "empty ingest body");
+  while !pos < n do
+    let nl =
+      match String.index_from_opt body !pos '\n' with
+      | Some i -> i
+      | None -> raise (Bad_request "truncated ingest frame header")
+    in
+    let header = String.trim (String.sub body !pos (nl - !pos)) in
+    let name, len =
+      match String.rindex_opt header ' ' with
+      | Some i -> (
+          let name = String.trim (String.sub header 0 i) in
+          let len_s =
+            String.sub header (i + 1) (String.length header - i - 1)
+          in
+          match int_of_string_opt len_s with
+          | Some l when l >= 0 && name <> "" -> (name, l)
+          | _ ->
+              raise
+                (Bad_request
+                   (Printf.sprintf "malformed ingest frame header %S" header)))
+      | None ->
+          raise
+            (Bad_request
+               (Printf.sprintf
+                  "malformed ingest frame header %S (want \"<name> <length>\")"
+                  header))
+    in
+    if nl + 1 + len > n then
+      raise
+        (Bad_request (Printf.sprintf "ingest frame %S: payload truncated" name));
+    on_part name (String.sub body (nl + 1) len);
+    pos := nl + 1 + len;
+    skip_ws ()
+  done
 
 let wants_keep_alive req =
   let connection =
@@ -481,13 +558,10 @@ let head_is_chunked head =
 let iter_response_body ?(max_body = max_int) r head emit =
   if head_is_chunked head then Chunked.iter ~max_body r emit
   else
-    match assoc_header head.h_headers "content-length" with
-    | Some v -> (
-        match int_of_string_opt (String.trim v) with
-        | Some n when n >= 0 ->
-            if n > max_body then raise (Payload_too_large max_body);
-            Chunked.blocks r n emit
-        | _ -> raise (Bad_request "malformed content-length"))
+    match content_length head.h_headers with
+    | Some n ->
+        if n > max_body then raise (Payload_too_large max_body);
+        Chunked.blocks r n emit
     | None -> (
         (* Read-to-EOF fallback for peers that close to delimit. *)
         let total = ref 0 in

@@ -14,8 +14,10 @@
     produced by the same code they exercise. *)
 
 (** A syntactically invalid request (malformed request line, bad
-    header, unsupported transfer encoding, bad [Content-Length]).
-    The server answers 400. *)
+    header, unsupported transfer encoding, a [Content-Length] that is
+    not all digits, overflows or disagrees with another
+    [Content-Length]) or a malformed parameter or body, raised by a
+    handler.  The server answers 400. *)
 exception Bad_request of string
 
 (** Valid HTTP this implementation chooses not to serve (a chunked
@@ -64,6 +66,14 @@ val header : request -> string -> string option
 
 (** [param req name] is the value of a decoded query parameter. *)
 val param : request -> string -> string option
+
+(** [iter_frames body on_part] walks a framed bulk-ingest body: each
+    frame is a header line [<name> <decimal-length>] followed by
+    exactly [length] bytes, whitespace between frames skipped; every
+    part goes to [on_part name payload] in order.
+    @raise Bad_request on an empty body or a malformed, truncated
+    frame. *)
+val iter_frames : string -> (string -> string -> unit) -> unit
 
 (** Whether the client asked to keep the connection open: HTTP/1.1
     defaults to yes unless [Connection: close]; HTTP/1.0 defaults to

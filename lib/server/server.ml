@@ -19,14 +19,6 @@ module Pool = Standoff_util.Pool
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
-let m_connections =
-  Metrics.counter "standoff_server_connections_total"
-    ~help:"Connections accepted (shed ones included)"
-
-let m_shed =
-  Metrics.counter "standoff_server_shed_total"
-    ~help:"Connections shed with 503 because the admission queue was full"
-
 let m_queue_depth =
   Metrics.gauge "standoff_server_queue_depth"
     ~help:"Connections waiting in the admission queue"
@@ -34,28 +26,6 @@ let m_queue_depth =
 let m_in_flight =
   Metrics.gauge "standoff_server_in_flight"
     ~help:"Connections currently being served by a worker"
-
-let m_request_seconds =
-  Metrics.histogram "standoff_server_request_seconds"
-    ~buckets:Metrics.duration_buckets
-    ~help:"Wall-clock request latency (parse to response written)"
-
-let m_streamed =
-  Metrics.counter "standoff_server_streamed_total"
-    ~help:"Responses delivered via chunked streaming"
-
-let m_stream_truncated =
-  Metrics.counter "standoff_server_stream_truncated_total"
-    ~help:
-      "Streamed responses aborted mid-body (no terminating chunk was sent)"
-
-(* Registration is memoized by (name, labels), so calling this per
-   response costs one lock + hashtable hit, not a new metric. *)
-let count_response code =
-  Metrics.incr
-    (Metrics.counter "standoff_server_requests_total"
-       ~labels:[ ("code", string_of_int code) ]
-       ~help:"Responses by status code")
 
 (* ------------------------------------------------------------------ *)
 (* A writer-preferring readers-writer lock.  Queries take the shared
@@ -188,7 +158,6 @@ type config = {
   max_timeout_ms : float;
   socket_timeout_s : float;
   grace_s : float;
-  retry_after_s : int;
   auth_token : string option;
 }
 
@@ -211,11 +180,8 @@ let default_config =
     max_timeout_ms = 300_000.0;
     socket_timeout_s = 30.0;
     grace_s = 10.0;
-    retry_after_s = 1;
     auth_token = None;
   }
-
-type state = Created | Running | Stopping | Stopped
 
 type t = {
   cfg : config;
@@ -232,15 +198,8 @@ type t = {
          engine-backed endpoints answer 503 and [/healthz?ready=1]
          reports "recovering" *)
   lock : Rw_lock.t;
-  listen_fd : Unix.file_descr;
-  (* Self-pipe waking the acceptor out of [select]: closing a listening
-     socket does not reliably interrupt a thread already blocked in
-     [accept], so the acceptor multiplexes over both. *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   queue : Unix.file_descr Bqueue.t;
-  mutable acceptor : Thread.t option;
   mutable workers : unit Domain.t list;
   live_workers : int Atomic.t;
   (* One slot per worker: the connection it is serving, so [stop] can
@@ -248,21 +207,13 @@ type t = {
      [conn_m] so a shutdown can never race the worker's own close. *)
   conns : Unix.file_descr option array;
   conn_m : Mutex.t;
-  stopping : bool Atomic.t;
-  mutable state : state;
-  state_m : Mutex.t;
   next_request : int Atomic.t;
 }
 
 let engine t = t.eng
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let workers t = t.cfg.workers
-
-let running t =
-  Mutex.lock t.state_m;
-  let r = match t.state with Running | Stopping -> true | _ -> false in
-  Mutex.unlock t.state_m;
-  r
+let running t = Listener.running t.listener
 
 let make ?(config = default_config) ~ready eng =
   let config =
@@ -273,40 +224,19 @@ let make ?(config = default_config) ~ready eng =
       max_requests_per_connection = max 1 config.max_requests_per_connection;
     }
   in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen fd 128
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   {
     cfg = config;
     eng;
     durable = None;
     ready = Atomic.make ready;
     lock = Rw_lock.create ();
-    listen_fd = fd;
-    wake_r;
-    wake_w;
-    bound_port;
+    listener =
+      Listener.create ~name:"server" ~host:config.host ~port:config.port;
     queue = Bqueue.create config.queue_capacity;
-    acceptor = None;
     workers = [];
     live_workers = Atomic.make 0;
     conns = Array.make config.workers None;
     conn_m = Mutex.create ();
-    stopping = Atomic.make false;
-    state = Created;
-    state_m = Mutex.create ();
     next_request = Atomic.make 0;
   }
 
@@ -344,54 +274,14 @@ let install_engine t ?durable eng =
      observing [ready = true] sees the installed engine. *)
   Atomic.set t.ready true
 
-let ready t =
-  Atomic.get t.ready && not (Atomic.get t.stopping)
+let ready t = Atomic.get t.ready && not (Listener.stopping t.listener)
 
-(* ------------------------------------------------------------------ *)
-(* Replies                                                             *)
-
-(* A reply body is either fully materialized ([Full], written with a
-   [Content-Length]) or a stream ([Stream], written with chunked
-   transfer encoding as the producer emits).  A stream that fails
-   before its first byte downgrades to the buffered error [on_error]
-   maps the exception to; one that fails mid-body is aborted without
-   the terminating chunk, which is the truncation signal on the
-   wire. *)
-type reply = {
-  status : int;
-  headers : (string * string) list;
-  content_type : string;
-  body : body;
-}
-
-and body = Full of string | Stream of stream
-
-and stream = {
-  sf : (string -> unit) -> unit;
-  on_error : exn -> reply;  (** must be total and return a [Full] body *)
-}
-
-let text_reply ?(headers = []) status body =
-  { status; headers; content_type = "text/plain; charset=utf-8"; body = Full body }
-
-let json_reply ?(headers = []) status body =
-  { status; headers; content_type = "application/json"; body = Full body }
-
-let json_error ?request_id ?(extra = "") status msg =
-  let rid =
-    match request_id with
-    | Some id -> Printf.sprintf ", \"request_id\": \"%s\"" id
-    | None -> ""
-  in
-  json_reply status
-    (Printf.sprintf "{\"error\": \"%s\"%s%s}\n" (Metrics.json_escape msg) rid
-       extra)
+let text_reply = Listener.text_reply
+let json_reply = Listener.json_reply
+let json_error = Listener.json_error
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
-
-(* Raised by parameter parsing; turned into a 400. *)
-exception Bad_param of string
 
 let int_param req name =
   match Http.param req name with
@@ -399,7 +289,8 @@ let int_param req name =
   | Some v -> (
       match int_of_string_opt (String.trim v) with
       | Some n -> Some n
-      | None -> raise (Bad_param (Printf.sprintf "malformed %s=%S" name v)))
+      | None ->
+          raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
 
 let int64_param req name =
   match Http.param req name with
@@ -407,7 +298,8 @@ let int64_param req name =
   | Some v -> (
       match Int64.of_string_opt (String.trim v) with
       | Some n -> Some n
-      | None -> raise (Bad_param (Printf.sprintf "malformed %s=%S" name v)))
+      | None ->
+          raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
 
 let float_param req name =
   match Http.param req name with
@@ -415,18 +307,19 @@ let float_param req name =
   | Some v -> (
       match float_of_string_opt (String.trim v) with
       | Some f -> Some f
-      | None -> raise (Bad_param (Printf.sprintf "malformed %s=%S" name v)))
+      | None ->
+          raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
 
 let require what = function
   | Some v -> v
-  | None -> raise (Bad_param (Printf.sprintf "missing required %s" what))
+  | None -> raise (Http.Bad_request (Printf.sprintf "missing required %s" what))
 
 let strategy_param req =
   match Http.param req "strategy" with
   | None -> None
   | Some v -> (
       try Some (Config.strategy_of_string v)
-      with Invalid_argument m -> raise (Bad_param m))
+      with Invalid_argument m -> raise (Http.Bad_request m))
 
 (* [?cache=off] bypasses the result cache for this run (the engine's
    own caching level is server-wide configuration, not a per-request
@@ -438,7 +331,7 @@ let use_cache_param req =
       match String.lowercase_ascii (String.trim v) with
       | "off" | "0" | "false" | "no" -> false
       | "on" | "1" | "true" | "yes" | "result" | "plan" -> true
-      | v -> raise (Bad_param (Printf.sprintf "malformed cache=%S" v)))
+      | v -> raise (Http.Bad_request (Printf.sprintf "malformed cache=%S" v)))
 
 (* [?dataguide=off] prepares this request without the DataGuide path
    index (no collapse rewrite, name-count statistics) — a pure
@@ -450,7 +343,8 @@ let dataguide_param req =
       match String.lowercase_ascii (String.trim v) with
       | "off" | "0" | "false" | "no" -> Some false
       | "on" | "1" | "true" | "yes" -> Some true
-      | v -> raise (Bad_param (Printf.sprintf "malformed dataguide=%S" v)))
+      | v ->
+          raise (Http.Bad_request (Printf.sprintf "malformed dataguide=%S" v)))
 
 (* [?stream=1] asks for the result via chunked transfer encoding,
    serialized item by item — bounded buffering however large the
@@ -462,7 +356,7 @@ let stream_param req =
       match String.lowercase_ascii (String.trim v) with
       | "off" | "0" | "false" | "no" -> false
       | "on" | "1" | "true" | "yes" -> true
-      | v -> raise (Bad_param (Printf.sprintf "malformed stream=%S" v)))
+      | v -> raise (Http.Bad_request (Printf.sprintf "malformed stream=%S" v)))
 
 let deadline_of t req =
   let requested = float_param req "timeout-ms" in
@@ -550,10 +444,10 @@ let handle_query t req =
           else Rw_lock.read t.lock run
         in
         {
-          status = 200;
+          Listener.status = 200;
           headers = with_rid [ ("X-Standoff-Stream", "1") ];
           content_type = "text/plain; charset=utf-8";
-          body = Stream { sf; on_error = query_error };
+          body = Listener.Stream { sf; on_error = query_error };
         }
       else
         let run () =
@@ -628,7 +522,8 @@ let handle_update t req =
                     Engine.shift_annotations t.eng config doc ~from ~by
                   in
                   Printf.sprintf "\"op\": \"shift\", \"moved\": %d" moved
-              | op -> raise (Bad_param (Printf.sprintf "unknown op=%S" op))
+              | op ->
+                  raise (Http.Bad_request (Printf.sprintf "unknown op=%S" op))
             in
             (* Periodic compaction rides the update path: we already
                hold the writer lock, which [Durable.snapshot] requires. *)
@@ -649,71 +544,21 @@ let handle_update t req =
                  (t.durable <> None))
           with Invalid_argument msg -> json_error ~request_id 400 msg))
 
-(* Bulk ingestion.  Body framing: with [?name=], the whole body is one
-   XML document of that name; without it, the body is a sequence of
-   frames, each a header line [<name> <decimal-length>] followed by
-   exactly [length] bytes of XML (whitespace between frames is
-   skipped).  The scan is a single forward cursor and each part is
-   parsed, converted and shredded as it is encountered — all before
-   the write lock is taken, so concurrent queries keep flowing while a
-   batch is prepared.  The batch then goes through [Engine.ingest] in
-   one exclusive section: one region-index and DataGuide build per
-   document, one catalogue version bump, one WAL record. *)
-let scan_frames body on_part =
-  let n = String.length body in
-  let pos = ref 0 in
-  let skip_ws () =
-    while
-      !pos < n
-      && match body.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  skip_ws ();
-  if !pos >= n then raise (Bad_param "empty ingest body");
-  while !pos < n do
-    let nl =
-      match String.index_from_opt body !pos '\n' with
-      | Some i -> i
-      | None -> raise (Bad_param "truncated ingest frame header")
-    in
-    let header = String.trim (String.sub body !pos (nl - !pos)) in
-    let name, len =
-      match String.rindex_opt header ' ' with
-      | Some i -> (
-          let name = String.trim (String.sub header 0 i) in
-          let len_s =
-            String.sub header (i + 1) (String.length header - i - 1)
-          in
-          match int_of_string_opt len_s with
-          | Some l when l >= 0 && name <> "" -> (name, l)
-          | _ ->
-              raise
-                (Bad_param
-                   (Printf.sprintf "malformed ingest frame header %S" header)))
-      | None ->
-          raise
-            (Bad_param
-               (Printf.sprintf
-                  "malformed ingest frame header %S (want \"<name> <length>\")"
-                  header))
-    in
-    if nl + 1 + len > n then
-      raise
-        (Bad_param (Printf.sprintf "ingest frame %S: payload truncated" name));
-    on_part name (String.sub body (nl + 1) len);
-    pos := nl + 1 + len;
-    skip_ws ()
-  done
-
+(* Bulk ingestion: with [?name=], the whole body is one XML document
+   of that name; without it, the body is a sequence of frames
+   ({!Http.iter_frames}).  Each part is parsed, converted and shredded
+   as the scan reaches it — all before the write lock is taken, so
+   concurrent queries keep flowing while a batch is prepared.  The
+   batch then goes through [Engine.ingest] in one exclusive section:
+   one region-index and DataGuide build per document, one catalogue
+   version bump, one WAL record. *)
 let handle_ingest t req =
   let request_id = fresh_request_id t in
   let convert =
     match Option.value ~default:"standoff" (Http.param req "convert") with
     | "standoff" -> `Standoff
     | "none" -> `None
-    | v -> raise (Bad_param (Printf.sprintf "unknown convert=%S" v))
+    | v -> raise (Http.Bad_request (Printf.sprintf "unknown convert=%S" v))
   in
   let docs = ref [] and blobs = ref [] in
   let add_part name payload =
@@ -728,9 +573,9 @@ let handle_ingest t req =
     (match Http.param req "name" with
     | Some name ->
         if String.trim req.Http.body = "" then
-          raise (Bad_param "empty ingest body");
+          raise (Http.Bad_request "empty ingest body");
         add_part name req.Http.body
-    | None -> scan_frames req.Http.body add_part)
+    | None -> Http.iter_frames req.Http.body add_part)
   with
   | exception Parser.Parse_error { line; col; msg } ->
       json_error ~request_id 400
@@ -788,7 +633,7 @@ let handle_explain t req =
     match (req.Http.meth, Http.param req "q") with
     | "POST", _ when String.trim req.Http.body <> "" -> req.Http.body
     | _, Some q when String.trim q <> "" -> q
-    | _ -> raise (Bad_param "missing query (?q= or POST body)")
+    | _ -> raise (Http.Bad_request "missing query (?q= or POST body)")
   in
   let strategy = strategy_param req in
   let optimize =
@@ -807,264 +652,40 @@ let handle_explain t req =
       json_error 400
         (Printf.sprintf "syntax error at line %d, col %d: %s" line col msg)
 
-let known_paths =
-  [
-    ("/query", [ "POST" ]);
-    ("/update", [ "POST" ]);
-    ("/ingest", [ "POST" ]);
-    ("/admin/snapshot", [ "POST" ]);
-    ("/explain", [ "GET"; "POST" ]);
-    ("/metrics", [ "GET" ]);
-    ("/slow", [ "GET" ]);
-    ("/healthz", [ "GET" ]);
-  ]
-
-(* Paths behind the bearer token when one is configured.  Health and
-   metrics stay open — probes and scrapers don't carry credentials —
-   and so does /explain, which never touches document content. *)
-let protected_path path =
-  match path with
-  | "/query" | "/update" | "/ingest" -> true
-  | _ ->
-      String.length path >= 7 && String.sub path 0 7 = "/admin/"
-
-let authorized t (req : Http.request) =
-  match t.cfg.auth_token with
-  | None -> true
-  | Some token when protected_path req.Http.path -> (
-      match Http.bearer_token req.Http.headers with
-      | Some presented -> Http.const_time_eq token presented
-      | None -> false)
-  | Some _ -> true
-
-let unauthorized =
-  {
-    (json_error 401 "missing or invalid bearer token") with
-    headers = [ ("WWW-Authenticate", "Bearer") ];
-  }
-
 (* Endpoints that dereference the engine are gated on readiness: during
-   a deferred boot's WAL replay (and during graceful drain) they answer
-   503 so a load balancer retries elsewhere instead of hitting the
-   placeholder engine. *)
+   a deferred boot's WAL replay they answer 503 so a load balancer
+   retries elsewhere instead of hitting the placeholder engine. *)
 let engine_backed path =
   match path with
   | "/query" | "/update" | "/ingest" | "/explain" -> true
-  | _ -> String.length path >= 7 && String.sub path 0 7 = "/admin/"
+  | _ -> String.starts_with ~prefix:"/admin/" path
 
-let handle_healthz t req =
-  (* Liveness (bare GET /healthz) answers 200 for as long as the
-     process serves HTTP at all; readiness (?ready=1) is the signal a
-     router or load balancer keys traffic on. *)
-  let want_ready =
-    match Http.param req "ready" with
-    | None -> false
-    | Some v -> (
-        match String.lowercase_ascii (String.trim v) with
-        | "off" | "0" | "false" | "no" -> false
-        | _ -> true)
-  in
-  if not want_ready then text_reply 200 "ok\n"
-  else if Atomic.get t.stopping then
-    text_reply 503
-      ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ]
-      "draining\n"
-  else if not (Atomic.get t.ready) then
-    text_reply 503
-      ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ]
-      "recovering\n"
-  else text_reply 200 "ready\n"
+let recovering t (req : Http.request) =
+  if engine_backed req.Http.path && not (Atomic.get t.ready) then
+    Some (Listener.unavailable "recovering: store replay in progress")
+  else None
 
-let route t (req : Http.request) =
-  if not (authorized t req) then unauthorized
-  else if engine_backed req.Http.path && not (Atomic.get t.ready) then
-    {
-      (json_error 503 "recovering: store replay in progress") with
-      headers = [ ("Retry-After", string_of_int t.cfg.retry_after_s) ];
-    }
-  else
-    match (req.Http.meth, req.Http.path) with
-    | "GET", "/healthz" -> handle_healthz t req
-    | "GET", "/metrics" ->
-        {
-          status = 200;
-          headers = [];
-          content_type = "text/plain; version=0.0.4; charset=utf-8";
-          body = Full (Metrics.expose ());
-        }
-    | "GET", "/slow" -> json_reply 200 (Slow_log.to_json () ^ "\n")
-    | ("GET" | "POST"), "/explain" -> handle_explain t req
-    | "POST", "/query" -> handle_query t req
-    | "POST", "/update" -> handle_update t req
-    | "POST", "/ingest" -> handle_ingest t req
-    | "POST", "/admin/snapshot" -> handle_snapshot t req
-    | meth, path -> (
-        match List.assoc_opt path known_paths with
-        | Some allowed ->
-            {
-              (json_error 405 ("method not allowed: " ^ meth)) with
-              headers = [ ("Allow", String.concat ", " allowed) ];
-            }
-        | None -> json_error 404 ("no such endpoint: " ^ path))
+(* Health and metrics stay open — probes and scrapers don't carry
+   credentials — and so does /explain, which never touches document
+   content. *)
+let routes t =
+  let route = Listener.route in
+  [
+    route [ "GET" ] "/metrics" (fun _ ->
+        Listener.metrics_reply (Metrics.expose ()));
+    route [ "GET" ] "/slow" (fun _ ->
+        json_reply 200 (Slow_log.to_json () ^ "\n"));
+    route [ "GET"; "POST" ] "/explain" (handle_explain t);
+    route ~protected:true [ "POST" ] "/query" (handle_query t);
+    route ~protected:true [ "POST" ] "/update" (handle_update t);
+    route ~protected:true [ "POST" ] "/ingest" (handle_ingest t);
+    route ~protected:true [ "POST" ] "/admin/snapshot" (handle_snapshot t);
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* Connection serving                                                  *)
+(* Admission: a bounded queue in front of worker domains               *)
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Write a reply; returns whether the connection can be kept alive.
-   [Full] bodies go out with a [Content-Length] as before.  [Stream]
-   bodies commit to a chunked head lazily, on the producer's first
-   emitted byte: a producer failing before then downgrades to the
-   buffered reply [on_error] maps the exception to, while a failure
-   after it aborts without the terminating chunk — truncation the
-   client can detect — and forces the connection closed. *)
-let rec send_reply fd ~keep_alive reply =
-  match reply.body with
-  | Full body ->
-      count_response reply.status;
-      Http.write_response fd ~status:reply.status ~headers:reply.headers
-        ~content_type:reply.content_type ~keep_alive body;
-      keep_alive
-  | Stream { sf; on_error } -> (
-      let writer = ref None in
-      let force_writer () =
-        match !writer with
-        | Some w -> w
-        | None ->
-            Http.write_response_head fd ~status:reply.status
-              ~headers:reply.headers ~content_type:reply.content_type
-              ~keep_alive ();
-            let w = Http.chunk_writer fd in
-            writer := Some w;
-            w
-      in
-      let emit s = Http.chunk (force_writer ()) s in
-      match sf emit with
-      | () ->
-          (* An empty stream still owes the client a (zero-length)
-             chunked body. *)
-          Http.chunk_end (force_writer ());
-          count_response reply.status;
-          Metrics.incr m_streamed;
-          keep_alive
-      | exception exn -> (
-          match !writer with
-          | None -> send_reply fd ~keep_alive (on_error exn)
-          | Some _ ->
-              count_response reply.status;
-              Metrics.incr m_streamed;
-              Metrics.incr m_stream_truncated;
-              (match exn with
-              | Unix.Unix_error _ | Http.Closed ->
-                  (* The client went away mid-stream; nothing to tell. *)
-                  ()
-              | exn ->
-                  Printf.eprintf
-                    "standoff-server: stream aborted mid-body: %s\n%!"
-                    (Printexc.to_string exn));
-              false))
-
-(* Serve every request a connection carries.  Never closes [fd] — the
-   worker loop owns the close (under [conn_m], so [stop]'s force-
-   shutdown can't race it). *)
-let serve_connection t fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.socket_timeout_s;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.socket_timeout_s;
-     (* Streamed replies go out as head + chunks in separate small
-        writes; TCP_NODELAY keeps Nagle from stalling each on the
-        peer's delayed ACK. *)
-     Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ -> ());
-  let reader = Http.reader fd in
-  let served = ref 0 in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    match Http.read_request ~max_body:t.cfg.max_body_bytes reader with
-    | exception Http.Closed -> ()
-    | exception
-        Unix.Unix_error
-          ((EAGAIN | EWOULDBLOCK | ETIMEDOUT | ECONNRESET | EPIPE | EBADF), _, _)
-      ->
-        (* Receive timeout or a peer/force-closed socket: just drop the
-           connection; there is no request to answer. *)
-        ()
-    | exception Http.Bad_request msg -> (
-        try ignore (send_reply fd ~keep_alive:false (json_error 400 msg))
-        with Unix.Unix_error _ -> ())
-    | exception Http.Not_implemented msg -> (
-        (* Chunked request bodies: answer 501 instead of dropping the
-           connection, so clients get a diagnosable refusal. *)
-        try ignore (send_reply fd ~keep_alive:false (json_error 501 msg))
-        with Unix.Unix_error _ -> ())
-    | exception Http.Payload_too_large cap -> (
-        try
-          ignore
-            (send_reply fd ~keep_alive:false
-               (json_error 413
-                  (Printf.sprintf "request body exceeds %d bytes" cap)))
-        with Unix.Unix_error _ -> ())
-    | req -> (
-        incr served;
-        let keep_alive =
-          Http.wants_keep_alive req
-          && !served < t.cfg.max_requests_per_connection
-          && not (Atomic.get t.stopping)
-        in
-        let t0 = Timing.now () in
-        let reply =
-          try route t req with
-          | Bad_param msg -> json_error 400 msg
-          | Http.Bad_request msg -> json_error 400 msg
-          | exn ->
-              (* A handler bug must kill the request, not the worker. *)
-              Printf.eprintf "standoff-server: internal error on %s %s: %s\n%!"
-                req.Http.meth req.Http.target (Printexc.to_string exn);
-              json_error 500 "internal server error"
-        in
-        Metrics.observe m_request_seconds (Timing.now () -. t0);
-        match send_reply fd ~keep_alive reply with
-        | ka -> continue := ka
-        | exception Unix.Unix_error _ -> ())
-  done
-
-(* The 503 the acceptor sends without admitting the connection.  A
-   short send timeout keeps a slow-reading client from stalling the
-   accept loop. *)
-let shed t fd =
-  Metrics.incr m_shed;
-  (try
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-     count_response 503;
-     Http.write_response fd ~status:503
-       ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ]
-       ~content_type:"application/json" ~keep_alive:false
-       "{\"error\": \"server overloaded, admission queue full\"}\n"
-   with Unix.Unix_error _ | Http.Bad_request _ -> ());
-  close_noerr fd
-
-let rec accept_loop t =
-  if Atomic.get t.stopping then ()
-  else
-    match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error ((EINTR | EAGAIN), _, _) -> accept_loop t
-    | exception Unix.Unix_error (EBADF, _, _) -> ()
-    | ready, _, _ ->
-        if List.mem t.wake_r ready then () (* [stop] woke us: done *)
-        else begin
-          (match Unix.accept ~cloexec:true t.listen_fd with
-          | exception
-              Unix.Unix_error
-                ((EBADF | EINVAL | ECONNABORTED | EINTR | EAGAIN), _, _) ->
-              ()
-          | fd, _ ->
-              Metrics.incr m_connections;
-              if Atomic.get t.stopping then close_noerr fd
-              else if not (Bqueue.try_push t.queue fd) then shed t fd);
-          accept_loop t
-        end
 
 let worker_loop t i =
   let rec go () =
@@ -1075,11 +696,10 @@ let worker_loop t i =
         t.conns.(i) <- Some fd;
         Mutex.unlock t.conn_m;
         Metrics.gauge_add m_in_flight 1;
-        (try serve_connection t fd
-         with exn ->
-           Printf.eprintf "standoff-server: worker %d: %s\n%!" i
-             (Printexc.to_string exn));
+        Listener.serve t.listener fd;
         Metrics.gauge_add m_in_flight (-1);
+        (* The close happens under [conn_m], so [stop]'s force-shutdown
+           can't race it. *)
         Mutex.lock t.conn_m;
         t.conns.(i) <- None;
         close_noerr fd;
@@ -1093,73 +713,47 @@ let worker_loop t i =
 (* Lifecycle                                                           *)
 
 let start t =
-  Mutex.lock t.state_m;
-  (match t.state with
-  | Created -> t.state <- Running
-  | _ ->
-      Mutex.unlock t.state_m;
-      invalid_arg "Standoff_server.Server.start: already started");
-  Mutex.unlock t.state_m;
-  (* A peer closing mid-write must surface as EPIPE, not kill the
-     process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
+  Listener.start ~gate:(recovering t) t.listener ~routes:(routes t)
+    ~not_ready:(fun () ->
+      if Atomic.get t.ready then None else Some "recovering")
+    ~auth_token:t.cfg.auth_token ~max_body:t.cfg.max_body_bytes
+    ~max_requests:t.cfg.max_requests_per_connection
+    ~socket_timeout_s:t.cfg.socket_timeout_s
+    ~shed_message:"server overloaded, admission queue full"
+    ~admit:(Bqueue.try_push t.queue);
   (* Register the connection workers against the process domain budget:
      the scheduler spawns fewer pool workers while the server runs, and
      the engine's adaptive sizing sees the reduced
      [Pool.max_parallelism]. *)
   Pool.reserve_domains t.cfg.workers;
   t.workers <-
-    List.init t.cfg.workers (fun i -> Domain.spawn (fun () -> worker_loop t i));
-  t.acceptor <- Some (Thread.create accept_loop t)
+    List.init t.cfg.workers (fun i -> Domain.spawn (fun () -> worker_loop t i))
 
 let stop ?grace_s t =
   let grace = Option.value ~default:t.cfg.grace_s grace_s in
-  let proceed =
-    Mutex.lock t.state_m;
-    let p = t.state = Running in
-    if p then t.state <- Stopping;
-    Mutex.unlock t.state_m;
-    p
-  in
-  if proceed then begin
-    Atomic.set t.stopping true;
-    (* Stop accepting: a byte down the self-pipe pops the acceptor out
-       of [select]; only then is the listening socket closed. *)
-    (try ignore (Unix.write_substring t.wake_w "x" 0 1)
-     with Unix.Unix_error _ -> ());
-    (match t.acceptor with
-    | Some th -> Thread.join th
-    | None -> ());
-    close_noerr t.listen_fd;
-    close_noerr t.wake_r;
-    close_noerr t.wake_w;
-    (* Drain: workers keep serving queued and in-flight connections
-       (keep-alive responses now say close); [close] lets them exit
-       once the queue is empty. *)
-    Bqueue.close t.queue;
-    let deadline = Timing.now () +. grace in
-    while Atomic.get t.live_workers > 0 && Timing.now () < deadline do
-      Thread.delay 0.02
-    done;
-    if Atomic.get t.live_workers > 0 then begin
-      (* Grace expired: force the stragglers' sockets shut.  Their
-         reads return EOF / their writes fail, and the workers exit;
-         the fds themselves are still closed by their owning worker. *)
-      Mutex.lock t.conn_m;
-      Array.iter
-        (function
-          | Some fd -> (
-              try Unix.shutdown fd Unix.SHUTDOWN_ALL
-              with Unix.Unix_error _ -> ())
-          | None -> ())
-        t.conns;
-      Mutex.unlock t.conn_m
-    end;
-    List.iter Domain.join t.workers;
-    t.workers <- [];
-    Pool.release_domains t.cfg.workers;
-    Mutex.lock t.state_m;
-    t.state <- Stopped;
-    Mutex.unlock t.state_m
-  end
+  Listener.stop t.listener ~drain:(fun () ->
+      (* Drain: workers keep serving queued and in-flight connections
+         (keep-alive responses now say close); [close] lets them exit
+         once the queue is empty. *)
+      Bqueue.close t.queue;
+      let deadline = Timing.now () +. grace in
+      while Atomic.get t.live_workers > 0 && Timing.now () < deadline do
+        Thread.delay 0.02
+      done;
+      if Atomic.get t.live_workers > 0 then begin
+        (* Grace expired: force the stragglers' sockets shut.  Their
+           reads return EOF / their writes fail, and the workers exit;
+           the fds themselves are still closed by their owning worker. *)
+        Mutex.lock t.conn_m;
+        Array.iter
+          (function
+            | Some fd -> (
+                try Unix.shutdown fd Unix.SHUTDOWN_ALL
+                with Unix.Unix_error _ -> ())
+            | None -> ())
+          t.conns;
+        Mutex.unlock t.conn_m
+      end;
+      List.iter Domain.join t.workers;
+      t.workers <- [];
+      Pool.release_domains t.cfg.workers)

@@ -1,7 +1,9 @@
 (** The network query service: a concurrent HTTP/1.1 server over one
     {!Standoff_xquery.Engine}, built from [Unix] sockets, worker
     domains and a bounded admission queue — no dependencies beyond the
-    stdlib.
+    stdlib.  The socket side (accept, read, auth, dispatch, reply) is
+    {!Listener}; this module supplies the routes, the readiness signal
+    and the admission policy.
 
     Endpoints:
     - [POST /query] — XQuery text in the body; knobs as query
@@ -89,7 +91,6 @@ type config = {
   max_timeout_ms : float;  (** upper clamp for client deadlines *)
   socket_timeout_s : float;  (** receive/send timeout on connections *)
   grace_s : float;  (** {!stop}'s default drain budget *)
-  retry_after_s : int;  (** the [Retry-After] value on shed 503s *)
   auth_token : string option;
       (** when set, [/query], [/update], [/ingest] and [/admin/*]
           require [Authorization: Bearer <token>]; compared in

@@ -24,8 +24,9 @@ trap 'kill -9 ${router_pid:-0} 2>/dev/null || true;
       pkill -9 -f "data/shard-" 2>/dev/null || true;
       rm -rf "$workdir"' EXIT
 
+MAX_BODY=$((1024 * 1024))
 "$ROUTER" --shards 4 --data-root "$workdir/data" --shard-exe "$SERVER" \
-  --port "$PORT" --auth-token "$TOKEN" >"$rlog" 2>&1 &
+  --port "$PORT" --auth-token "$TOKEN" --max-body "$MAX_BODY" >"$rlog" 2>&1 &
 router_pid=$!
 
 echo "== readiness: all 4 shards recover their (empty) WALs"
@@ -45,6 +46,18 @@ code=$(curl -sS -o /dev/null -w '%{http_code}' \
   -H 'Authorization: Bearer wrong' -X POST --data-binary '1' "$BASE/query")
 [ "$code" = 401 ] || fail "wrong-token query answered $code, expected 401"
 [ "$(curl -fsS "$BASE/healthz")" = "ok" ] || fail "liveness should stay open"
+
+echo "== hostile requests: strict Content-Length, body cap"
+code=$(curl -sS -o /dev/null -w '%{http_code}' --max-time 10 \
+  -H 'Content-Length: 0x1' "$BASE/healthz" || true)
+[ "$code" = 400 ] || fail "Content-Length: 0x1 answered $code, expected 400"
+head -c $((MAX_BODY + 1)) /dev/zero >"$workdir/toobig.bin"
+# Expect: 100-continue holds the body back until the router answers, so
+# the 413 is read before any unread upload could reset the connection.
+code=$(curl -sS -o /dev/null -w '%{http_code}' --max-time 10 "${AUTH[@]}" \
+  -H 'Expect: 100-continue' -X POST --data-binary @"$workdir/toobig.bin" \
+  "$BASE/query" || true)
+[ "$code" = 413 ] || fail "body over --max-body answered $code, expected 413"
 
 echo "== ingest: a framed batch splits across the shards"
 doc='<t><p start="0" end="10"/><c start="2" end="8"/></t>'

@@ -78,6 +78,13 @@ code=$(curl -sS -o /dev/null -w '%{http_code}' -X POST --data-binary \
 code=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/nowhere")
 [ "$code" = 404 ] || fail "unknown path answered $code, expected 404"
 
+echo "== strict Content-Length"
+# RFC 9110 allows digits only; a lenient parse would read 0x1 as 1 and
+# wait for a body that never comes.
+code=$(curl -sS -o /dev/null -w '%{http_code}' --max-time 10 \
+  -H 'Content-Length: 0x1' "$BASE/healthz" || true)
+[ "$code" = 400 ] || fail "Content-Length: 0x1 answered $code, expected 400"
+
 echo "== explain"
 curl -fsS "$BASE/explain?q=count(doc(%22$DOC%22)//site)" \
   | grep -q . || fail "explain returned an empty plan"

@@ -36,6 +36,19 @@ let oneshot ?headers port ~meth ~target body =
     ~finally:(fun () -> close_noerr fd)
     (fun () -> request ?headers (Http.reader fd) fd ~meth ~target body)
 
+(* Raw bytes in, one response out (for malformed-request tests). *)
+let raw_roundtrip port bytes =
+  let fd = connect port in
+  Fun.protect
+    ~finally:(fun () -> close_noerr fd)
+    (fun () ->
+      let len = String.length bytes in
+      let off = ref 0 in
+      while !off < len do
+        off := !off + Unix.write_substring fd bytes !off (len - !off)
+      done;
+      Http.read_response (Http.reader fd))
+
 let check_status msg expected (resp : Http.response) =
   Alcotest.(check int) msg expected resp.Http.status
 
@@ -386,6 +399,121 @@ let test_auth () =
       check_status "authorized query" 200 q;
       Alcotest.(check string) "answer" "1\n" q.Http.r_body)
 
+(* ---------------- hostile requests ---------------- *)
+
+(* Requests both front ends must refuse, as raw bytes, with the status
+   and (where one is owed) the header of the refusal.  Each
+   Content-Length reject carries a body as long as a lenient integer
+   parse of the header would make it. *)
+let hostile_requests =
+  let with_length value body =
+    Printf.sprintf "GET /healthz HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s"
+      value body
+  in
+  [
+    ("bad request line", "NOT A VALID LINE\r\n\r\n", 400, None);
+    ( "folded header",
+      "GET /healthz HTTP/1.1\r\nA: b\r\n folded\r\n\r\n",
+      400,
+      None );
+    ( "body over max_body",
+      "POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+      ^ String.make 100 'x',
+      413,
+      None );
+    ( "chunked body",
+      "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+      501,
+      None );
+    ("unknown path", "GET /nope HTTP/1.1\r\n\r\n", 404, None);
+    ( "wrong method",
+      "DELETE /metrics HTTP/1.1\r\n\r\n",
+      405,
+      Some ("allow", "GET") );
+    ( "missing token",
+      "POST /query HTTP/1.1\r\nContent-Length: 1\r\n\r\n1",
+      401,
+      Some ("www-authenticate", "Bearer") );
+    (* The token is checked before the method and the path: a wrong
+       method on a protected path, or any path under /admin/, is a 401. *)
+    ( "wrong method, missing token",
+      "DELETE /query HTTP/1.1\r\n\r\n",
+      401,
+      Some ("www-authenticate", "Bearer") );
+    ( "unknown admin path, missing token",
+      "POST /admin/nope HTTP/1.1\r\n\r\n",
+      401,
+      Some ("www-authenticate", "Bearer") );
+    ("hex content-length", with_length "0x10" (String.make 16 'x'), 400, None);
+    ( "underscore content-length",
+      with_length "1_0" (String.make 10 'x'),
+      400,
+      None );
+    ("signed content-length", with_length "+5" (String.make 5 'x'), 400, None);
+    ( "binary content-length",
+      with_length "0b11" (String.make 3 'x'),
+      400,
+      None );
+    ( "overflowing content-length",
+      with_length "99999999999999999999" "",
+      400,
+      None );
+    ( "conflicting content-lengths",
+      "GET /healthz HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nx",
+      400,
+      None );
+  ]
+
+let test_hostile_requests () =
+  let shard = start_shard () in
+  let server =
+    Server.create
+      ~config:
+        {
+          Server.default_config with
+          port = 0;
+          workers = 1;
+          max_body_bytes = 64;
+          socket_timeout_s = 5.0;
+          auth_token = Some "secret";
+        }
+      (Engine.create ~jobs:1 ~cache:Engine.Cache_off (Collection.create ()))
+  in
+  let router =
+    Router.create
+      ~config:
+        {
+          Router.default_config with
+          port = 0;
+          max_body_bytes = 64;
+          auth_token = Some "secret";
+        }
+      [ spec_of "sh0" shard ]
+  in
+  Server.start server;
+  Router.start router;
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop ~grace_s:2.0 router;
+      Server.stop server;
+      Server.stop shard)
+    (fun () ->
+      List.iter
+        (fun (label, bytes, status, header) ->
+          List.iter
+            (fun (front, port) ->
+              let r = raw_roundtrip port bytes in
+              check_status (front ^ ": " ^ label) status r;
+              Option.iter
+                (fun (name, value) ->
+                  Alcotest.(check (option string))
+                    (front ^ ": " ^ label ^ " " ^ name)
+                    (Some value)
+                    (Http.response_header r name))
+                header)
+            [ ("server", Server.port server); ("router", Router.port router) ])
+        hostile_requests)
+
 (* ---------------- readiness ---------------- *)
 
 let test_readiness_tracks_shards () =
@@ -492,6 +620,11 @@ let () =
             `Quick test_ingest_partial_failure;
         ] );
       ( "auth", [ Alcotest.test_case "bearer on both hops" `Quick test_auth ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "refusals match a server's" `Quick
+            test_hostile_requests;
+        ] );
       ( "readiness",
         [
           Alcotest.test_case "readiness tracks shard health" `Quick

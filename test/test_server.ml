@@ -117,7 +117,28 @@ let test_malformed_headers () =
          answer is a diagnosable 501, never a dropped connection. *)
       check_status "chunked request body answers 501" 501
         (raw_roundtrip p
-           "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"))
+           "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
+      (* Content-Length is 1*DIGIT (RFC 9110 §8.6).  Each body is as
+         long as a lenient integer parse of the header would make it,
+         so only the strict parser answers 400 instead of 200. *)
+      List.iter
+        (fun (value, body) ->
+          check_status ("content-length " ^ value) 400
+            (raw_roundtrip p
+               (Printf.sprintf
+                  "GET /healthz HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s"
+                  value body)))
+        [
+          ("0x10", String.make 16 'x');
+          ("1_0", String.make 10 'x');
+          ("+5", String.make 5 'x');
+          ("0b11", String.make 3 'x');
+          ("99999999999999999999", "");
+        ];
+      check_status "conflicting content-lengths" 400
+        (raw_roundtrip p
+           "GET /healthz HTTP/1.1\r\nContent-Length: 1\r\n\
+            Content-Length: 2\r\n\r\nx"))
 
 let test_body_cap () =
   let config = { default_test_config with max_body_bytes = 64 } in
