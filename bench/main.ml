@@ -14,7 +14,7 @@
      main.exe cache [opts]             result cache: cold vs warm, hit rate
      main.exe dataguide [opts]         DataGuide path index: guide-on vs off
      main.exe serve [opts]             HTTP server: latency/throughput, 503 probe
-     main.exe persist [opts]           WAL throughput, recovery time, snapshots
+     main.exe persist [opts]           WAL throughput, recovery, snapshots, read after update
      main.exe ingest [opts]            bulk ingestion vs per-document loads
      main.exe router [opts]            shard router: 1 process vs N shards
      main.exe micro                    Bechamel micro-benchmarks
@@ -1839,6 +1839,10 @@ type rc_row = {
   rc_ok : bool;  (* recovery replayed exactly the logged count *)
 }
 
+(* A read right after a region update may cost at most this many times
+   the same read with no update before it. *)
+let read_after_update_bound = 2.0
+
 let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
     =
   section "Durability: WAL throughput, recovery time, snapshots";
@@ -1970,7 +1974,55 @@ let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
         row)
       sweep
   in
-  (* --- 3. snapshot write and snapshot-based recovery --------------- *)
+  (* --- 3. read after update ----------------------------------------- *)
+  (* A select-narrow count around one annotation, timed alone and
+     right after a [set_region] elsewhere in the document; rounds
+     alternate the two.  Only plans are cached, so both reads evaluate
+     in full.  A read after an update may cost at most
+     [read_after_update_bound] times a plain one: a region update must
+     not leave the region index or the DataGuide for the next reader
+     to rebuild. *)
+  let rau_rounds = 200 in
+  let rau_query =
+    Printf.sprintf
+      "count(subsequence(doc(\"%s\")//w, 1, 1)/select-narrow::*)" doc_name
+  in
+  let rau_plain_ms, rau_after_ms =
+    let coll = seed () in
+    let eng = Engine.create ~jobs:1 ~cache:Engine.Cache_plan coll in
+    let d =
+      Collection.doc coll (Option.get (Collection.doc_id_of_name coll doc_name))
+    in
+    let words = Doc.elements_named d "w" in
+    let read () =
+      snd
+        (Timing.time (fun () ->
+             ignore (Engine.run eng ~rollback_constructed:true rau_query)))
+      *. 1000.0
+    in
+    ignore (read ());
+    let plain = Array.make rau_rounds 0.0
+    and after = Array.make rau_rounds 0.0 in
+    for k = 0 to rau_rounds - 1 do
+      plain.(k) <- read ();
+      let s = k * 7919 mod 90_000 in
+      Engine.set_region eng cfg d
+        ~pre:words.(1 + (k mod (Array.length words - 1)))
+        (Region.make_int s (s + 40));
+      after.(k) <- read ()
+    done;
+    Array.sort compare plain;
+    Array.sort compare after;
+    (plain.(rau_rounds / 2), after.(rau_rounds / 2))
+  in
+  let rau_ratio = rau_after_ms /. rau_plain_ms in
+  let rau_ok = rau_ratio <= read_after_update_bound in
+  Printf.printf
+    "\nread after update (%d rounds, median): plain %.3fms, after \
+     set_region %.3fms, ratio %.2fx (bound %.1fx) -> %s\n"
+    rau_rounds rau_plain_ms rau_after_ms rau_ratio read_after_update_bound
+    (if rau_ok then "PASS" else "FAIL");
+  (* --- 4. snapshot write and snapshot-based recovery --------------- *)
   let snap_n = List.fold_left max 0 sweep in
   let dir = fresh_dir () in
   (let dur, _, d, words = open_store ~policy:Wal.Never dir in
@@ -1996,10 +2048,11 @@ let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
      recovery.Durable.rec_replayed
      (if snap_ok then "PASS" else "FAIL");
    let recovery_ok = List.for_all (fun r -> r.rc_ok) rc_rows in
-   let pass = recovery_ok && snap_ok in
+   let pass = recovery_ok && snap_ok && rau_ok in
    Printf.printf
      "durability criteria (every WAL record replayed, snapshot recovery \
-      replays 0): %s\n"
+      replays 0, read after update within %.1fx): %s\n"
+     read_after_update_bound
      (if pass then "PASS" else "FAIL");
    Option.iter
      (fun file ->
@@ -2008,9 +2061,14 @@ let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
          "{\n  \"annotations\": %d,\n  \"updates\": %d,\n\
          \  \"snapshot\": {\"updates\": %d, \"write_ms\": %.3f, \"bytes\": \
           %d, \"recover_ms\": %.3f, \"replayed\": %d, \"ok\": %b},\n\
+         \  \"read_after_update\": {\"query\": \"%s\", \"rounds\": %d, \
+          \"plain_ms\": %.4f, \"after_update_ms\": %.4f, \"ratio\": %.3f, \
+          \"bound\": %.1f, \"ok\": %b},\n\
          \  \"pass\": %b,\n  \"throughput\": [\n"
          n_annot updates snap_n (snap_t *. 1000.0) snap_bytes
-         (rec_t *. 1000.0) recovery.Durable.rec_replayed snap_ok pass;
+         (rec_t *. 1000.0) recovery.Durable.rec_replayed snap_ok
+         (Metrics.json_escape rau_query) rau_rounds rau_plain_ms rau_after_ms
+         rau_ratio read_after_update_bound rau_ok pass;
        List.iteri
          (fun i r ->
            Printf.fprintf oc

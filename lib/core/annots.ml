@@ -147,13 +147,32 @@ let candidate_index ?pool t ~candidates =
              known, so the restricted index is built in
              O(|candidates| log |candidates|) instead of scanning the
              full region index. *)
-          let pairs = ref [] in
-          Array.iter
-            (fun pre ->
-              match find_slot t pre with
-              | Some slot -> pairs := (pre, t.areas.(slot)) :: !pairs
-              | None -> ())
-            ids;
-          let idx = Region_index.build ?pool !pairs in
+          let pairs =
+            Array.fold_right
+              (fun pre acc ->
+                match find_slot t pre with
+                | Some slot -> (pre, t.areas.(slot)) :: acc
+                | None -> acc)
+              ids []
+          in
+          (* Document order, like [extract]'s, so the build can skip
+             its sort when the regions nest like the tree. *)
+          let idx = Region_index.build ?pool pairs in
           Lru.add t.restricted_cache ids idx;
           idx)
+
+let move t ~pre region =
+  match find_slot t pre with
+  | None ->
+      invalid_arg (Printf.sprintf "Annots.move: %d is not an annotation" pre)
+  | Some slot -> (
+      match Area.regions t.areas.(slot) with
+      | [ from ] ->
+          Region_index.move_row t.index ~id:pre ~rank:0 ~from ~to_:region;
+          t.areas.(slot) <- Area.of_region region;
+          (* Restrictions copy rows out of the full index, so every one
+             of them may hold the old region. *)
+          Lru.clear t.restricted_cache
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "Annots.move: %d has a multi-region area" pre))

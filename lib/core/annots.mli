@@ -21,6 +21,9 @@ type restricted_cache
     poison it); hit/miss/eviction counts are exported as
     [standoff_cache_*{cache="restricted"}]. *)
 
+(** The arrays of [t] (and of its [index]) are shared by every reader;
+    they change in place only through {!move}, under the document's
+    write exclusion. *)
 type t = private {
   doc : Standoff_store.Doc.t;
   ids : int array;  (** area-annotation pres, sorted *)
@@ -68,3 +71,13 @@ val candidate_index :
     Basic StandOff MergeJoin does not finish XMark Q2 (§4.6). *)
 val candidate_index_scan :
   ?pool:Standoff_util.Pool.t -> t -> candidates:int array option -> Region_index.t
+
+(** [move t ~pre region] patches [t] after annotation [pre]'s single
+    region was set to [region] in the document: it rewrites [pre]'s area,
+    moves its one index row to its new sorted slot
+    ({!Region_index.move_row}) and empties the restricted-index cache.
+    The result equals a fresh {!extract} of the changed document.  Run
+    under the document's write exclusion only.
+    @raise Invalid_argument if [pre] is not an annotation of [t] or its
+    area has several regions. *)
+val move : t -> pre:int -> Standoff_interval.Region.t -> unit

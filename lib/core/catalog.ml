@@ -74,13 +74,50 @@ let annots ?pool cat config doc =
               entries := { config; annots = a } :: !entries;
               a)
 
+(* Call under the lock; returns the generation before the bump. *)
+let bump_generation cat name =
+  let gen = Option.value ~default:0 (Hashtbl.find_opt cat.gens name) in
+  Hashtbl.replace cat.gens name (gen + 1);
+  cat.version <- cat.version + 1;
+  gen
+
 let invalidate cat doc =
   let name = doc.Standoff_store.Doc.doc_name in
   locked cat (fun () ->
       Hashtbl.remove cat.table name;
-      Hashtbl.replace cat.gens name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt cat.gens name));
-      cat.version <- cat.version + 1)
+      ignore (bump_generation cat name))
+
+type region_change =
+  | Moved of {
+      config : Config.t;
+      pre : int;
+      region : Standoff_interval.Region.t;
+    }
+  | Shifted
+
+let regions_changed cat doc change =
+  let name = doc.Standoff_store.Doc.doc_name in
+  locked cat (fun () ->
+      (match (change, Hashtbl.find_opt cat.table name) with
+      | Moved { config; pre; region }, Some entries -> (
+          (* Only the table of the updating configuration is patched;
+             tables under other attribute names or position types are
+             dropped, like stale entries of a re-registered name. *)
+          entries :=
+            List.filter
+              (fun e ->
+                Config.equal e.config config && e.annots.Annots.doc == doc)
+              !entries;
+          (* [Annots.move] refuses a row it cannot find without
+             touching the table; rebuilding from the rewritten
+             attributes then beats serving the stale table. *)
+          try List.iter (fun e -> Annots.move e.annots ~pre region) !entries
+          with Invalid_argument _ -> Hashtbl.remove cat.table name)
+      | _ -> Hashtbl.remove cat.table name);
+      let gen = bump_generation cat name in
+      (* A region change alters no element path, so the guide stays
+         right under the new generation. *)
+      Standoff_store.Dataguide.restamp doc ~from:gen ~generation:(gen + 1))
 
 let bump cat = locked cat (fun () -> cat.version <- cat.version + 1)
 

@@ -246,7 +246,14 @@ let select_wide ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
         let row = !j in
         Active_set.iter_all act (fun ~iter ~ctx ->
             emit ~iter ~ctx_id:ctx ~row);
-        pending_insert cands.Region_index.ends.(!j) !j;
+        (* Only a later context region can meet a pending candidate,
+           and those start at [ctx.starts.(!i)] or after: a candidate
+           ending before that, or with no context left, is dead now.
+           Without this guard pending grows with every candidate and
+           the sweep turns quadratic. *)
+        let cand_end = cands.Region_index.ends.(!j) in
+        if !i < nctx && Int64.compare cand_end ctx.starts.(!i) >= 0 then
+          pending_insert cand_end !j;
         incr j
       end
     end

@@ -108,7 +108,16 @@ let build ?pool annots =
   else begin
     let rows = Array.make n (Vec.get rows_vec 0) in
     Vec.iteri (fun i r -> rows.(i) <- r) rows_vec;
+    (* Annotations handed over in document order usually nest like the
+       tree, so their rows already are in sweep order: one pass decides
+       whether the sort can be skipped. *)
+    let sorted = ref true and i = ref 1 in
+    while !sorted && !i < n do
+      if compare_row rows.(!i - 1) rows.(!i) > 0 then sorted := false;
+      incr i
+    done;
     (match pool with
+    | _ when !sorted -> ()
     | Some p when Pool.jobs p > 1 && n >= parallel_sort_threshold ->
         (* Chunked parallel sort, then a log-depth pairwise merge.  The
            total order on rows makes the result identical to a single
@@ -265,6 +274,54 @@ let restrict ?pool idx ~ids =
   end
 
 let region idx row = Region.make idx.starts.(row) idx.ends.(row)
+
+let row_at idx i =
+  {
+    row_start = idx.starts.(i);
+    row_end = idx.ends.(i);
+    row_id = idx.ids.(i);
+    row_rank = idx.region_ranks.(i);
+  }
+
+(* First slot whose row does not sort below [key]. *)
+let lower_bound idx key =
+  let lo = ref 0 and hi = ref (row_count idx) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_row (row_at idx mid) key < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let move_row idx ~id ~rank ~from ~to_ =
+  let key r =
+    {
+      row_start = Region.start_pos r;
+      row_end = Region.end_pos r;
+      row_id = id;
+      row_rank = rank;
+    }
+  in
+  let old_row = key from and row = key to_ in
+  let old_slot = lower_bound idx old_row in
+  if old_slot >= row_count idx || compare_row (row_at idx old_slot) old_row <> 0
+  then invalid_arg "Region_index.move_row: no such row";
+  (* The bound counts the old row when it sorts below the new one; the
+     row's final slot is then one lower, once it has left. *)
+  let slot = lower_bound idx row in
+  let slot = if slot > old_slot then slot - 1 else slot in
+  let shift a =
+    if slot > old_slot then
+      Array.blit a (old_slot + 1) a old_slot (slot - old_slot)
+    else Array.blit a slot a (slot + 1) (old_slot - slot)
+  in
+  shift idx.starts;
+  shift idx.ends;
+  shift idx.ids;
+  shift idx.region_ranks;
+  idx.starts.(slot) <- row.row_start;
+  idx.ends.(slot) <- row.row_end;
+  idx.ids.(slot) <- id;
+  idx.region_ranks.(slot) <- rank
 
 let pp fmt idx =
   Format.fprintf fmt "@[<v>start|end|id|rank@,";

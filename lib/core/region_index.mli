@@ -14,12 +14,18 @@ type t = private {
 }
 (** Invariant: rows sorted on [(start asc, end desc, id asc, rank asc)]
     — a total order, so the sorted form of a given row multiset is
-    unique regardless of how (or how parallel) it was sorted. *)
+    unique regardless of how (or how parallel) it was sorted.
 
-(** [build ?pool annots] indexes [(id, area)] pairs.  With a [pool] of
-    more than one job and enough rows, the sort runs as parallel chunk
-    sorts followed by a pairwise merge; the result is identical to the
-    sequential build. *)
+    The arrays are shared with every reader of the index and change in
+    place only through {!move_row}, which callers run under the
+    document's write exclusion (no query may be sweeping them). *)
+
+(** [build ?pool annots] indexes [(id, area)] pairs.  Rows that already
+    arrive in sweep order (annotations in document order that nest like
+    the tree) skip the sort after one checking pass.  Otherwise, with a
+    [pool] of more than one job and enough rows, the sort runs as
+    parallel chunk sorts followed by a pairwise merge.  Either way the
+    result is identical to the sequential build. *)
 val build : ?pool:Standoff_util.Pool.t -> (int * Standoff_interval.Area.t) list -> t
 
 (** [row_count idx] is the number of region rows. *)
@@ -39,6 +45,20 @@ val restrict : ?pool:Standoff_util.Pool.t -> t -> ids:int array -> t
 
 (** [region idx row] is the region of row [row]. *)
 val region : t -> int -> Standoff_interval.Region.t
+
+(** [move_row idx ~id ~rank ~from ~to_] replaces the row
+    [(from, id, rank)] by [(to_, id, rank)] in place, keeping the sweep
+    order: one binary search finds each slot and one [Array.blit] per
+    column shifts the rows in between.  The result equals a fresh
+    {!build} of the changed row set.  Run under write exclusion only.
+    @raise Invalid_argument if [idx] holds no row [(from, id, rank)]. *)
+val move_row :
+  t ->
+  id:int ->
+  rank:int ->
+  from:Standoff_interval.Region.t ->
+  to_:Standoff_interval.Region.t ->
+  unit
 
 (** [pp fmt idx] dumps the rows, for debugging. *)
 val pp : Format.formatter -> t -> unit

@@ -31,13 +31,13 @@ let set_region cat config doc ~pre region =
   let s_row, e_row = region_attr_rows config doc ~pre in
   doc.Doc.attr_value.(s_row) <- Int64.to_string (Region.start_pos region);
   doc.Doc.attr_value.(e_row) <- Int64.to_string (Region.end_pos region);
-  (* Invalidate also bumps the document generation and the catalogue
-     version, which is what expires any generation-stamped cache entry
-     (restricted indexes, engine results) derived from the old regions. *)
-  Catalog.invalidate cat doc
+  (* Patches the cached index and re-stamps the DataGuide; the
+     generation and version bumps expire every stamped cache entry
+     (engine results) derived from the old regions. *)
+  Catalog.regions_changed cat doc (Catalog.Moved { config; pre; region })
 
 let shift_annotations cat config doc ~from ~by =
-  let annots = Annots.extract config doc in
+  let annots = Catalog.annots cat config doc in
   (* Two passes: validate every shift (including locating the attribute
      rows) before touching any row.  A single interleaved pass would
      leave earlier annotations rewritten when a later one raises —
@@ -63,5 +63,5 @@ let shift_annotations cat config doc ~from ~by =
       doc.Doc.attr_value.(s_row) <- Int64.to_string start_;
       doc.Doc.attr_value.(e_row) <- Int64.to_string end_)
     !pending;
-  if moved > 0 then Catalog.invalidate cat doc;
+  if moved > 0 then Catalog.regions_changed cat doc Catalog.Shifted;
   moved

@@ -283,23 +283,31 @@ let json_error = Listener.json_error
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
 
-let int_param req name =
+(* An optional '-' then ASCII digits, the strictness
+   [Http.content_length] applies to its header: [int_of_string] would
+   also take "0x10", "1_0", "+5", "0b11" or "0u5".  No trimming either,
+   since a query string's '+' decodes to a space.  Once only decimal
+   digits are left, [of_string] fails exactly on overflow. *)
+let decimal_param of_string req name =
   match Http.param req name with
   | None -> None
   | Some v -> (
-      match int_of_string_opt (String.trim v) with
+      let digits =
+        if String.starts_with ~prefix:"-" v then
+          String.sub v 1 (String.length v - 1)
+        else v
+      in
+      let decimal =
+        digits <> ""
+        && String.for_all (function '0' .. '9' -> true | _ -> false) digits
+      in
+      match if decimal then of_string v else None with
       | Some n -> Some n
       | None ->
           raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
 
-let int64_param req name =
-  match Http.param req name with
-  | None -> None
-  | Some v -> (
-      match Int64.of_string_opt (String.trim v) with
-      | Some n -> Some n
-      | None ->
-          raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
+let int_param = decimal_param int_of_string_opt
+let int64_param = decimal_param Int64.of_string_opt
 
 let float_param req name =
   match Http.param req name with

@@ -26,11 +26,16 @@
       standard truncation signal.
     - [POST /update] — in-place region updates:
       [?doc=NAME&pre=N&start=S&end=E] rewrites one annotation's region;
-      [?doc=NAME&op=shift&from=F&by=B] shifts annotations.  Runs under
-      the exclusive side of the server's readers–writer lock and ends
-      in {!Standoff.Catalog.invalidate}, so concurrent queries can
-      never observe a stale cached result.  When the server was created
-      with a durability coordinator, the update's WAL record is on disk
+      [?doc=NAME&op=shift&from=F&by=B] shifts annotations.  Integer
+      parameters are an optional [-] then decimal digits that fit the
+      type; anything else is a 400.  Runs under the exclusive side of
+      the server's readers–writer lock and ends in
+      {!Standoff.Catalog.regions_changed}, which bumps the generation
+      and the catalogue version (so concurrent queries can never
+      observe a stale cached result) and patches the document's
+      region index and DataGuide forward under that lock.  When the
+      server was created with a durability coordinator, the update's
+      WAL record is on disk
       (per the fsync policy) before the 200 is written, and every
       [snapshot-every] updates a compacting snapshot is taken in-line.
     - [POST /admin/snapshot] — operator-triggered compaction: write a

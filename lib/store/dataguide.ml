@@ -158,6 +158,12 @@ let get ?pool ~generation (d : Doc.t) =
               Doc.publish_dataguide d g;
               g)
 
+let restamp (d : Doc.t) ~from ~generation =
+  match Doc.dataguide_cache d with
+  | Some g when g.Doc.guide_generation = from ->
+      g.Doc.guide_generation <- generation
+  | _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 

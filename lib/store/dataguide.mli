@@ -14,7 +14,9 @@
     is supplied.  Staleness is governed by the caller-supplied
     catalogue generation: {!get} rebuilds whenever the cached guide's
     generation differs from the document's current one, so updates
-    invalidate guides exactly as they invalidate cached results. *)
+    invalidate guides exactly as they invalidate cached results.  An
+    update that changes only regions alters no label path, so it
+    moves the current guide to the new stamp ({!restamp}) instead. *)
 
 type step = bool * string
 (** One path step [(descendant, name)]: [(false, n)] selects the
@@ -34,6 +36,14 @@ val build : ?pool:Standoff_util.Pool.t -> generation:int -> Doc.t -> Doc.guide
     document's index lock.  Concurrent callers race benignly: exactly
     one builds, the rest block and receive the published guide. *)
 val get : ?pool:Standoff_util.Pool.t -> generation:int -> Doc.t -> Doc.guide
+
+(** [restamp d ~from ~generation] re-stamps [d]'s cached guide with
+    [generation] when it carries stamp [from], so the next {!get} at
+    [generation] returns the same guide without a rebuild; any other
+    cached guide is left to go stale.  Only for a generation bump that
+    changed no element or label path (region updates), and only under
+    the document's write exclusion. *)
+val restamp : Doc.t -> from:int -> generation:int -> unit
 
 (** [lookup d g steps] is the sorted, duplicate-free array of pres of
     the elements [steps] reaches from the document node.  A name

@@ -23,9 +23,9 @@ type guide_node = {
 type guide = {
   guide_root : guide_node;  (** stands for the document node *)
   guide_paths : int;  (** distinct label paths = guide-tree nodes - 1 *)
-  guide_generation : int;
-      (** the catalogue generation the guide was built under; a
-          mismatch at probe time means rebuild *)
+  mutable guide_generation : int;
+      (** the catalogue generation the guide is valid for; a mismatch
+          at probe time means rebuild *)
 }
 
 type t = {

@@ -35,10 +35,12 @@ type guide_node = {
 type guide = {
   guide_root : guide_node;  (** stands for the document node (pre 0) *)
   guide_paths : int;  (** distinct label paths in the document *)
-  guide_generation : int;
-      (** the catalogue generation the guide was built under
+  mutable guide_generation : int;
+      (** the catalogue generation the guide is valid for
           ({!Standoff.Catalog.generation}); {!Dataguide.get} rebuilds
-          on mismatch, so updated documents never serve stale pres *)
+          on mismatch, so updated documents never serve stale pres.
+          Re-stamped in place by {!Dataguide.restamp} when an update
+          changed only regions. *)
 }
 
 type t = private {

@@ -28,7 +28,8 @@ type t
     optimize are skipped).  [Cache_result] additionally serves
     byte-identical results for repeat runs, keyed on (plan fingerprint,
     context document, document-uid set) and stamped with the
-    catalogue's invalidation version — any [Update.*] /
+    catalogue's invalidation version — any [Update.*] (through
+    {!Standoff.Catalog.regions_changed}) or
     {!Standoff.Catalog.invalidate} expires every earlier entry, so a
     cached result can never survive an update.  Runs that construct
     nodes are never result-cached (their items would dangle after

@@ -304,6 +304,50 @@ let test_corner_cases () =
         Config.all_strategies)
     cases
 
+(* All-annotation wide joins on stand-off XMark: every candidate is
+   an annotation, most of them far from any context region — the
+   shape whose pending list used to grow with the document.  Both ops,
+   as a total and per context bidder, must serialize identically under
+   every strategy and jobs point. *)
+let test_xmark_wide_all () =
+  let setup = Standoff_xmark.Setup.build ~with_standard:false ~scale:0.002 () in
+  let doc = setup.Standoff_xmark.Setup.standoff_doc in
+  let bidders =
+    Printf.sprintf
+      "doc(\"%s\")//site/select-narrow::open_auctions\n\
+       /select-narrow::open_auction/select-narrow::bidder"
+      doc
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun query ->
+          let case = { layers = []; query } in
+          let reference =
+            run_case setup.Standoff_xmark.Setup.coll
+              ~strategy:Config.Loop_lifted ~jobs:1 ~dataguide:true case
+          in
+          Alcotest.(check bool) (query ^ ": non-empty") true
+            (String.trim reference <> "" && String.trim reference <> "0");
+          List.iter
+            (fun strategy ->
+              List.iter
+                (fun jobs ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s @ %s jobs=%d" query
+                       (Config.strategy_to_string strategy)
+                       jobs)
+                    reference
+                    (run_case setup.Standoff_xmark.Setup.coll ~strategy ~jobs
+                       ~dataguide:true case))
+                jobs_sweep)
+            Config.all_strategies)
+        [
+          Printf.sprintf "count(%s/%s::*)" bidders op;
+          Printf.sprintf "for $b in %s return count($b/%s::*)" bidders op;
+        ])
+    [ "select-wide"; "reject-wide" ]
+
 let () =
   Alcotest.run "differential"
     [
@@ -311,6 +355,8 @@ let () =
         [
           Alcotest.test_case "deterministic corner cases" `Quick
             test_corner_cases;
+          Alcotest.test_case "XMark all-annotation wide joins" `Quick
+            test_xmark_wide_all;
           QCheck_alcotest.to_alcotest qcheck_strategies_identical;
           QCheck_alcotest.to_alcotest qcheck_trace_rows_agree;
         ] );

@@ -391,6 +391,39 @@ let move_c_outside p =
   oneshot p ~meth:"POST"
     ~target:"/update?doc=upd.xml&pre=2&start=50&end=60" ""
 
+(* Integer parameters are an optional '-' then ASCII digits.  Every
+   lenient spelling below names a value a lenient parse would accept,
+   so only the strict parser answers 400 instead of 200. *)
+let test_strict_int_params () =
+  with_server (fun srv ->
+      let p = Server.port srv in
+      let update params =
+        oneshot p ~meth:"POST" ~target:("/update?doc=upd.xml&" ^ params) ""
+      in
+      List.iter
+        (fun params -> check_status params 400 (update params))
+        [
+          "pre=0x2&start=50&end=60";
+          "pre=2&start=5_0&end=60";
+          "pre=2&start=50&end=+60";
+          "pre=2&start=50&end=%2B60";
+          "pre=0b10&start=50&end=60";
+          "pre=2&start=0u50&end=60";
+          "pre=2&start=%2050&end=60";
+          "pre=2&start=-&end=60";
+          "pre=99999999999999999999&start=50&end=60";
+          "pre=2&start=50&end=99999999999999999999";
+          "op=shift&from=0x0&by=1";
+          "op=shift&from=0&by=+1";
+          "op=shift&from=0&by=-0x1";
+        ];
+      check_status "jobs=0x2" 400
+        (oneshot p ~meth:"POST" ~target:"/query?jobs=0x2" narrow_count);
+      (* Plain decimals still work, and [by] stays signed. *)
+      check_status "decimal set-region" 200 (update "pre=2&start=3&end=9");
+      check_status "shift forward" 200 (update "op=shift&from=0&by=5");
+      check_status "shift back" 200 (update "op=shift&from=0&by=-5"))
+
 let test_update_then_query () =
   let engine =
     Engine.create ~jobs:1 ~cache:Engine.Cache_result (fresh_collection ())
@@ -850,6 +883,8 @@ let () =
             test_ingest_endpoint;
           Alcotest.test_case "query-update-query over HTTP" `Quick
             test_update_then_query;
+          Alcotest.test_case "strict integer parameters" `Quick
+            test_strict_int_params;
           Alcotest.test_case "concurrent clients vs update" `Quick
             test_concurrent_interleave;
           Alcotest.test_case "concurrent mixed ?jobs= byte-identical" `Quick

@@ -147,6 +147,48 @@ let test_index_clustering () =
   Alcotest.(check (list int)) "annotation ids" [ 10; 11; 12 ]
     (Array.to_list (Region_index.annotation_ids idx))
 
+let dump_index idx =
+  ( Array.to_list idx.Region_index.starts,
+    Array.to_list idx.Region_index.ends,
+    Array.to_list idx.Region_index.ids,
+    Array.to_list idx.Region_index.region_ranks )
+
+(* The build skips its sort when the rows already arrive in sweep
+   order.  The total order keeps that invisible: a shuffled copy of the
+   same pairs builds the same index, with and without a pool.  The
+   13,200 rows pass the pool's parallel-sort threshold. *)
+let test_index_order_independent () =
+  let ordered =
+    List.concat
+      (List.init 1200 (fun b ->
+           let base = b * 100 in
+           (b * 11, Area.of_region (Region.make_int base (base + 99)))
+           :: List.init 10 (fun c ->
+                  let s = base + (c * 10) in
+                  ((b * 11) + 1 + c, Area.of_region (Region.make_int s (s + 9))))))
+  in
+  let shuffled =
+    let a = Array.of_list ordered in
+    let rng = Random.State.make [| 7 |] in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let pool = Standoff_util.Pool.create ~jobs:4 in
+  let reference = dump_index (Region_index.build ordered) in
+  List.iter
+    (fun (label, idx) ->
+      Alcotest.(check bool) label true (dump_index idx = reference))
+    [
+      ("ordered, pool", Region_index.build ~pool ordered);
+      ("shuffled", Region_index.build shuffled);
+      ("shuffled, pool", Region_index.build ~pool shuffled);
+    ]
+
 let test_restrict_ids () =
   let d =
     Doc.parse ~name:"t"
@@ -559,6 +601,140 @@ let qcheck_candidate_index_paths_agree =
       dump (Annots.candidate_index annots ~candidates:(Some candidates))
       = dump (Annots.candidate_index_scan annots ~candidates:(Some candidates)))
 
+(* Region updates patch the cached tables forward.  Starting from a
+   warm catalogue (full index plus a few restricted indexes), a random
+   sequence of [set_region]s — moves to the first and the last row,
+   ties on start, empty regions, no-op moves and arbitrary moves —
+   must leave the cached table equal, column by column, to a fresh
+   extraction of the mutated document, and every restricted index
+   equal to the fresh table's. *)
+type move_kind = To_first | To_last | Tie_start | Point | Same | Anywhere
+
+let gen_move_kind =
+  QCheck.Gen.oneofl [ To_first; To_last; Tie_start; Point; Same; Anywhere ]
+
+let gen_move_case =
+  QCheck.Gen.(
+    triple
+      (list_size (1 -- 14) gen_region)
+      (list_size (1 -- 3) (list_size (0 -- 8) (int_bound 20)))
+      (list_size (1 -- 12)
+         (triple (int_bound 20) gen_move_kind (pair (int_bound 20) gen_region))))
+
+let print_move_case (regions, cand_sets, moves) =
+  let kind = function
+    | To_first -> "first" | To_last -> "last" | Tie_start -> "tie"
+    | Point -> "point" | Same -> "same" | Anywhere -> "any"
+  in
+  Printf.sprintf "%s cands=%d moves=%s"
+    (print_attr_case (regions, [], []))
+    (List.length cand_sets)
+    (String.concat ";"
+       (List.map
+          (fun (p, k, (o, (s, e))) ->
+            Printf.sprintf "%d:%s:%d:[%d,%d]" p (kind k) o s e)
+          moves))
+
+let qcheck_set_region_patches_index =
+  QCheck.Test.make ~name:"set_region patch = fresh extraction" ~count:300
+    (QCheck.make ~print:print_move_case gen_move_case)
+    (fun (regions, cand_picks, moves) ->
+      let d = build_attr_doc regions in
+      let cat = Catalog.create () in
+      let warm = Catalog.annots cat Config.default d in
+      let cand_sets = List.map (subset_pres warm) cand_picks in
+      let restricted a =
+        List.map
+          (fun c -> dump_index (Annots.candidate_index a ~candidates:(Some c)))
+          cand_sets
+      in
+      ignore (restricted warm);
+      let n = Array.length warm.Annots.ids in
+      let extent slot = Area.extent warm.Annots.areas.(slot) in
+      List.for_all
+        (fun (pick, kind, (other, (s, e))) ->
+          let slot = pick mod n in
+          let pre = warm.Annots.ids.(slot) in
+          let region =
+            match kind with
+            | To_first -> Region.make_int 0 200
+            | To_last -> Region.make_int 200 (200 + e - s)
+            | Tie_start ->
+                let st = Region.start_pos (extent (other mod n)) in
+                Region.make st (Int64.add st (Int64.of_int (e - s)))
+            | Point -> Region.make_int s s
+            | Same -> extent slot
+            | Anywhere -> Region.make_int s e
+          in
+          Standoff.Update.set_region cat Config.default d ~pre region;
+          let cached = Catalog.annots cat Config.default d in
+          let fresh = Annots.extract Config.default d in
+          cached == warm
+          && cached.Annots.ids = fresh.Annots.ids
+          && cached.Annots.areas = fresh.Annots.areas
+          && dump_index cached.Annots.index = dump_index fresh.Annots.index
+          && restricted cached = restricted fresh)
+        moves)
+
+(* After [Engine.set_region] the DataGuide is carried forward — the
+   probe at the new generation returns the very same guide — and every
+   query answers as a fresh engine loaded from the mutated bytes. *)
+let test_set_region_keeps_guide () =
+  let coll = Standoff_store.Collection.create () in
+  ignore (Standoff_store.Collection.load_string coll ~name:"figure1.xml" figure1);
+  let eng = Engine.create ~jobs:1 coll in
+  let d =
+    Standoff_store.Collection.doc coll
+      (Option.get (Standoff_store.Collection.doc_id_of_name coll "figure1.xml"))
+  in
+  let queries =
+    [
+      {|for $s in doc("figure1.xml")//music[@artist = "U2"]/select-wide::shot return string($s/@id)|};
+      {|for $m in doc("figure1.xml")/sample/audio/music return count($m/select-narrow::shot)|};
+      {|for $s in doc("figure1.xml")//shot return string-join(for $x in $s/reject-wide::* return name($x), ",")|};
+      {|count(doc("figure1.xml")/sample/video/shot/select-narrow::music)|};
+    ]
+  in
+  let answers eng =
+    List.concat_map
+      (fun q ->
+        List.map
+          (fun strategy ->
+            (Engine.run eng ~strategy ~rollback_constructed:true q)
+              .Engine.serialized)
+          Config.all_strategies)
+      queries
+  in
+  ignore (answers eng);
+  let cat = Engine.catalog eng in
+  let guide () =
+    Standoff_store.Dataguide.get
+      ~generation:(Catalog.generation cat "figure1.xml")
+      d
+  in
+  let g0 = guide () in
+  let u2 =
+    List.find
+      (fun pre -> Doc.attribute d pre "artist" = Some "U2")
+      (Array.to_list (Doc.elements_named d "music"))
+  in
+  List.iter
+    (fun (s, e) ->
+      Engine.set_region eng Config.default d ~pre:u2 (Region.make_int s e);
+      Alcotest.(check bool)
+        (Printf.sprintf "guide carried to [%d,%d]" s e)
+        true
+        (guide () == g0);
+      let fresh_coll = Standoff_store.Collection.create () in
+      ignore
+        (Standoff_store.Collection.load_string fresh_coll ~name:"figure1.xml"
+           (Standoff_xml.Serializer.node_to_string (Doc.to_dom d (Doc.root d))));
+      Alcotest.(check (list string))
+        (Printf.sprintf "answers at [%d,%d] = fresh engine" s e)
+        (answers (Engine.create ~jobs:1 fresh_coll))
+        (answers eng))
+    [ (0, 64); (70, 70); (8, 8); (0, 94); (0, 31) ]
+
 (* Udf_no_candidates applies the node test after the join; with the
    candidate set equal to all annotations the two UDF variants must
    coincide. *)
@@ -631,6 +807,8 @@ let () =
           Alcotest.test_case "clustering" `Quick test_index_clustering;
           Alcotest.test_case "restrict" `Quick test_index_restrict;
           Alcotest.test_case "restrict_ids" `Quick test_restrict_ids;
+          Alcotest.test_case "input order is invisible" `Quick
+            test_index_order_independent;
         ] );
       ( "table-3.1",
         [
@@ -646,6 +824,9 @@ let () =
           Alcotest.test_case "shift" `Quick test_update_shift;
           Alcotest.test_case "failed shift is atomic" `Quick
             test_update_shift_failure_is_atomic;
+          Alcotest.test_case "set_region keeps the DataGuide" `Quick
+            test_set_region_keeps_guide;
+          QCheck_alcotest.to_alcotest qcheck_set_region_patches_index;
         ] );
       ( "agreement",
         [

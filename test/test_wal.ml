@@ -252,6 +252,50 @@ let test_continue_after_recovery () =
   Durable.close d3;
   rm_rf dir
 
+(* Updates applied over a warm catalogue patch the cached region index
+   and re-stamp the DataGuide instead of dropping them.  The WAL must
+   still carry everything recovery needs: after a crash, the recovered
+   store (cold caches) answers every probe exactly as the live,
+   patched one did. *)
+let test_warm_updates_recover () =
+  let dir = fresh_dir () in
+  let _d, eng, _ = open_stack dir in
+  let probes =
+    [
+      probe_query;
+      "for $w in doc(\"d.xml\")/doc/word return count($w/select-wide::sent)";
+      "count(doc(\"d.xml\")//sent/reject-narrow::*)";
+    ]
+  in
+  let answers eng =
+    List.concat_map
+      (fun q ->
+        List.map
+          (fun strategy -> (Engine.run eng ~strategy q).Engine.serialized)
+          Config.all_strategies)
+      probes
+  in
+  ignore (answers eng);
+  for k = 1 to 8 do
+    apply_via_engine eng k;
+    ignore (answers eng)
+  done;
+  ignore
+    (Engine.shift_annotations eng Config.default
+       (the_doc (Engine.collection eng)) ~from:50L ~by:3L);
+  apply_via_engine eng 9;
+  let live = answers eng in
+  (* Abandoned un-closed, as a killed process. *)
+  let d2, eng2, recovery = open_stack dir in
+  Alcotest.(check int) "every update replayed" 10 recovery.Durable.rec_replayed;
+  Alcotest.(check string) "recovered regions"
+    (fingerprint (Engine.collection eng))
+    (fingerprint (Engine.collection eng2));
+  Alcotest.(check (list string)) "recovered answers = live answers" live
+    (answers eng2);
+  Durable.close d2;
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot failpoints                                                 *)
 
@@ -659,6 +703,8 @@ let () =
           Alcotest.test_case "recovery then new updates then snapshot" `Quick
             test_continue_after_recovery;
           Alcotest.test_case "snapshot failpoints" `Quick test_snapshot_crashes;
+          Alcotest.test_case "warm-catalogue updates recover" `Quick
+            test_warm_updates_recover;
         ] );
       ( "corrupt-wal",
         [
