@@ -166,7 +166,7 @@ let figure_4 () =
       ~pres:[| 2; 3; 4; 5 |]
   in
   let cands =
-    Annots.candidate_index annots ~candidates:(Some [| 6; 7; 8; 9 |])
+    Annots.candidate_index_scan annots ~candidates:(Some [| 6; 7; 8; 9 |])
   in
   let name pre = Printf.sprintf "%s" (Option.get (Doc.name_of d pre)) in
   let step = ref 0 in
@@ -197,9 +197,9 @@ let figure_4 () =
   let matches = MJ.select_narrow ~trace ~single_region:true context cands in
   Printf.printf "result: %s\n"
     (String.concat " "
-       (List.map
-          (fun m -> Printf.sprintf "(iter%d, %s)" m.MJ.m_iter (name m.MJ.m_cand))
-          (Vec.to_list matches)));
+       (List.init matches.Standoff.Matches.len (fun k ->
+            Printf.sprintf "(iter%d, %s)" matches.Standoff.Matches.iters.(k)
+              (name matches.Standoff.Matches.cands.(k)))));
   Printf.printf
     "(paper's result set; the printed pseudo-code's cross-iteration skip of\n\
     \ c3 is replaced by a same-iteration replace, see DESIGN.md)\n"
@@ -327,14 +327,13 @@ let staircase_vs_standoff () =
   let auctions = Doc.elements_named d "open_auction" in
   let iters = Array.init (Array.length auctions) Fun.id in
   let test = Node_test.Name "bidder" in
-  let candidates = Doc.elements_named d "bidder" in
   let run_descendant () =
     Axes.eval_lifted d Axes.Descendant ~context_iters:iters
       ~context_pres:auctions ~test
   in
   let run_standoff () =
     Join.run_lifted Op.Select_narrow Config.Loop_lifted annots ~loop:iters
-      ~context_iters:iters ~context_pres:auctions ~candidates:(Some candidates)
+      ~context_iters:iters ~context_pres:auctions ~candidates:(Join.Named "bidder")
       ()
   in
   (* Same answers first. *)
@@ -389,9 +388,10 @@ let scaling ?(jobs = 1) () =
     "nested annotation forests (XMark-like shape); context = every 10th\n\
      annotation, its own iteration; candidates = all annotations\n";
   Printf.printf "jobs: %d%s\n\n" jobs
-    (if jobs > 1 then " (parallel index build and chunked sweeps)" else "");
+    (if jobs > 1 then " (chunked sweeps)" else "");
   Printf.printf "%12s %14s %14s %16s\n" "annotations" "sweep" "total query"
     "rows/sec";
+  Printf.printf "(median of 5 runs each)\n";
   List.iter
     (fun n ->
       (* A forest of depth-3 nests: parent [k, k+99], two children, six
@@ -421,25 +421,32 @@ let scaling ?(jobs = 1) () =
       done;
       Buffer.add_string buf "</t>";
       let d = Doc.parse ~name:(Printf.sprintf "scale%d" n) (Buffer.contents buf) in
-      let annots = Annots.extract ?pool Config.default d in
+      let annots = Annots.extract Config.default d in
       let ids = annots.Annots.ids in
       let m = Array.length ids in
       let ctx = Array.init (m / 10) (fun i -> ids.(i * 10)) in
       let iters = Array.init (Array.length ctx) Fun.id in
       let context = MJ.context_of_annotations annots ~iters ~pres:ctx in
+      (* The median of five runs: one run of a ~100 ms sweep swings
+         by 2x with the collector's timing. *)
+      let median_time f =
+        let runs = List.init 5 (fun _ -> Timing.time f) in
+        let times = List.sort compare (List.map snd runs) in
+        (fst (List.hd runs), List.nth times 2)
+      in
       let (matches, t_sweep) =
-        Timing.time (fun () ->
+        median_time (fun () ->
             MJ.select_narrow ~single_region:true context annots.Annots.index)
       in
       let (_, t_total) =
-        Timing.time (fun () ->
+        median_time (fun () ->
             Join.run_lifted Op.Select_narrow Config.Loop_lifted annots ?pool
               ~loop:iters ~context_iters:iters ~context_pres:ctx
-              ~candidates:None ())
+              ~candidates:Join.All ())
       in
       Printf.printf "%12d %12.1fms %12.1fms %16.0f\n%!" m
         (t_sweep *. 1000.0) (t_total *. 1000.0)
-        (float_of_int (Vec.length matches) /. t_sweep))
+        (float_of_int (Standoff.Matches.length matches) /. t_sweep))
     [ 10_000; 100_000; 1_000_000 ]
 
 (* ------------------------------------------------------------------ *)
@@ -474,7 +481,7 @@ let active_set_ablation () =
         ~pres:ctx_pres
     in
     let cands =
-      Annots.candidate_index annots ~candidates:(Some (Doc.elements_named d "r"))
+      Annots.candidate_index annots ~name:(Some "r")
     in
     (context, cands)
   in
@@ -519,7 +526,7 @@ let active_set_ablation () =
         ~pres:ctx_pres
     in
     let cands =
-      Annots.candidate_index annots ~candidates:(Some (Doc.elements_named d "r"))
+      Annots.candidate_index annots ~name:(Some "r")
     in
     (context, cands)
   in
@@ -2352,7 +2359,7 @@ let micro () =
                  ~loop
                  ~context_iters:(Array.init 500 Fun.id)
                  ~context_pres:(Array.sub all_ids 0 500)
-                 ~candidates:(Some (Array.sub all_ids 0 1000))
+                 ~candidates:(Join.Pres (Array.sub all_ids 0 1000))
                  ()));
       ]
   in

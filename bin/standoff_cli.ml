@@ -469,8 +469,8 @@ let index_cmd =
         for row = 0 to Standoff.Region_index.row_count idx - 1 do
           let pre = idx.Standoff.Region_index.ids.(row) in
           Printf.printf "%12Ld %12Ld %8d  %s%s\n"
-            idx.Standoff.Region_index.starts.(row)
-            idx.Standoff.Region_index.ends.(row)
+            idx.Standoff.Region_index.starts.{row}
+            idx.Standoff.Region_index.ends.{row}
             pre
             (Option.value ~default:"?" (Doc.name_of doc pre))
             (if idx.Standoff.Region_index.region_ranks.(row) > 0 then

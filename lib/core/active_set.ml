@@ -1,4 +1,4 @@
-module Vec = Standoff_util.Vec
+module A1 = Bigarray.Array1
 
 type kind =
   | Sorted_list
@@ -18,326 +18,303 @@ type callbacks = {
   on_trim : iter:int -> ctx:int -> unit;
 }
 
-let no_callbacks =
-  {
-    on_add = (fun ~iter:_ ~ctx:_ -> ());
-    on_skip = (fun ~iter:_ ~ctx:_ -> ());
-    on_replace = (fun ~iter:_ ~removed:_ ~by:_ -> ());
-    on_trim = (fun ~iter:_ ~ctx:_ -> ());
-  }
+(* Positions are read straight out of the caller's columns ([ends i],
+   [starts j]) rather than passed as [int64] arguments: across a call
+   an [int64] is boxed, and these run once per sweep row. *)
+type positions = Region_index.positions
 
 (* ------------------------------------------------------------------ *)
-(* Shared: the per-iteration table backing the single-region
-   skip/replace refinements.                                          *)
+(* Flat entry columns: a position column and two int columns, grown by
+   doubling.  The sorted list keeps them sorted on [ends] descending;
+   the heaps keep heap order.                                         *)
 
-type per_iter = (int, int64 * int) Hashtbl.t
+type entries = {
+  mutable ends : positions;
+  mutable iters : int array;
+  mutable ctxs : int array;
+  mutable len : int;
+}
+
+let entries_make () =
+  {
+    ends = Region_index.positions 16;
+    iters = Array.make 16 0;
+    ctxs = Array.make 16 0;
+    len = 0;
+  }
+
+let reserve en =
+  let cap = Array.length en.iters in
+  if en.len >= cap then begin
+    let ends = Region_index.positions (2 * cap) in
+    A1.blit en.ends (A1.sub ends 0 cap);
+    en.ends <- ends;
+    en.iters <- Array.append en.iters en.iters;
+    en.ctxs <- Array.append en.ctxs en.ctxs
+  end
+
+let set_entry en k (src : positions) i ~iter ~ctx =
+  A1.unsafe_set en.ends k (A1.unsafe_get src i);
+  en.iters.(k) <- iter;
+  en.ctxs.(k) <- ctx
+
+let move_entry en ~src ~dst =
+  set_entry en dst en.ends src ~iter:en.iters.(src) ~ctx:en.ctxs.(src)
+
+let swap_entries en a b =
+  let e = A1.unsafe_get en.ends a and it = en.iters.(a) and cx = en.ctxs.(a) in
+  move_entry en ~src:b ~dst:a;
+  A1.unsafe_set en.ends b e;
+  en.iters.(b) <- it;
+  en.ctxs.(b) <- cx
 
 (* ------------------------------------------------------------------ *)
 (* Sorted list (the paper's structure)                                *)
 
-type list_impl = {
-  l_ends : int64 Vec.t;  (* descending *)
-  l_iters : int Vec.t;
-  l_ctxs : int Vec.t;
-}
-
-(* First position whose end is strictly below [e]. *)
-let list_position_below li e =
-  let lo = ref 0 and hi = ref (Vec.length li.l_ends) in
+(* First position whose end is strictly below [ends.{i}]. *)
+let list_position_below en (ends : positions) i =
+  let e = A1.unsafe_get ends i in
+  let lo = ref 0 and hi = ref en.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare (Vec.get li.l_ends mid) e >= 0 then lo := mid + 1
-    else hi := mid
+    if A1.unsafe_get en.ends mid >= e then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let list_remove_slot li pos =
-  Vec.remove li.l_ends pos;
-  Vec.remove li.l_iters pos;
-  Vec.remove li.l_ctxs pos
+let list_insert en ~iter ~ctx (ends : positions) i =
+  reserve en;
+  let pos = list_position_below en ends i in
+  for k = en.len downto pos + 1 do
+    move_entry en ~src:(k - 1) ~dst:k
+  done;
+  set_entry en pos ends i ~iter ~ctx;
+  en.len <- en.len + 1
 
-(* Locate the slot holding exactly (iter, end_). *)
-let list_find_slot li ~iter ~end_ =
-  let lo = ref 0 and hi = ref (Vec.length li.l_ends) in
+let list_remove en pos =
+  for k = pos to en.len - 2 do
+    move_entry en ~src:(k + 1) ~dst:k
+  done;
+  en.len <- en.len - 1
+
+(* The slot holding iteration [iter]'s region, whose end is [ends.{i}]. *)
+let list_find en ~iter (ends : positions) i =
+  let e = A1.unsafe_get ends i in
+  let lo = ref 0 and hi = ref en.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare (Vec.get li.l_ends mid) end_ > 0 then lo := mid + 1
-    else hi := mid
+    if A1.unsafe_get en.ends mid > e then lo := mid + 1 else hi := mid
   done;
   let pos = ref !lo in
-  while
-    !pos < Vec.length li.l_ends
-    && Int64.equal (Vec.get li.l_ends !pos) end_
-    && Vec.get li.l_iters !pos <> iter
-  do
+  while en.iters.(!pos) <> iter do
     incr pos
   done;
-  if
-    !pos < Vec.length li.l_ends
-    && Int64.equal (Vec.get li.l_ends !pos) end_
-    && Vec.get li.l_iters !pos = iter
-  then Some !pos
-  else None
-
-let list_insert li ~iter ~ctx ~end_ =
-  let pos = list_position_below li end_ in
-  Vec.insert li.l_ends pos end_;
-  Vec.insert li.l_iters pos iter;
-  Vec.insert li.l_ctxs pos ctx
+  !pos
 
 (* ------------------------------------------------------------------ *)
 (* Lazy two-heap implementation                                       *)
 
 (* Entries are pushed on both a max-heap (for the emit scan) and a
-   min-heap (for trimming); [by_iter] is the source of truth and an
-   entry is live iff it matches its iteration's table row.  Stale
-   entries are skipped on contact and both heaps are rebuilt when they
-   outnumber the live ones. *)
-type heap_impl = {
-  mutable max_ends : int64 array;
-  mutable max_iters : int array;
-  mutable max_ctxs : int array;
-  mutable max_len : int;
-  mutable min_ends : int64 array;
-  mutable min_iters : int array;
-  mutable min_ctxs : int array;
-  mutable min_len : int;
-}
+   min-heap (for trimming); the per-iteration columns of [t] are the
+   source of truth and an entry is live iff it matches its iteration's
+   row.  Stale entries are skipped on contact and both heaps are
+   rebuilt when they outnumber the live ones.  [dir] is 1 for the
+   max-heap, -1 for the min-heap. *)
+let before ~dir en a b =
+  let ea = A1.unsafe_get en.ends a and eb = A1.unsafe_get en.ends b in
+  if dir > 0 then ea > eb else ea < eb
 
-let heap_make () =
-  {
-    max_ends = Array.make 16 0L;
-    max_iters = Array.make 16 0;
-    max_ctxs = Array.make 16 0;
-    max_len = 0;
-    min_ends = Array.make 16 0L;
-    min_iters = Array.make 16 0;
-    min_ctxs = Array.make 16 0;
-    min_len = 0;
-  }
-
-(* [dir] is 1 for a max-heap, -1 for a min-heap. *)
-let heap_push ends iters ctxs len ~dir e it cx =
-  let n = !len in
-  let cap = Array.length !ends in
-  if n >= cap then begin
-    let grow a fill =
-      let b = Array.make (2 * cap) fill in
-      Array.blit !a 0 b 0 n;
-      a := b
-    in
-    grow ends 0L;
-    grow iters 0;
-    grow ctxs 0
-  end;
-  let ea = !ends and ia = !iters and ca = !ctxs in
-  ea.(n) <- e;
-  ia.(n) <- it;
-  ca.(n) <- cx;
-  len := n + 1;
-  let i = ref n in
-  let better a b = dir * Int64.compare a b > 0 in
-  while !i > 0 && better ea.(!i) ea.((!i - 1) / 2) do
-    let p = (!i - 1) / 2 in
-    let swap (a : int64 array) = let t = a.(!i) in a.(!i) <- a.(p); a.(p) <- t in
-    let swapi (a : int array) = let t = a.(!i) in a.(!i) <- a.(p); a.(p) <- t in
-    swap ea;
-    swapi ia;
-    swapi ca;
-    i := p
+let heap_push en ~dir (ends : positions) i ~iter ~ctx =
+  reserve en;
+  let k = ref en.len in
+  set_entry en !k ends i ~iter ~ctx;
+  en.len <- en.len + 1;
+  while !k > 0 && before ~dir en !k ((!k - 1) / 2) do
+    let p = (!k - 1) / 2 in
+    swap_entries en !k p;
+    k := p
   done
 
-(* Remove the root; [len] is the length before removal and the caller
-   records the new length [len - 1]. *)
-let heap_pop_root ends iters ctxs ~len ~dir =
-  let n = len - 1 in
-  ends.(0) <- ends.(n);
-  iters.(0) <- iters.(n);
-  ctxs.(0) <- ctxs.(n);
-  let better a b = dir * Int64.compare a b > 0 in
-  let i = ref 0 in
-  let continue = ref true in
+let sift_down en ~dir k =
+  let i = ref k and continue = ref true in
   while !continue do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
     let best = ref !i in
-    if l < n && better ends.(l) ends.(!best) then best := l;
-    if r < n && better ends.(r) ends.(!best) then best := r;
+    if l < en.len && before ~dir en l !best then best := l;
+    if r < en.len && before ~dir en r !best then best := r;
     if !best = !i then continue := false
     else begin
-      let b = !best in
-      let swap (a : int64 array) = let t = a.(!i) in a.(!i) <- a.(b); a.(b) <- t in
-      let swapi (a : int array) = let t = a.(!i) in a.(!i) <- a.(b); a.(b) <- t in
-      swap ends;
-      swapi iters;
-      swapi ctxs;
-      i := b
+      swap_entries en !i !best;
+      i := !best
     end
   done
+
+let heap_pop_root en ~dir =
+  en.len <- en.len - 1;
+  move_entry en ~src:en.len ~dst:0;
+  sift_down en ~dir 0
 
 (* ------------------------------------------------------------------ *)
 (* The public type                                                    *)
 
 type impl =
-  | List of list_impl
-  | Heap of heap_impl
+  | List of entries
+  | Heap of { hmax : entries; hmin : entries }
 
+(* Single-region mode pins at most one live region per iteration:
+   [live_ctx.(iter - iter_lo)] is its context id ([-1] when none) and
+   [live_end.{iter - iter_lo}] its end — flat columns indexed by
+   iteration, no hashing and no boxed tuples. *)
 type t = {
   impl : impl;
-  by_iter : per_iter;
   single_region : bool;
-  cb : callbacks;
+  cb : callbacks option;
+  iter_lo : int;
+  live_end : positions;
+  live_ctx : int array;
+  mutable live : int;
 }
 
-let create kind ~single_region ~callbacks =
+let create kind ~single_region ?callbacks ~iters:(iter_lo, iter_hi) () =
   let impl =
     match kind with
-    | Sorted_list ->
-        List { l_ends = Vec.create (); l_iters = Vec.create (); l_ctxs = Vec.create () }
+    | Sorted_list -> List (entries_make ())
     | Lazy_heap ->
         if not single_region then
           invalid_arg
             "Active_set.create: Lazy_heap requires single-region mode";
-        Heap (heap_make ())
+        Heap { hmax = entries_make (); hmin = entries_make () }
   in
-  { impl; by_iter = Hashtbl.create 16; single_region; cb = callbacks }
+  let span = if single_region then max 0 (iter_hi - iter_lo + 1) else 0 in
+  {
+    impl;
+    single_region;
+    cb = callbacks;
+    iter_lo;
+    live_end = Region_index.positions span;
+    live_ctx = Array.make span (-1);
+    live = 0;
+  }
 
-let size t =
-  match t.impl with
-  | List li -> Vec.length li.l_ends
-  | Heap _ -> Hashtbl.length t.by_iter
+let size t = match t.impl with List en -> en.len | Heap _ -> t.live
 
-let heap_entry_live t e it cx =
-  match Hashtbl.find_opt t.by_iter it with
-  | Some (live_end, live_ctx) -> Int64.equal live_end e && live_ctx = cx
-  | None -> false
+let entry_live t en k =
+  let s = en.iters.(k) - t.iter_lo in
+  t.live_ctx.(s) = en.ctxs.(k)
+  && A1.unsafe_get t.live_end s = A1.unsafe_get en.ends k
 
-let heap_compact t h =
-  h.max_len <- 0;
-  h.min_len <- 0;
-  let max_ends = ref h.max_ends and max_iters = ref h.max_iters and max_ctxs = ref h.max_ctxs in
-  let min_ends = ref h.min_ends and min_iters = ref h.min_iters and min_ctxs = ref h.min_ctxs in
-  let max_len = ref 0 and min_len = ref 0 in
-  Hashtbl.iter
-    (fun it (e, cx) ->
-      heap_push max_ends max_iters max_ctxs max_len ~dir:1 e it cx;
-      heap_push min_ends min_iters min_ctxs min_len ~dir:(-1) e it cx)
-    t.by_iter;
-  h.max_ends <- !max_ends;
-  h.max_iters <- !max_iters;
-  h.max_ctxs <- !max_ctxs;
-  h.max_len <- !max_len;
-  h.min_ends <- !min_ends;
-  h.min_iters <- !min_iters;
-  h.min_ctxs <- !min_ctxs;
-  h.min_len <- !min_len
+(* Keep the live entries of the max-heap (one per live iteration),
+   copy them to the min-heap and restore both heap orders bottom-up:
+   O(heap) per compaction, which runs once the heap has doubled. *)
+let heap_compact t ~hmax ~hmin =
+  let n = ref 0 in
+  for k = 0 to hmax.len - 1 do
+    if entry_live t hmax k then begin
+      move_entry hmax ~src:k ~dst:!n;
+      incr n
+    end
+  done;
+  hmax.len <- !n;
+  hmin.len <- 0;
+  for k = 0 to !n - 1 do
+    reserve hmin;
+    set_entry hmin k hmax.ends k ~iter:hmax.iters.(k) ~ctx:hmax.ctxs.(k);
+    hmin.len <- k + 1
+  done;
+  for k = (!n / 2) - 1 downto 0 do
+    sift_down hmax ~dir:1 k;
+    sift_down hmin ~dir:(-1) k
+  done
 
-let heap_insert t h e it cx =
-  let live = Hashtbl.length t.by_iter in
-  if h.max_len > (2 * live) + 8 then heap_compact t h;
-  let max_ends = ref h.max_ends and max_iters = ref h.max_iters and max_ctxs = ref h.max_ctxs in
-  let min_ends = ref h.min_ends and min_iters = ref h.min_iters and min_ctxs = ref h.min_ctxs in
-  let max_len = ref h.max_len and min_len = ref h.min_len in
-  heap_push max_ends max_iters max_ctxs max_len ~dir:1 e it cx;
-  heap_push min_ends min_iters min_ctxs min_len ~dir:(-1) e it cx;
-  h.max_ends <- !max_ends;
-  h.max_iters <- !max_iters;
-  h.max_ctxs <- !max_ctxs;
-  h.max_len <- !max_len;
-  h.min_ends <- !min_ends;
-  h.min_iters <- !min_iters;
-  h.min_ctxs <- !min_ctxs;
-  h.min_len <- !min_len
+let insert t ~iter ~ctx (ends : positions) i =
+  (match t.impl with
+  | List en -> list_insert en ~iter ~ctx ends i
+  | Heap { hmax; hmin } ->
+      if hmax.len > (2 * t.live) + 8 then heap_compact t ~hmax ~hmin;
+      heap_push hmax ~dir:1 ends i ~iter ~ctx;
+      heap_push hmin ~dir:(-1) ends i ~iter ~ctx);
+  match t.cb with Some cb -> cb.on_add ~iter ~ctx | None -> ()
 
-let add t ~iter ~ctx ~end_ =
-  let insert () =
-    (match t.impl with
-    | List li -> list_insert li ~iter ~ctx ~end_
-    | Heap h -> heap_insert t h end_ iter ctx);
-    t.cb.on_add ~iter ~ctx
-  in
-  if not t.single_region then insert ()
-  else
-    match Hashtbl.find_opt t.by_iter iter with
-    | Some (old_end, _) when Int64.compare old_end end_ >= 0 ->
-        t.cb.on_skip ~iter ~ctx
-    | Some (old_end, old_ctx) ->
+let add t ~iter ~ctx (ends : positions) i =
+  if not t.single_region then insert t ~iter ~ctx ends i
+  else begin
+    let s = iter - t.iter_lo in
+    let old_ctx = t.live_ctx.(s) in
+    if old_ctx >= 0 && A1.unsafe_get t.live_end s >= A1.unsafe_get ends i then (
+      match t.cb with Some cb -> cb.on_skip ~iter ~ctx | None -> ())
+    else begin
+      if old_ctx >= 0 then begin
         (match t.impl with
-        | List li -> (
-            match list_find_slot li ~iter ~end_:old_end with
-            | Some pos -> list_remove_slot li pos
-            | None -> assert false)
+        | List en -> list_remove en (list_find en ~iter t.live_end s)
         | Heap _ -> () (* the old entry goes stale *));
-        Hashtbl.replace t.by_iter iter (end_, ctx);
-        t.cb.on_replace ~iter ~removed:old_ctx ~by:ctx;
-        insert ()
-    | None ->
-        Hashtbl.replace t.by_iter iter (end_, ctx);
-        insert ()
+        match t.cb with
+        | Some cb -> cb.on_replace ~iter ~removed:old_ctx ~by:ctx
+        | None -> ()
+      end
+      else t.live <- t.live + 1;
+      A1.unsafe_set t.live_end s (A1.unsafe_get ends i);
+      t.live_ctx.(s) <- ctx;
+      insert t ~iter ~ctx ends i
+    end
+  end
 
-let trim t ~start =
+let retire t ~iter ~ctx =
+  if t.single_region then begin
+    t.live_ctx.(iter - t.iter_lo) <- -1;
+    t.live <- t.live - 1
+  end;
+  match t.cb with Some cb -> cb.on_trim ~iter ~ctx | None -> ()
+
+let trim t (starts : positions) j =
+  let start = A1.unsafe_get starts j in
   match t.impl with
-  | List li ->
-      while
-        Vec.length li.l_ends > 0
-        && Int64.compare (Vec.last li.l_ends) start < 0
-      do
-        let pos = Vec.length li.l_ends - 1 in
-        let iter = Vec.get li.l_iters pos and ctx = Vec.get li.l_ctxs pos in
-        list_remove_slot li pos;
-        if t.single_region then Hashtbl.remove t.by_iter iter;
-        t.cb.on_trim ~iter ~ctx
+  | List en ->
+      while en.len > 0 && A1.unsafe_get en.ends (en.len - 1) < start do
+        let last = en.len - 1 in
+        en.len <- last;
+        retire t ~iter:en.iters.(last) ~ctx:en.ctxs.(last)
       done
-  | Heap h ->
-      let continue = ref true in
-      while !continue && h.min_len > 0 do
-        let e = h.min_ends.(0) and it = h.min_iters.(0) and cx = h.min_ctxs.(0) in
-        if Int64.compare e start >= 0 then continue := false
-        else begin
-          if heap_entry_live t e it cx then begin
-            Hashtbl.remove t.by_iter it;
-            t.cb.on_trim ~iter:it ~ctx:cx
-          end;
-          heap_pop_root h.min_ends h.min_iters h.min_ctxs ~len:h.min_len
-            ~dir:(-1);
-          h.min_len <- h.min_len - 1
-        end
+  | Heap { hmin; _ } ->
+      while hmin.len > 0 && A1.unsafe_get hmin.ends 0 < start do
+        if entry_live t hmin 0 then
+          retire t ~iter:hmin.iters.(0) ~ctx:hmin.ctxs.(0);
+        heap_pop_root hmin ~dir:(-1)
       done
 
-let iter_end_ge t threshold f =
+(* Pruned DFS over the max-heap: a node's end bounds its whole subtree,
+   stale or not. *)
+let rec heap_emit_end_ge t en k (ends : positions) j out ~cand ~rank =
+  if k < en.len && A1.unsafe_get en.ends k >= A1.unsafe_get ends j then begin
+    if entry_live t en k then
+      Matches.push out ~iter:en.iters.(k) ~ctx:en.ctxs.(k) ~cand ~rank;
+    heap_emit_end_ge t en ((2 * k) + 1) ends j out ~cand ~rank;
+    heap_emit_end_ge t en ((2 * k) + 2) ends j out ~cand ~rank
+  end
+
+let emit_end_ge t (ends : positions) j out ~cand ~rank =
   match t.impl with
-  | List li ->
+  | List en ->
+      let threshold = A1.unsafe_get ends j in
       let k = ref 0 in
-      while
-        !k < Vec.length li.l_ends
-        && Int64.compare (Vec.get li.l_ends !k) threshold >= 0
-      do
-        f ~iter:(Vec.get li.l_iters !k) ~ctx:(Vec.get li.l_ctxs !k);
+      while !k < en.len && A1.unsafe_get en.ends !k >= threshold do
+        Matches.push out ~iter:en.iters.(!k) ~ctx:en.ctxs.(!k) ~cand ~rank;
         incr k
       done
-  | Heap h ->
-      (* Pruned DFS over the max-heap: a node's end bounds its whole
-         subtree, stale or not. *)
-      let rec visit i =
-        if i < h.max_len && Int64.compare h.max_ends.(i) threshold >= 0 then begin
-          if heap_entry_live t h.max_ends.(i) h.max_iters.(i) h.max_ctxs.(i)
-          then f ~iter:h.max_iters.(i) ~ctx:h.max_ctxs.(i);
-          visit ((2 * i) + 1);
-          visit ((2 * i) + 2)
-        end
-      in
-      visit 0
+  | Heap { hmax; _ } -> heap_emit_end_ge t hmax 0 ends j out ~cand ~rank
 
-let iter_all t f =
+let emit_all t out ~cand ~rank =
   match t.impl with
-  | List li ->
-      for k = 0 to Vec.length li.l_ends - 1 do
-        f ~iter:(Vec.get li.l_iters k) ~ctx:(Vec.get li.l_ctxs k)
+  | List en ->
+      for k = 0 to en.len - 1 do
+        Matches.push out ~iter:en.iters.(k) ~ctx:en.ctxs.(k) ~cand ~rank
       done
-  | Heap _ -> Hashtbl.iter (fun iter (_, ctx) -> f ~iter ~ctx) t.by_iter
+  | Heap { hmax; _ } ->
+      for k = 0 to hmax.len - 1 do
+        if entry_live t hmax k then
+          Matches.push out ~iter:hmax.iters.(k) ~ctx:hmax.ctxs.(k) ~cand ~rank
+      done
 
-let covered t ~iter ~end_ =
+let covered t ~iter (ends : positions) i =
   t.single_region
   &&
-  match Hashtbl.find_opt t.by_iter iter with
-  | Some (old_end, _) -> Int64.compare old_end end_ >= 0
-  | None -> false
+  let s = iter - t.iter_lo in
+  t.live_ctx.(s) >= 0 && A1.unsafe_get t.live_end s >= A1.unsafe_get ends i

@@ -1,36 +1,29 @@
 module Vec = Standoff_util.Vec
-module Search = Standoff_util.Search
 module Doc = Standoff_store.Doc
 module Region = Standoff_interval.Region
 module Area = Standoff_interval.Area
 
 exception Invalid_region of { pre : int; msg : string }
 
-module Lru = Standoff_cache.Lru
-
-(* Restricted-index cache: keyed structurally on the candidate array,
-   so structurally equal candidate sets from separate [prepare] calls
-   hit, and bounded so it cannot grow without limit.  [Lru] holds its
-   mutex under [Fun.protect], so sharing one [Annots.t] across pool
-   domains is safe even on exception paths — the hand-rolled
-   predecessor could leak its lock and deadlock every later lookup.
-   Hits and misses surface as [standoff_cache_*{cache="restricted"}]. *)
-type restricted_cache = (int array, Region_index.t) Lru.t
-
-let restricted_cache_capacity = 8
-
-let cache_create () =
-  Lru.create ~name:"restricted" ~max_entries:restricted_cache_capacity
-    ~weight:(fun idx -> (Region_index.row_count idx * 24) + 64)
-    ()
+(* One restricted index per element name, built on first use and kept
+   for the life of the table: each annotation has exactly one name, so
+   together they never hold more rows than the full index.  [ids] are
+   the name's annotation pres, sorted.  Guarded by [lock] because one
+   table is shared by every reader (pool domains included). *)
+type named = { n_ids : int array; n_index : Region_index.t }
+type by_name = { lock : Mutex.t; tbl : (string, named) Hashtbl.t }
 
 type t = {
   doc : Doc.t;
   ids : int array;
   areas : Area.t array;
+  slots : int array;
+  first_region : int array;
+  region_starts : Region_index.positions;
+  region_ends : Region_index.positions;
   index : Region_index.t;
   max_regions_per_area : int;
-  restricted_cache : restricted_cache;
+  by_name : by_name;
 }
 
 let fail pre fmt = Printf.ksprintf (fun msg -> raise (Invalid_region { pre; msg })) fmt
@@ -86,7 +79,32 @@ let area_from_region_elements config doc region_name pre =
       end);
   match !regions with [] -> None | rs -> Some (Area.make (List.rev rs))
 
-let extract ?pool config doc =
+(* The region index over the given annotation slots, in document order
+   like [extract]'s scan, so the build can skip its sort when the
+   regions nest like the tree. *)
+let index_of_slots ~ids:all_ids ~first_region ~region_starts ~region_ends slots =
+  let n =
+    Array.fold_left
+      (fun acc s -> acc + first_region.(s + 1) - first_region.(s))
+      0 slots
+  in
+  let starts = Region_index.positions n and ends = Region_index.positions n in
+  let ids = Array.make n 0 and ranks = Array.make n 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun s ->
+      let first = first_region.(s) in
+      for r = first to first_region.(s + 1) - 1 do
+        starts.{!k} <- region_starts.{r};
+        ends.{!k} <- region_ends.{r};
+        ids.(!k) <- all_ids.(s);
+        ranks.(!k) <- r - first;
+        incr k
+      done)
+    slots;
+  Region_index.of_columns ~starts ~ends ~ids ~ranks
+
+let extract config doc =
   let area_of_pre =
     match config.Config.region_name with
     | None -> area_from_attributes config doc
@@ -104,24 +122,51 @@ let extract ?pool config doc =
           max_regions := max !max_regions (Area.region_count area)
   done;
   let ids = Vec.to_array ids and areas = Vec.to_array areas in
-  let annots = Array.to_list (Array.map2 (fun id a -> (id, a)) ids areas) in
+  let slots = Array.make (Doc.node_count doc) (-1) in
+  Array.iteri (fun slot pre -> slots.(pre) <- slot) ids;
+  (* The regions of every area, flat: slot [s] owns rows
+     [first_region.(s) .. first_region.(s + 1) - 1]. *)
+  let first_region = Array.make (Array.length ids + 1) 0 in
+  Array.iteri
+    (fun slot a -> first_region.(slot + 1) <- first_region.(slot) + Area.region_count a)
+    areas;
+  let n_regions = first_region.(Array.length ids) in
+  let region_starts = Region_index.positions n_regions
+  and region_ends = Region_index.positions n_regions in
+  Array.iteri
+    (fun slot a ->
+      List.iteri
+        (fun rank r ->
+          region_starts.{first_region.(slot) + rank} <- Region.start_pos r;
+          region_ends.{first_region.(slot) + rank} <- Region.end_pos r)
+        (Area.regions a))
+    areas;
   {
     doc;
     ids;
     areas;
-    index = Region_index.build ?pool annots;
+    slots;
+    first_region;
+    region_starts;
+    region_ends;
+    index =
+      index_of_slots ~ids ~first_region ~region_starts ~region_ends
+        (Array.init (Array.length ids) Fun.id);
     max_regions_per_area = !max_regions;
-    restricted_cache = cache_create ();
+    by_name = { lock = Mutex.create (); tbl = Hashtbl.create 16 };
   }
 
 let annotation_count t = Array.length t.ids
 
-let find_slot t pre =
-  let i = Search.lower_bound_int t.ids pre in
-  if i < Array.length t.ids && t.ids.(i) = pre then Some i else None
+let slot_of t pre =
+  if pre >= 0 && pre < Array.length t.slots then Array.unsafe_get t.slots pre
+  else -1
 
-let area_of t pre = Option.map (fun i -> t.areas.(i)) (find_slot t pre)
-let is_annotation t pre = find_slot t pre <> None
+let area_of t pre =
+  let slot = slot_of t pre in
+  if slot < 0 then None else Some t.areas.(slot)
+
+let is_annotation t pre = slot_of t pre >= 0
 
 let restrict_ids t ~candidates =
   let out = Vec.create () in
@@ -135,44 +180,57 @@ let candidate_index_scan ?pool t ~candidates =
   | None -> t.index
   | Some ids -> Region_index.restrict ?pool t.index ~ids
 
-let candidate_index ?pool t ~candidates =
-  match candidates with
-  | None -> t.index
-  | Some ids -> (
-      match Lru.find t.restricted_cache ids with
-      | Some idx -> idx
-      | None ->
-          (* §4.3 index intersection on node-id, done from the
-             candidate side: each candidate's regions are already
-             known, so the restricted index is built in
-             O(|candidates| log |candidates|) instead of scanning the
-             full region index. *)
-          let pairs =
-            Array.fold_right
-              (fun pre acc ->
-                match find_slot t pre with
-                | Some slot -> (pre, t.areas.(slot)) :: acc
-                | None -> acc)
-              ids []
-          in
-          (* Document order, like [extract]'s, so the build can skip
-             its sort when the regions nest like the tree. *)
-          let idx = Region_index.build ?pool pairs in
-          Lru.add t.restricted_cache ids idx;
-          idx)
+let find_named t name =
+  Mutex.protect t.by_name.lock (fun () -> Hashtbl.find_opt t.by_name.tbl name)
+
+let named t name =
+  match find_named t name with
+  | Some n -> n
+  | None ->
+      (* §4.3 index intersection on node-id, done from the candidate
+         side: each candidate's regions are already known, so the
+         index is built from them alone instead of scanning the full
+         region index.  Built outside the lock; a racing builder's
+         equal index is dropped. *)
+      let n_ids = restrict_ids t ~candidates:(Doc.elements_named t.doc name) in
+      let n_index =
+        index_of_slots ~ids:t.ids ~first_region:t.first_region
+          ~region_starts:t.region_starts ~region_ends:t.region_ends
+          (Array.map (slot_of t) n_ids)
+      in
+      let n = { n_ids; n_index } in
+      Mutex.protect t.by_name.lock (fun () ->
+          match Hashtbl.find_opt t.by_name.tbl name with
+          | Some first -> first
+          | None ->
+              Hashtbl.add t.by_name.tbl name n;
+              n)
+
+let candidate_index t ~name =
+  match name with None -> t.index | Some n -> (named t n).n_index
+
+let candidate_ids t ~name =
+  match name with None -> t.ids | Some n -> (named t n).n_ids
 
 let move t ~pre region =
-  match find_slot t pre with
-  | None ->
-      invalid_arg (Printf.sprintf "Annots.move: %d is not an annotation" pre)
-  | Some slot -> (
-      match Area.regions t.areas.(slot) with
-      | [ from ] ->
-          Region_index.move_row t.index ~id:pre ~rank:0 ~from ~to_:region;
-          t.areas.(slot) <- Area.of_region region;
-          (* Restrictions copy rows out of the full index, so every one
-             of them may hold the old region. *)
-          Lru.clear t.restricted_cache
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Annots.move: %d has a multi-region area" pre))
+  let slot = slot_of t pre in
+  if slot < 0 then
+    invalid_arg (Printf.sprintf "Annots.move: %d is not an annotation" pre);
+  match Area.regions t.areas.(slot) with
+  | [ from ] ->
+      Region_index.move_row t.index ~id:pre ~rank:0 ~from ~to_:region;
+      (* The annotation's row lives in one per-name index besides the
+         full one: the index of its own name, if built. *)
+      Option.iter
+        (fun name ->
+          Option.iter
+            (fun n ->
+              Region_index.move_row n.n_index ~id:pre ~rank:0 ~from ~to_:region)
+            (find_named t name))
+        (Doc.name_of t.doc pre);
+      t.areas.(slot) <- Area.of_region region;
+      t.region_starts.{t.first_region.(slot)} <- Region.start_pos region;
+      t.region_ends.{t.first_region.(slot)} <- Region.end_pos region
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Annots.move: %d has a multi-region area" pre)

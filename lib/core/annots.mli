@@ -12,14 +12,12 @@ exception Invalid_region of { pre : int; msg : string }
     interpreted — one of the two names missing, a position that is not
     an integer, or [start > end]. *)
 
-type restricted_cache
-(** A small LRU ({!Standoff_cache.Lru}) of candidate restrictions,
-    keyed structurally on the candidate id array — structurally equal
-    candidate sets from separate [prepare] calls hit, and the bound
-    keeps it from growing without limit.  Safe to share across domains
-    (the lock is held under [Fun.protect], so exception paths cannot
-    poison it); hit/miss/eviction counts are exported as
-    [standoff_cache_*{cache="restricted"}]. *)
+type by_name
+(** The per-name candidate indexes: one restricted region index per
+    element name, built on first use and kept for the life of the
+    table.  Each annotation has exactly one name, so together they
+    never hold more rows than the full index.  Safe to share across
+    domains. *)
 
 (** The arrays of [t] (and of its [index]) are shared by every reader;
     they change in place only through {!move}, under the document's
@@ -28,16 +26,24 @@ type t = private {
   doc : Standoff_store.Doc.t;
   ids : int array;  (** area-annotation pres, sorted *)
   areas : Standoff_interval.Area.t array;  (** parallel to [ids] *)
+  slots : int array;
+      (** dense [pre -> slot] map over every node of [doc]: the slot of
+          the annotation in [ids]/[areas], or [-1] *)
+  first_region : int array;
+      (** the regions of [areas], flat: slot [s] owns rows
+          [first_region.(s) .. first_region.(s + 1) - 1] of
+          [region_starts]/[region_ends] *)
+  region_starts : Region_index.positions;
+  region_ends : Region_index.positions;
   index : Region_index.t;
   max_regions_per_area : int;
       (** [1] enables the single-region fast paths of the joins *)
-  restricted_cache : restricted_cache;
+  by_name : by_name;
 }
 
-(** [extract ?pool config doc] scans the document once and builds the
-    annotation table and region index (index sort parallelised when a
-    [pool] is given). *)
-val extract : ?pool:Standoff_util.Pool.t -> Config.t -> Standoff_store.Doc.t -> t
+(** [extract config doc] scans the document once and builds the
+    annotation table and region index. *)
+val extract : Config.t -> Standoff_store.Doc.t -> t
 
 (** [annotation_count t] is the number of area-annotations. *)
 val annotation_count : t -> int
@@ -46,8 +52,11 @@ val annotation_count : t -> int
     area-annotation. *)
 val area_of : t -> int -> Standoff_interval.Area.t option
 
-(** [is_annotation t pre] tests membership in constant-ish time
-    (binary search). *)
+(** [slot_of t pre] is the slot of annotation [pre] in [ids]/[areas],
+    or [-1] when [pre] is not an area-annotation.  O(1). *)
+val slot_of : t -> int -> int
+
+(** [is_annotation t pre] tests membership in O(1). *)
 val is_annotation : t -> int -> bool
 
 (** [restrict_ids t ~candidates] intersects the sorted candidate pre
@@ -55,13 +64,16 @@ val is_annotation : t -> int -> bool
     both candidates and area-annotations. *)
 val restrict_ids : t -> candidates:int array -> int array
 
-(** [candidate_index t ~candidates] is the §4.3 candidate sequence: the
-    region index restricted to [candidates] ([None] means the entire
-    index).  Built from the candidate side in O(|candidates| log
-    |candidates|) and cached per candidate set (structural key, small
-    LRU), so a loop-lifted query pays for it once. *)
-val candidate_index :
-  ?pool:Standoff_util.Pool.t -> t -> candidates:int array option -> Region_index.t
+(** [candidate_index t ~name] is the §4.3 candidate sequence: the
+    region index restricted to the annotations named [name] ([None]
+    means the entire index).  Built from the candidate side on the
+    first use of [name] and kept, so loop-lifted queries pay for each
+    name once per table. *)
+val candidate_index : t -> name:string option -> Region_index.t
+
+(** [candidate_ids t ~name] is the sorted array of the annotation pres
+    [candidate_index t ~name] holds rows of. *)
+val candidate_ids : t -> name:string option -> int array
 
 (** [candidate_index_scan t ~candidates] is the same restriction
     computed the way the paper's pre-loop-lifting engine computes it on
@@ -75,7 +87,8 @@ val candidate_index_scan :
 (** [move t ~pre region] patches [t] after annotation [pre]'s single
     region was set to [region] in the document: it rewrites [pre]'s area,
     moves its one index row to its new sorted slot
-    ({!Region_index.move_row}) and empties the restricted-index cache.
+    ({!Region_index.move_row}), in the full index and in the index of
+    [pre]'s name if that one is built.
     The result equals a fresh {!extract} of the changed document.  Run
     under the document's write exclusion only.
     @raise Invalid_argument if [pre] is not an annotation of [t] or its

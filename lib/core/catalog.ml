@@ -46,18 +46,17 @@ let find_entry cat key config doc =
              Config.equal e.config config && e.annots.Annots.doc == doc)
            !entries)
 
-let annots ?pool cat config doc =
+let annots cat config doc =
   let key = doc.Standoff_store.Doc.doc_name in
   let hit = locked cat (fun () -> find_entry cat key config doc) in
   match hit with
   | Some a -> a
   | None ->
-      (* Extraction runs outside the lock: it may itself use the pool,
-         and holding a lock across pool tasks could deadlock.  Two
-         domains racing on the same (doc, config) at worst both
-         extract; the second insert wins the check below and the loser
-         result is dropped. *)
-      let a = Annots.extract ?pool config doc in
+      (* Extraction runs outside the lock, so lookups of other
+         documents do not wait on it.  Two domains racing on the same
+         (doc, config) at worst both extract; the second insert wins
+         the check below and the loser result is dropped. *)
+      let a = Annots.extract config doc in
       locked cat (fun () ->
           match find_entry cat key config doc with
           | Some other ->

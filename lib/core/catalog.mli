@@ -12,12 +12,11 @@ type t
 (** [create ()] is an empty catalogue. *)
 val create : unit -> t
 
-(** [annots ?pool cat config doc] is the cached annotation table of
+(** [annots cat config doc] is the cached annotation table of
     [doc] under [config], extracting it on first request.  Lookups and
     inserts are mutex-protected (extraction itself runs outside the
     lock), so the catalogue may be shared across pool domains. *)
-val annots :
-  ?pool:Standoff_util.Pool.t -> t -> Config.t -> Standoff_store.Doc.t -> Annots.t
+val annots : t -> Config.t -> Standoff_store.Doc.t -> Annots.t
 
 (** [invalidate cat doc] drops cached entries for [doc] (all
     configurations) and bumps both [doc]'s generation counter and the
@@ -47,8 +46,8 @@ type region_change =
     caches expire the same way, but it carries [doc]'s derived indexes
     forward where it can:
     - for [Moved], the cached table of [config] is patched in place
-      ({!Annots.move}: one index row moves, the restricted-index cache
-      empties) and tables of other configurations are dropped;
+      ({!Annots.move}: one row moves in the full index and in its
+      name's index) and tables of other configurations are dropped;
     - for [Shifted], every cached table is dropped, as by {!invalidate};
     - either way the cached DataGuide, if it was current, is re-stamped
       with the new generation ({!Standoff_store.Dataguide.restamp}),

@@ -2,6 +2,7 @@ module Vec = Standoff_util.Vec
 module Timing = Standoff_util.Timing
 module Search = Standoff_util.Search
 module Pool = Standoff_util.Pool
+module Radix = Standoff_util.Radix
 module Area = Standoff_interval.Area
 
 (* ------------------------------------------------------------------ *)
@@ -10,36 +11,42 @@ module Area = Standoff_interval.Area
    into node-ids (unique and in document order per iter)").          *)
 
 (* Pairs are packed into single integers (iter in the high bits, node
-   id in the low 31) so sorting uses the unboxed int fast path; node
+   id in the low 31) so sorting is a radix sort of plain ints; node
    ids are pre ranks and iteration numbers are row counts, so both fit
    comfortably. *)
 let pack iter pre = (iter lsl 31) lor pre
 let unpack_iter key = key asr 31
 let unpack_pre key = key land 0x7FFFFFFF
 
-let sort_dedup_pairs pairs =
-  let arr = Vec.to_array pairs in
-  let n = Array.length arr in
+(* [keys] is consumed (sorted in place). *)
+let sort_dedup_pairs keys =
+  let n = Array.length keys in
   (* Nested annotations cluster the index like the tree, so matches
-     usually emerge already sorted and duplicate-free; detect that in
+     often emerge already sorted and duplicate-free; detect that in
      one pass before paying for a sort. *)
-  let strictly_sorted = ref true in
-  for i = 1 to n - 1 do
-    if arr.(i - 1) >= arr.(i) then strictly_sorted := false
+  let strictly_sorted = ref true and i = ref 1 in
+  while !strictly_sorted && !i < n do
+    if keys.(!i - 1) >= keys.(!i) then strictly_sorted := false;
+    incr i
   done;
-  if !strictly_sorted then
-    (Array.map unpack_iter arr, Array.map unpack_pre arr)
+  if !strictly_sorted then (Array.map unpack_iter keys, Array.map unpack_pre keys)
   else begin
-    Array.sort (fun (a : int) b -> compare a b) arr;
-    let iters = Vec.create () and pres = Vec.create () in
+    Radix.sort_ints keys;
+    let distinct = ref 0 in
+    Array.iteri
+      (fun i key -> if i = 0 || keys.(i - 1) <> key then incr distinct)
+      keys;
+    let iters = Array.make !distinct 0 and pres = Array.make !distinct 0 in
+    let k = ref 0 in
     Array.iteri
       (fun i key ->
-        if i = 0 || arr.(i - 1) <> key then begin
-          Vec.push iters (unpack_iter key);
-          Vec.push pres (unpack_pre key)
+        if i = 0 || keys.(i - 1) <> key then begin
+          iters.(!k) <- unpack_iter key;
+          pres.(!k) <- unpack_pre key;
+          incr k
         end)
-      arr;
-    (Vec.to_array iters, Vec.to_array pres)
+      keys;
+    (iters, pres)
   end
 
 let region_count annots pre =
@@ -50,15 +57,10 @@ let region_count annots pre =
 (* Containment between areas requires every candidate region inside
    the same context annotation: count the distinct matched regions per
    (iter, context, candidate) group and keep full covers (§3.1). *)
-let finalize_narrow_multi annots (matches : Merge_join_ll.match_row Vec.t) =
-  let quads =
-    Vec.map
-      (fun m ->
-        (m.Merge_join_ll.m_iter, m.Merge_join_ll.m_ctx, m.Merge_join_ll.m_cand,
-         m.Merge_join_ll.m_rank))
-      matches
+let finalize_narrow_multi annots (m : Matches.t) =
+  let arr =
+    Array.init m.len (fun k -> (m.iters.(k), m.ctxs.(k), m.cands.(k), m.ranks.(k)))
   in
-  let arr = Vec.to_array quads in
   Array.sort compare arr;
   let pairs = Vec.create () in
   let n = Array.length arr in
@@ -82,16 +84,11 @@ let finalize_narrow_multi annots (matches : Merge_join_ll.match_row Vec.t) =
     if !covered = region_count annots cand then Vec.push pairs (pack iter cand);
     i := !j
   done;
-  sort_dedup_pairs pairs
+  sort_dedup_pairs (Vec.to_array pairs)
 
-let finalize_select op annots ~single_region matches =
-  if (not single_region) && Op.is_narrow op then
-    finalize_narrow_multi annots matches
-  else
-    sort_dedup_pairs
-      (Vec.map
-         (fun m -> pack m.Merge_join_ll.m_iter m.Merge_join_ll.m_cand)
-         matches)
+let finalize_select op annots ~single_region (m : Matches.t) =
+  if (not single_region) && Op.is_narrow op then finalize_narrow_multi annots m
+  else sort_dedup_pairs (Array.init m.len (fun k -> pack m.iters.(k) m.cands.(k)))
 
 (* The anti-joins return, per live iteration, the candidates that the
    corresponding semi-join did not match.  The loop relation supplies
@@ -128,7 +125,7 @@ let complement ~loop ~candidate_ids (matched_iters, matched_pres) =
 (* ------------------------------------------------------------------ *)
 (* Merge-join execution for one already-built context.                *)
 
-let merge_join_lifted op annots ~active_set ~deadline ~loop ?candidate_ids ctx
+let merge_join_lifted op annots ~active_set ~deadline ~loop ~candidate_ids ctx
     cand_index =
   let single_region = annots.Annots.max_regions_per_area = 1 in
   let sweep =
@@ -142,13 +139,7 @@ let merge_join_lifted op annots ~active_set ~deadline ~loop ?candidate_ids ctx
     finalize_select (Op.select_of op) annots ~single_region matches
   in
   if Op.is_select op then selected
-  else
-    let candidate_ids =
-      match candidate_ids with
-      | Some ids -> ids
-      | None -> Region_index.annotation_ids cand_index
-    in
-    complement ~loop ~candidate_ids selected
+  else complement ~loop ~candidate_ids selected
 
 (* ------------------------------------------------------------------ *)
 (* Sorted-array intersection, for the post-join name-test filtering
@@ -248,18 +239,42 @@ let run_sequence op strategy annots ?(active_set = Active_set.Sorted_list)
          (§4.6). *)
       let cand_index = Annots.candidate_index_scan annots ~candidates in
       record stats ~strategy ~index_rows:(Region_index.row_count cand_index);
+      let candidate_ids =
+        match candidates with
+        | _ when Op.is_select op -> [||]
+        | None -> annots.Annots.ids
+        | Some ids -> Annots.restrict_ids annots ~candidates:ids
+      in
       let _, pres =
-        merge_join_lifted op annots ~active_set ~deadline ~loop:[| 0 |] ctx
-          cand_index
+        merge_join_lifted op annots ~active_set ~deadline ~loop:[| 0 |]
+          ~candidate_ids ctx cand_index
       in
       pres
+
+type candidates =
+  | All
+  | Named of string
+  | Pres of int array
 
 let run_lifted op strategy annots ?pool ?(active_set = Active_set.Sorted_list)
     ?(deadline = Timing.no_deadline) ?stats ~loop ~context_iters ~context_pres
     ~candidates () =
   match strategy with
   | Config.Loop_lifted -> (
-      let cand_index = Annots.candidate_index ?pool annots ~candidates in
+      (* The candidate index and, for the anti-joins, the candidate
+         annotation ids they complement against. *)
+      let cand_index, candidate_ids =
+        let need_ids = not (Op.is_select op) in
+        match candidates with
+        | Pres ids ->
+            ( Annots.candidate_index_scan ?pool annots ~candidates:(Some ids),
+              if need_ids then Annots.restrict_ids annots ~candidates:ids
+              else [||] )
+        | All | Named _ ->
+            let name = match candidates with Named n -> Some n | _ -> None in
+            ( Annots.candidate_index annots ~name,
+              if need_ids then Annots.candidate_ids annots ~name else [||] )
+      in
       let n_loop = Array.length loop in
       let chunks =
         match pool with
@@ -273,7 +288,8 @@ let run_lifted op strategy annots ?pool ?(active_set = Active_set.Sorted_list)
           Merge_join_ll.context_of_annotations annots ~iters:context_iters
             ~pres:context_pres
         in
-        merge_join_lifted op annots ~active_set ~deadline ~loop ctx cand_index
+        merge_join_lifted op annots ~active_set ~deadline ~loop ~candidate_ids
+          ctx cand_index
       else begin
         (* Iterations are independent by construction (§4 Listing 1),
            so the loop relation is split on iteration boundaries and
@@ -283,10 +299,6 @@ let run_lifted op strategy annots ?pool ?(active_set = Active_set.Sorted_list)
            ascending disjoint iteration ranges, so concatenating them
            in chunk order reproduces the sequential output exactly. *)
         let pool = Option.get pool in
-        let candidate_ids =
-          if Op.is_select op then [||]
-          else Region_index.annotation_ids cand_index
-        in
         let pieces =
           Pool.parallel_chunks pool ~n:n_loop (fun ~chunk:_ ~lo ~hi ->
               let loop_slice = Array.sub loop lo (hi - lo) in
@@ -325,6 +337,12 @@ let run_lifted op strategy annots ?pool ?(active_set = Active_set.Sorted_list)
          algorithm runs once per iteration, re-scanning the candidate
          index (or, for the UDFs, re-running the nested loop) each
          time. *)
+      let candidates =
+        match candidates with
+        | All -> None
+        | Named n -> Some (Standoff_store.Doc.elements_named annots.Annots.doc n)
+        | Pres ids -> Some ids
+      in
       let iters = Vec.create () and pres = Vec.create () in
       let n = Array.length context_iters in
       let row = ref 0 in

@@ -57,6 +57,16 @@ val run_sequence :
   unit ->
   int array
 
+(** The candidate side of a lifted join. *)
+type candidates =
+  | All  (** every area-annotation *)
+  | Named of string
+      (** the elements of that name: a pushed-down name test, served by
+          the table's per-name index ({!Annots.candidate_index}) *)
+  | Pres of int array
+      (** an explicit sorted pre set, restricted by a scan of the full
+          index on every call ({!Annots.candidate_index_scan}) *)
+
 (** [run_lifted op strategy annots ?deadline ~loop ~context_iters
     ~context_pres ~candidates ()] evaluates one operator for every
     iteration of [loop].  [context_iters]/[context_pres] are parallel
@@ -84,6 +94,6 @@ val run_lifted :
   loop:int array ->
   context_iters:int array ->
   context_pres:int array ->
-  candidates:int array option ->
+  candidates:candidates ->
   unit ->
   int array * int array

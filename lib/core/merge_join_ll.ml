@@ -1,8 +1,7 @@
-module Vec = Standoff_util.Vec
 module Timing = Standoff_util.Timing
-module Area = Standoff_interval.Area
-module Region = Standoff_interval.Region
 module Metrics = Standoff_obs.Metrics
+module A1 = Bigarray.Array1
+module Radix = Standoff_util.Radix
 
 (* Per-sweep totals, bumped once per sweep (never per row). *)
 let m_sweeps_narrow =
@@ -22,63 +21,70 @@ let m_sweep_matches =
 type context = {
   iters : int array;
   ids : int array;
-  starts : int64 array;
-  ends : int64 array;
+  starts : Region_index.positions;
+  ends : Region_index.positions;
 }
 
 let context_of_annotations annots ~iters ~pres =
-  let rows = Vec.create () in
-  Array.iteri
-    (fun i pre ->
-      match Annots.area_of annots pre with
-      | None -> ()
-      | Some area ->
-          List.iter
-            (fun r ->
-              Vec.push rows
-                (Region.start_pos r, Region.end_pos r, iters.(i), pre))
-            (Area.regions area))
-    pres;
-  let in_order (s1, e1, _, _) (s2, e2, _, _) =
-    let c = Int64.compare s1 s2 in
-    if c <> 0 then c < 0 else Int64.compare e2 e1 <= 0
-  in
-  (* Context nodes arrive in document order; when annotation regions
-     nest like the tree (the common case) that already is the sweep
-     order, so check before sorting. *)
-  let sorted = ref true in
-  for i = 1 to Vec.length rows - 1 do
-    if not (in_order (Vec.get rows (i - 1)) (Vec.get rows i)) then
-      sorted := false
+  let first = annots.Annots.first_region in
+  let n = ref 0 in
+  for i = 0 to Array.length pres - 1 do
+    let slot = Annots.slot_of annots pres.(i) in
+    if slot >= 0 then n := !n + first.(slot + 1) - first.(slot)
   done;
-  if not !sorted then
-    Vec.sort
-      (fun (s1, e1, _, _) (s2, e2, _, _) ->
-        let c = Int64.compare s1 s2 in
-        if c <> 0 then c else Int64.compare e2 e1)
-      rows;
-  let n = Vec.length rows in
-  let iters = Array.make n 0
-  and ids = Array.make n 0
-  and starts = Array.make n 0L
-  and ends = Array.make n 0L in
-  Vec.iteri
-    (fun i (s, e, iter, id) ->
-      starts.(i) <- s;
-      ends.(i) <- e;
-      iters.(i) <- iter;
-      ids.(i) <- id)
-    rows;
-  { iters; ids; starts; ends }
+  let n = !n in
+  let c =
+    {
+      iters = Array.make n 0;
+      ids = Array.make n 0;
+      starts = Region_index.positions n;
+      ends = Region_index.positions n;
+    }
+  in
+  let k = ref 0 in
+  for i = 0 to Array.length pres - 1 do
+    let pre = pres.(i) in
+    let slot = Annots.slot_of annots pre in
+    if slot >= 0 then
+      for r = first.(slot) to first.(slot + 1) - 1 do
+        A1.unsafe_set c.starts !k (A1.unsafe_get annots.Annots.region_starts r);
+        A1.unsafe_set c.ends !k (A1.unsafe_get annots.Annots.region_ends r);
+        c.iters.(!k) <- iters.(i);
+        c.ids.(!k) <- pre;
+        incr k
+      done
+  done;
+  (* Context nodes arrive in document order; when annotation regions
+     nest like the tree that already is the sweep order [(start asc,
+     end desc)], so check before sorting. *)
+  let sorted = ref true and i = ref 1 in
+  while !sorted && !i < n do
+    let s0 = A1.unsafe_get c.starts (!i - 1) and s1 = A1.unsafe_get c.starts !i in
+    if s0 > s1 || (s0 = s1 && A1.unsafe_get c.ends (!i - 1) < A1.unsafe_get c.ends !i)
+    then sorted := false;
+    incr i
+  done;
+  if !sorted then c
+  else begin
+    (* Two stable radix sorts of the row order, minor key first; ties
+       keep their input order. *)
+    let perm = Array.init n Fun.id in
+    Radix.sort_by_int64s c.ends ~descending:true perm;
+    Radix.sort_by_int64s c.starts ~descending:false perm;
+    let gather (col : Region_index.positions) =
+      let out = Region_index.positions n in
+      Array.iteri (fun k row -> A1.unsafe_set out k (A1.unsafe_get col row)) perm;
+      out
+    in
+    {
+      iters = Array.map (Array.get c.iters) perm;
+      ids = Array.map (Array.get c.ids) perm;
+      starts = gather c.starts;
+      ends = gather c.ends;
+    }
+  end
 
 let context_row_count c = Array.length c.ids
-
-type match_row = {
-  m_iter : int;
-  m_ctx : int;
-  m_cand : int;
-  m_rank : int;
-}
 
 type trace_event =
   | Add_active of { iter : int; ctx : int }
@@ -90,110 +96,103 @@ type trace_event =
 
 (* The active context set lives in [Active_set]; the paper's sorted
    list is the default, the lazy heap (§5's suggested improvement) is
-   selectable per sweep. *)
+   selectable per sweep.  Trace events are only built when a trace is
+   attached: an untraced sweep allocates nothing per row. *)
+let make_active kind ~single_region ~trace (ctx : context) =
+  (* The iteration range, empty ([0, -1]) for an empty context. *)
+  let lo = ref 0 and hi = ref (-1) in
+  Array.iteri
+    (fun k it ->
+      if k = 0 || it < !lo then lo := it;
+      if k = 0 || it > !hi then hi := it)
+    ctx.iters;
+  let callbacks =
+    Option.map
+      (fun f ->
+        {
+          Active_set.on_add = (fun ~iter ~ctx -> f (Add_active { iter; ctx }));
+          on_skip = (fun ~iter ~ctx -> f (Skip_covered { iter; ctx }));
+          on_replace =
+            (fun ~iter ~removed ~by -> f (Replace_active { iter; removed; by }));
+          on_trim = (fun ~iter ~ctx -> f (Trim_active { iter; ctx }));
+        })
+      trace
+  in
+  Active_set.create kind ~single_region ?callbacks ~iters:(!lo, !hi) ()
 
-let no_trace (_ : trace_event) = ()
+(* Report the rows [from ..] of [out] that the last emit appended. *)
+let trace_emits trace (out : Matches.t) ~from =
+  match trace with
+  | None -> ()
+  | Some f ->
+      for k = from to out.len - 1 do
+        f (Emit { iter = out.iters.(k); ctx = out.ctxs.(k); cand = out.cands.(k) })
+      done
 
-let make_active kind ~single_region ~trace =
-  Active_set.create kind ~single_region
-    ~callbacks:
-      {
-        Active_set.on_add = (fun ~iter ~ctx -> trace (Add_active { iter; ctx }));
-        on_skip = (fun ~iter ~ctx -> trace (Skip_covered { iter; ctx }));
-        on_replace =
-          (fun ~iter ~removed ~by -> trace (Replace_active { iter; removed; by }));
-        on_trim = (fun ~iter ~ctx -> trace (Trim_active { iter; ctx }));
-      }
-
-let select_narrow ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
+let select_narrow ?(active_set = Active_set.Sorted_list) ?trace
     ?(deadline = Timing.no_deadline) ~single_region (ctx : context)
     (cands : Region_index.t) =
   let nctx = context_row_count ctx in
   let ncand = Region_index.row_count cands in
-  let act = make_active active_set ~single_region ~trace in
-  let out = Vec.create () in
+  let act = make_active active_set ~single_region ~trace ctx in
+  (* Typically each candidate row lies in one live context region. *)
+  let out = Matches.create ~capacity:ncand in
   let i = ref 0 and j = ref 0 in
   let quit = ref false in
   while (not !quit) && !j < ncand do
     if !j land 4095 = 0 then Timing.checkpoint deadline;
-    let cand_start = cands.Region_index.starts.(!j) in
+    let cand_start = A1.unsafe_get cands.starts !j in
     (* Activate every context region starting at or before the
        candidate. *)
-    while !i < nctx && Int64.compare ctx.starts.(!i) cand_start <= 0 do
-      Active_set.add act ~iter:ctx.iters.(!i) ~ctx:ctx.ids.(!i)
-        ~end_:ctx.ends.(!i);
+    while !i < nctx && A1.unsafe_get ctx.starts !i <= cand_start do
+      Active_set.add act ~iter:ctx.iters.(!i) ~ctx:ctx.ids.(!i) ctx.ends !i;
       incr i
     done;
-    Active_set.trim act ~start:cand_start;
+    Active_set.trim act cands.starts !j;
     if Active_set.size act = 0 then
       if !i >= nctx then quit := true
       else begin
         (* Fast-forward over candidates that fall in the gap before
            the next context region (Listing 1 lines 21-24). *)
-        let next_start = ctx.starts.(!i) in
+        let next_start = A1.unsafe_get ctx.starts !i in
         let lo = ref !j and hi = ref ncand in
         while !lo < !hi do
           let mid = (!lo + !hi) / 2 in
-          if Int64.compare cands.Region_index.starts.(mid) next_start < 0 then
-            lo := mid + 1
+          if A1.unsafe_get cands.starts mid < next_start then lo := mid + 1
           else hi := mid
         done;
-        trace (Skip_candidates { from_row = !j; to_row = !lo });
+        (match trace with
+        | Some f -> f (Skip_candidates { from_row = !j; to_row = !lo })
+        | None -> ());
         j := !lo
       end
     else begin
       (* Every active region reaching past the candidate's end
          contains it (its start is <= the candidate's start by sweep
          order). *)
-      let cand_end = cands.Region_index.ends.(!j) in
-      let row = !j in
-      Active_set.iter_end_ge act cand_end (fun ~iter ~ctx ->
-          trace (Emit { iter; ctx; cand = cands.Region_index.ids.(row) });
-          Vec.push out
-            {
-              m_iter = iter;
-              m_ctx = ctx;
-              m_cand = cands.Region_index.ids.(row);
-              m_rank = cands.Region_index.region_ranks.(row);
-            });
+      let from = out.len in
+      Active_set.emit_end_ge act cands.ends !j out ~cand:cands.ids.(!j)
+        ~rank:cands.region_ranks.(!j);
+      trace_emits trace out ~from;
       incr j
     end
   done;
   Metrics.incr m_sweeps_narrow;
-  Metrics.add m_sweep_matches (Vec.length out);
+  Metrics.add m_sweep_matches out.len;
   out
 
-let select_wide ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
+let select_wide ?(active_set = Active_set.Sorted_list) ?trace
     ?(deadline = Timing.no_deadline) ~single_region (ctx : context)
     (cands : Region_index.t) =
   let nctx = context_row_count ctx in
   let ncand = Region_index.row_count cands in
-  let act = make_active active_set ~single_region ~trace in
-  let out = Vec.create () in
-  (* Pending candidates: regions whose end lies ahead of the sweep, so
-     a later-starting context region may still overlap them.  Sorted
-     on end descending like the paper's active list. *)
-  let pend_ends = Vec.create () and pend_rows = Vec.create () in
-  let pending_insert e row =
-    let lo = ref 0 and hi = ref (Vec.length pend_ends) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Int64.compare (Vec.get pend_ends mid) e >= 0 then lo := mid + 1
-      else hi := mid
-    done;
-    Vec.insert pend_ends !lo e;
-    Vec.insert pend_rows !lo row
-  in
-  let emit ~iter ~ctx_id ~row =
-    trace (Emit { iter; ctx = ctx_id; cand = cands.Region_index.ids.(row) });
-    Vec.push out
-      {
-        m_iter = iter;
-        m_ctx = ctx_id;
-        m_cand = cands.Region_index.ids.(row);
-        m_rank = cands.Region_index.region_ranks.(row);
-      }
-  in
+  let act = make_active active_set ~single_region ~trace ctx in
+  let out = Matches.create ~capacity:ncand in
+  (* Pending candidates: rows whose region ends ahead of the sweep, so
+     a later-starting context region may still overlap them.  A flat
+     column of candidate rows, appended in sweep order; each context
+     region filters it in one pass. *)
+  let pending = ref (Array.make 16 0) and n_pending = ref 0 in
   let i = ref 0 and j = ref 0 in
   let steps = ref 0 in
   let quit = ref false in
@@ -203,61 +202,66 @@ let select_wide ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
     let context_turn =
       !i < nctx
       && (!j >= ncand
-         || Int64.compare ctx.starts.(!i) cands.Region_index.starts.(!j) <= 0)
+         || A1.unsafe_get ctx.starts !i <= A1.unsafe_get cands.starts !j)
     in
     if context_turn then begin
-      let c_start = ctx.starts.(!i)
-      and c_end = ctx.ends.(!i)
-      and c_iter = ctx.iters.(!i)
-      and c_id = ctx.ids.(!i) in
+      let c_iter = ctx.iters.(!i) and c_id = ctx.ids.(!i) in
       (* A covered region is skipped entirely: the covering region of
          the same iteration was active at or before this start, so it
          already matched every pending candidate this one would. *)
-      if Active_set.covered act ~iter:c_iter ~end_:c_end then
-        trace (Skip_covered { iter = c_iter; ctx = c_id })
+      if Active_set.covered act ~iter:c_iter ctx.ends !i then (
+        match trace with
+        | Some f -> f (Skip_covered { iter = c_iter; ctx = c_id })
+        | None -> ())
       else begin
         (* Pending candidates reaching to this region's start overlap
-           it. *)
-        let k = ref 0 in
-        while
-          !k < Vec.length pend_ends
-          && Int64.compare (Vec.get pend_ends !k) c_start >= 0
-        do
-          emit ~iter:c_iter ~ctx_id:c_id ~row:(Vec.get pend_rows !k);
-          incr k
+           it; the others are dead for every future context region as
+           well (their starts only grow), so they are dropped in the
+           same pass. *)
+        let c_start = A1.unsafe_get ctx.starts !i in
+        let pend = !pending and kept = ref 0 in
+        let from = out.len in
+        for k = 0 to !n_pending - 1 do
+          let row = pend.(k) in
+          if A1.unsafe_get cands.ends row >= c_start then begin
+            Matches.push out ~iter:c_iter ~ctx:c_id ~cand:cands.ids.(row)
+              ~rank:cands.region_ranks.(row);
+            pend.(!kept) <- row;
+            incr kept
+          end
         done;
-        (* What the scan did not reach is dead for every future
-           context region as well (their starts only grow). *)
-        while Vec.length pend_ends > !k do
-          ignore (Vec.pop pend_ends);
-          ignore (Vec.pop pend_rows)
-        done;
-        Active_set.add act ~iter:c_iter ~ctx:c_id ~end_:c_end
+        n_pending := !kept;
+        trace_emits trace out ~from;
+        Active_set.add act ~iter:c_iter ~ctx:c_id ctx.ends !i
       end;
       incr i
     end
     else begin
-      let cand_start = cands.Region_index.starts.(!j) in
-      Active_set.trim act ~start:cand_start;
+      Active_set.trim act cands.starts !j;
       if Active_set.size act = 0 && !i >= nctx then quit := true
       else begin
         (* Every active region overlaps the candidate: it starts at or
            before it and ends at or after its start. *)
-        let row = !j in
-        Active_set.iter_all act (fun ~iter ~ctx ->
-            emit ~iter ~ctx_id:ctx ~row);
+        let from = out.len in
+        Active_set.emit_all act out ~cand:cands.ids.(!j)
+          ~rank:cands.region_ranks.(!j);
+        trace_emits trace out ~from;
         (* Only a later context region can meet a pending candidate,
-           and those start at [ctx.starts.(!i)] or after: a candidate
+           and those start at [ctx.starts.{!i}] or after: a candidate
            ending before that, or with no context left, is dead now.
            Without this guard pending grows with every candidate and
            the sweep turns quadratic. *)
-        let cand_end = cands.Region_index.ends.(!j) in
-        if !i < nctx && Int64.compare cand_end ctx.starts.(!i) >= 0 then
-          pending_insert cand_end !j;
+        if !i < nctx && A1.unsafe_get cands.ends !j >= A1.unsafe_get ctx.starts !i
+        then begin
+          if !n_pending = Array.length !pending then
+            pending := Array.append !pending !pending;
+          !pending.(!n_pending) <- !j;
+          incr n_pending
+        end;
         incr j
       end
     end
   done;
   Metrics.incr m_sweeps_wide;
-  Metrics.add m_sweep_matches (Vec.length out);
+  Metrics.add m_sweep_matches out.len;
   out

@@ -40,32 +40,26 @@
 type context = private {
   iters : int array;
   ids : int array;
-  starts : int64 array;
-  ends : int64 array;
+  starts : Region_index.positions;
+  ends : Region_index.positions;
 }
 (** One row per context {e region} (areas contribute several rows),
-    sorted on [(start asc, end desc)]. *)
+    sorted on [(start asc, end desc)]; positions in flat columns like
+    the region index's. *)
 
 (** [context_of_annotations annots ~iters ~pres] looks up the area of
-    each [(iter, pre)] context node — nodes that are not
-    area-annotations are dropped — and produces the sorted region
-    rows. *)
+    each [(iter, pre)] context node in O(1) ({!Annots.slot_of}) —
+    nodes that are not area-annotations are dropped — and produces the
+    sorted region rows. *)
 val context_of_annotations :
   Annots.t -> iters:int array -> pres:int array -> context
 
 (** [context_row_count c] is the number of region rows. *)
 val context_row_count : context -> int
 
-type match_row = {
-  m_iter : int;
-  m_ctx : int;   (** context annotation id (pre) *)
-  m_cand : int;  (** candidate annotation id (pre) *)
-  m_rank : int;  (** which region of the candidate area matched *)
-}
-
 (** Trace events, mirroring the line numbers of Listing 1; used by the
     Figure 4 execution-trace test and by [--trace] debugging in the
-    CLI. *)
+    CLI.  Events are only built when a [trace] is attached. *)
 type trace_event =
   | Add_active of { iter : int; ctx : int }      (** line 41 *)
   | Skip_covered of { iter : int; ctx : int }    (** lines 11–18 *)
@@ -75,7 +69,7 @@ type trace_event =
   | Skip_candidates of { from_row : int; to_row : int }  (** lines 21–24 *)
 
 (** [select_narrow ?active_set ?trace ?deadline ~single_region context
-    candidates] emits one {!match_row} per (active context region,
+    candidates] emits one {!Matches} row per (active context region,
     contained candidate region) pair.  With [single_region] the
     per-iteration skip/replace refinements are on and each
     [(iter, cand)] is emitted at most once.  [active_set] selects the
@@ -89,13 +83,14 @@ val select_narrow :
   single_region:bool ->
   context ->
   Region_index.t ->
-  match_row Standoff_util.Vec.t
+  Matches.t
 
 (** [select_wide ?active_set ?trace ?deadline ~single_region context
     candidates] is the overlap semi-join sweep.  In addition to the
     active set it keeps {e pending} candidates — candidates whose
     region extends past the sweep position and that later-starting
-    context regions may still overlap.  Matches may be emitted more
+    context regions may still overlap — as a flat column of candidate
+    rows that each context region filters in one pass.  Matches may be emitted more
     than once per [(iter, cand)]; {!Join} deduplicates. *)
 val select_wide :
   ?active_set:Active_set.kind ->
@@ -104,4 +99,4 @@ val select_wide :
   single_region:bool ->
   context ->
   Region_index.t ->
-  match_row Standoff_util.Vec.t
+  Matches.t

@@ -1,12 +1,13 @@
-module Vec = Standoff_util.Vec
 module Pool = Standoff_util.Pool
+module Radix = Standoff_util.Radix
 module Region = Standoff_interval.Region
 module Area = Standoff_interval.Area
 module Metrics = Standoff_obs.Metrics
+module A1 = Bigarray.Array1
 
 let m_builds_total =
   Metrics.counter "standoff_index_builds_total"
-    ~help:"Region indexes built (full and restricted)"
+    ~help:"Region indexes built (full and per-name)"
 
 let m_rows_built_total =
   Metrics.counter "standoff_index_rows_built_total"
@@ -16,189 +17,110 @@ let m_restricts_total =
   Metrics.counter "standoff_index_restricts_total"
     ~help:"Candidate restrictions applied to a region index"
 
+type positions = (int64, Bigarray.int64_elt, Bigarray.c_layout) A1.t
+
+let positions n : positions = A1.create Bigarray.int64 Bigarray.c_layout n
+
+let positions_to_list (a : positions) = List.init (A1.dim a) (A1.get a)
+
 type t = {
-  starts : int64 array;
-  ends : int64 array;
+  starts : positions;
+  ends : positions;
   ids : int array;
   region_ranks : int array;
 }
 
-type row = {
-  row_start : int64;
-  row_end : int64;
-  row_id : int;
-  row_rank : int;
-}
+let make n =
+  {
+    starts = positions n;
+    ends = positions n;
+    ids = Array.make n 0;
+    region_ranks = Array.make n 0;
+  }
 
-(* Total order: [row_rank] breaks the remaining tie, so sorting any
-   permutation of the same rows yields the same array — which is what
-   lets the chunked parallel sort + merge below match the sequential
-   sort byte for byte. *)
-let compare_row a b =
-  let c = Int64.compare a.row_start b.row_start in
-  if c <> 0 then c
+let row_count idx = Array.length idx.ids
+
+(* Total order on [(start asc, end desc, id asc, rank asc)]: [rank]
+   breaks the remaining tie, so sorting any permutation of the same
+   rows yields the same columns. *)
+let compare_key idx row ~start ~end_ ~id ~rank =
+  let s = A1.unsafe_get idx.starts row in
+  if s < start then -1
+  else if s > start then 1
   else
-    let c = Int64.compare b.row_end a.row_end in
-    if c <> 0 then c
+    let e = A1.unsafe_get idx.ends row in
+    if e > end_ then -1
+    else if e < end_ then 1
     else
-      let c = compare a.row_id b.row_id in
-      if c <> 0 then c else compare a.row_rank b.row_rank
+      let c = compare (idx.ids.(row) : int) id in
+      if c <> 0 then c else compare (idx.region_ranks.(row) : int) rank
 
-let of_sorted_rows rows n =
-  let starts = Array.make n 0L
-  and ends = Array.make n 0L
-  and ids = Array.make n 0
-  and region_ranks = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let r = rows.(i) in
-    starts.(i) <- r.row_start;
-    ends.(i) <- r.row_end;
-    ids.(i) <- r.row_id;
-    region_ranks.(i) <- r.row_rank
+let compare_rows idx i j =
+  compare_key idx i ~start:(A1.unsafe_get idx.starts j)
+    ~end_:(A1.unsafe_get idx.ends j) ~id:idx.ids.(j) ~rank:idx.region_ranks.(j)
+
+let of_columns ~starts ~ends ~ids ~ranks =
+  let idx = { starts; ends; ids; region_ranks = ranks } in
+  let n = row_count idx in
+  Metrics.incr m_builds_total;
+  Metrics.add m_rows_built_total n;
+  (* Annotations handed over in document order often nest like the
+     tree, so their rows already are in sweep order: one pass decides
+     whether the sort can be skipped. *)
+  let sorted = ref true and i = ref 1 in
+  while !sorted && !i < n do
+    if compare_rows idx (!i - 1) !i > 0 then sorted := false;
+    incr i
   done;
-  { starts; ends; ids; region_ranks }
+  if !sorted then idx
+  else begin
+    (* Stable radix sorts of the row order, least significant key
+       first; the order is total, so the result is unique. *)
+    let perm = Array.init n Fun.id in
+    Radix.sort_by_ints ranks perm;
+    Radix.sort_by_ints ids perm;
+    Radix.sort_by_int64s ends ~descending:true perm;
+    Radix.sort_by_int64s starts ~descending:false perm;
+    let out = make n in
+    Array.iteri
+      (fun k row ->
+        A1.unsafe_set out.starts k (A1.unsafe_get starts row);
+        A1.unsafe_set out.ends k (A1.unsafe_get ends row);
+        out.ids.(k) <- ids.(row);
+        out.region_ranks.(k) <- ranks.(row))
+      perm;
+    out
+  end
 
-(* Merge sorted [rows.(lo, mid)] and [rows.(mid, hi)] through [tmp].
-   Stable, though stability is moot under a total order. *)
-let merge_runs rows tmp lo mid hi =
-  Array.blit rows lo tmp lo (hi - lo);
-  let i = ref lo and j = ref mid in
-  for k = lo to hi - 1 do
-    if !i >= mid then begin
-      rows.(k) <- tmp.(!j);
-      incr j
-    end
-    else if !j >= hi then begin
-      rows.(k) <- tmp.(!i);
-      incr i
-    end
-    else if compare_row tmp.(!j) tmp.(!i) < 0 then begin
-      rows.(k) <- tmp.(!j);
-      incr j
-    end
-    else begin
-      rows.(k) <- tmp.(!i);
-      incr i
-    end
-  done
-
-(* Below this many rows a parallel sort costs more than it saves. *)
-let parallel_sort_threshold = 4096
-
-let build ?pool annots =
-  let rows_vec = Vec.create () in
+let build annots =
+  let n =
+    List.fold_left (fun acc (_, area) -> acc + Area.region_count area) 0 annots
+  in
+  let idx = make n in
+  let k = ref 0 in
   List.iter
     (fun (id, area) ->
       List.iteri
         (fun rank r ->
-          Vec.push rows_vec
-            {
-              row_start = Region.start_pos r;
-              row_end = Region.end_pos r;
-              row_id = id;
-              row_rank = rank;
-            })
+          A1.unsafe_set idx.starts !k (Region.start_pos r);
+          A1.unsafe_set idx.ends !k (Region.end_pos r);
+          idx.ids.(!k) <- id;
+          idx.region_ranks.(!k) <- rank;
+          incr k)
         (Area.regions area))
     annots;
-  let n = Vec.length rows_vec in
-  Metrics.incr m_builds_total;
-  Metrics.add m_rows_built_total n;
-  if n = 0 then
-    { starts = [||]; ends = [||]; ids = [||]; region_ranks = [||] }
-  else begin
-    let rows = Array.make n (Vec.get rows_vec 0) in
-    Vec.iteri (fun i r -> rows.(i) <- r) rows_vec;
-    (* Annotations handed over in document order usually nest like the
-       tree, so their rows already are in sweep order: one pass decides
-       whether the sort can be skipped. *)
-    let sorted = ref true and i = ref 1 in
-    while !sorted && !i < n do
-      if compare_row rows.(!i - 1) rows.(!i) > 0 then sorted := false;
-      incr i
-    done;
-    (match pool with
-    | _ when !sorted -> ()
-    | Some p when Pool.jobs p > 1 && n >= parallel_sort_threshold ->
-        (* Chunked parallel sort, then a log-depth pairwise merge.  The
-           total order on rows makes the result identical to a single
-           sequential sort. *)
-        let min_chunk = parallel_sort_threshold / 4 in
-        let chunks = Pool.chunk_count p ~min_chunk ~n () in
-        if chunks = 1 then Array.sort compare_row rows
-        else begin
-          let boundaries =
-            Pool.parallel_chunks p ~min_chunk ~n (fun ~chunk:_ ~lo ~hi ->
-                let sub = Array.sub rows lo (hi - lo) in
-                Array.sort compare_row sub;
-                Array.blit sub 0 rows lo (hi - lo);
-                (lo, hi))
-          in
-          let tmp = Array.make n rows.(0) in
-          let rec merge_level runs =
-            match runs with
-            | [] | [ _ ] -> ()
-            | _ ->
-                let next = ref [] in
-                let rec pair = function
-                  | (lo1, hi1) :: (lo2, hi2) :: rest ->
-                      assert (hi1 = lo2);
-                      merge_runs rows tmp lo1 lo2 hi2;
-                      next := (lo1, hi2) :: !next;
-                      pair rest
-                  | [ last ] -> next := last :: !next
-                  | [] -> ()
-                in
-                pair runs;
-                merge_level (List.rev !next)
-          in
-          merge_level (Array.to_list boundaries)
-        end
-    | _ -> Array.sort compare_row rows);
-    of_sorted_rows rows n
-  end
+  of_columns ~starts:idx.starts ~ends:idx.ends ~ids:idx.ids
+    ~ranks:idx.region_ranks
 
-let row_count idx = Array.length idx.starts
-
-let max_id idx =
-  let m = ref (-1) in
-  Array.iter (fun id -> if id > !m then m := id) idx.ids;
-  !m
-
-let annotation_ids idx =
-  let n = Array.length idx.ids in
-  if n = 0 then [||]
-  else begin
-    (* Ids are clustered on start position, not sorted, but they are
-       dense small ints: mark presence in a bitmap sized by the max id
-       and read the survivors back out in ascending order — no copy,
-       no polymorphic sort. *)
-    let m = max_id idx in
-    let seen = Bytes.make (m + 1) '\000' in
-    let distinct = ref 0 in
-    Array.iter
-      (fun id ->
-        if Bytes.unsafe_get seen id = '\000' then begin
-          Bytes.unsafe_set seen id '\001';
-          incr distinct
-        end)
-      idx.ids;
-    let out = Array.make !distinct 0 in
-    let k = ref 0 in
-    for id = 0 to m do
-      if Bytes.unsafe_get seen id = '\001' then begin
-        out.(!k) <- id;
-        incr k
-      end
-    done;
-    out
-  end
+(* Below this many rows a parallel restriction costs more than it
+   saves. *)
+let parallel_threshold = 4096
 
 let restrict ?pool idx ~ids =
   Metrics.incr m_restricts_total;
   let n_rows = Array.length idx.ids in
   let n_ids = Array.length ids in
-  if n_rows = 0 || n_ids = 0 then
-    { starts = [||]; ends = [||]; ids = [||]; region_ranks = [||] }
+  if n_rows = 0 || n_ids = 0 then make 0
   else begin
     (* [idx.ids] is clustered on start position, not on id, so a
        two-pointer merge with the sorted [ids] is impossible; instead
@@ -216,37 +138,29 @@ let restrict ?pool idx ~ids =
       !c
     in
     let fill_range dst ~dst_off lo hi =
-      let { starts; ends; ids = out_ids; region_ranks } = dst in
       let k = ref dst_off in
       for row = lo to hi - 1 do
         if mem (Array.unsafe_get idx.ids row) then begin
-          starts.(!k) <- idx.starts.(row);
-          ends.(!k) <- idx.ends.(row);
-          out_ids.(!k) <- idx.ids.(row);
-          region_ranks.(!k) <- idx.region_ranks.(row);
+          A1.unsafe_set dst.starts !k (A1.unsafe_get idx.starts row);
+          A1.unsafe_set dst.ends !k (A1.unsafe_get idx.ends row);
+          dst.ids.(!k) <- idx.ids.(row);
+          dst.region_ranks.(!k) <- idx.region_ranks.(row);
           incr k
         end
       done
     in
     match pool with
-    | Some p when Pool.jobs p > 1 && n_rows >= parallel_sort_threshold ->
+    | Some p when Pool.jobs p > 1 && n_rows >= parallel_threshold ->
         (* Two partitioned sweeps: count survivors per chunk, then fill
            each chunk's contiguous output slice — chunk order keeps the
            start clustering. *)
-        let min_chunk = parallel_sort_threshold / 4 in
+        let min_chunk = parallel_threshold / 4 in
         let counts =
           Pool.parallel_chunks p ~min_chunk ~n:n_rows
             (fun ~chunk:_ ~lo ~hi -> (lo, hi, count_range lo hi))
         in
         let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 counts in
-        let dst =
-          {
-            starts = Array.make total 0L;
-            ends = Array.make total 0L;
-            ids = Array.make total 0;
-            region_ranks = Array.make total 0;
-          }
-        in
+        let dst = make total in
         let offsets = Array.make (Array.length counts) 0 in
         let acc = ref 0 in
         Array.iteri
@@ -260,73 +174,55 @@ let restrict ?pool idx ~ids =
                fill_range dst ~dst_off:offsets.(i) lo hi));
         dst
     | _ ->
-        let total = count_range 0 n_rows in
-        let dst =
-          {
-            starts = Array.make total 0L;
-            ends = Array.make total 0L;
-            ids = Array.make total 0;
-            region_ranks = Array.make total 0;
-          }
-        in
+        let dst = make (count_range 0 n_rows) in
         fill_range dst ~dst_off:0 0 n_rows;
         dst
   end
 
-let region idx row = Region.make idx.starts.(row) idx.ends.(row)
-
-let row_at idx i =
-  {
-    row_start = idx.starts.(i);
-    row_end = idx.ends.(i);
-    row_id = idx.ids.(i);
-    row_rank = idx.region_ranks.(i);
-  }
-
-(* First slot whose row does not sort below [key]. *)
-let lower_bound idx key =
+(* First slot whose row does not sort below the key. *)
+let lower_bound idx ~start ~end_ ~id ~rank =
   let lo = ref 0 and hi = ref (row_count idx) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_row (row_at idx mid) key < 0 then lo := mid + 1 else hi := mid
+    if compare_key idx mid ~start ~end_ ~id ~rank < 0 then lo := mid + 1
+    else hi := mid
   done;
   !lo
 
 let move_row idx ~id ~rank ~from ~to_ =
-  let key r =
-    {
-      row_start = Region.start_pos r;
-      row_end = Region.end_pos r;
-      row_id = id;
-      row_rank = rank;
-    }
+  let slot_of r =
+    lower_bound idx ~start:(Region.start_pos r) ~end_:(Region.end_pos r) ~id
+      ~rank
   in
-  let old_row = key from and row = key to_ in
-  let old_slot = lower_bound idx old_row in
-  if old_slot >= row_count idx || compare_row (row_at idx old_slot) old_row <> 0
+  let old_slot = slot_of from in
+  if
+    old_slot >= row_count idx
+    || compare_key idx old_slot ~start:(Region.start_pos from)
+         ~end_:(Region.end_pos from) ~id ~rank
+       <> 0
   then invalid_arg "Region_index.move_row: no such row";
   (* The bound counts the old row when it sorts below the new one; the
      row's final slot is then one lower, once it has left. *)
-  let slot = lower_bound idx row in
+  let slot = slot_of to_ in
   let slot = if slot > old_slot then slot - 1 else slot in
-  let shift a =
-    if slot > old_slot then
-      Array.blit a (old_slot + 1) a old_slot (slot - old_slot)
-    else Array.blit a slot a (slot + 1) (old_slot - slot)
+  let src, dst, len =
+    if slot > old_slot then (old_slot + 1, old_slot, slot - old_slot)
+    else (slot, slot + 1, old_slot - slot)
   in
-  shift idx.starts;
-  shift idx.ends;
-  shift idx.ids;
-  shift idx.region_ranks;
-  idx.starts.(slot) <- row.row_start;
-  idx.ends.(slot) <- row.row_end;
+  let shift_positions a = A1.blit (A1.sub a src len) (A1.sub a dst len) in
+  shift_positions idx.starts;
+  shift_positions idx.ends;
+  Array.blit idx.ids src idx.ids dst len;
+  Array.blit idx.region_ranks src idx.region_ranks dst len;
+  idx.starts.{slot} <- Region.start_pos to_;
+  idx.ends.{slot} <- Region.end_pos to_;
   idx.ids.(slot) <- id;
   idx.region_ranks.(slot) <- rank
 
 let pp fmt idx =
   Format.fprintf fmt "@[<v>start|end|id|rank@,";
   for i = 0 to row_count idx - 1 do
-    Format.fprintf fmt "%Ld|%Ld|%d|%d@," idx.starts.(i) idx.ends.(i)
+    Format.fprintf fmt "%Ld|%Ld|%d|%d@," idx.starts.{i} idx.ends.{i}
       idx.ids.(i) idx.region_ranks.(i)
   done;
   Format.fprintf fmt "@]"

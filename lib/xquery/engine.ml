@@ -308,8 +308,8 @@ let pool_for jobs = if jobs <= 1 then None else Some (Pool.shared ~jobs)
 (* The adaptive jobs choice: threshold the prepared plan's cost
    estimate, then clamp to the parallelism the domain budget has left
    (server workers reserve their share).  The thresholds sit around
-   the region index's own parallel-sort threshold (4096 rows) — below
-   it, parallel code paths would not even engage. *)
+   the region index's own parallel-restriction threshold (4096 rows) —
+   below it, parallel code paths would not even engage. *)
 let adaptive_jobs cost =
   let wanted =
     if cost < 4_096 then 1

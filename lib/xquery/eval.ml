@@ -226,12 +226,8 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
         let context_iters = Vec.to_array iters_v in
         let context_pres = Vec.to_array pres_v in
         let doc = Collection.doc env.coll doc_id in
-        let annots = Catalog.annots ?pool:env.pool env.catalog env.config doc in
-        let candidates =
-          if pushdown then
-            Option.map (Doc.elements_named doc) (Node_test.name_filter test)
-          else None
-        in
+        let annots = Catalog.annots env.catalog env.config doc in
+        let name = if pushdown then Node_test.name_filter test else None in
         let strategy =
           match strategy_choice with
           | Plan.S_fixed s -> s
@@ -241,7 +237,13 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
               | None ->
                   Join.auto_strategy annots
                     ~context_rows:(Array.length context_pres)
-                    ~candidate_rows:(Option.map Array.length candidates))
+                    ~candidate_rows:
+                      (Option.map
+                         (fun n -> Array.length (Doc.elements_named doc n))
+                         name))
+        in
+        let candidates =
+          match name with Some n -> Join.Named n | None -> Join.All
         in
         let stats =
           match span with Some _ -> Some (Join.fresh_stats ()) | None -> None
@@ -266,17 +268,28 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
       Join.run_lifted op strategy annots ?pool:env.pool ~deadline:env.deadline
         ?stats ~loop ~context_iters ~context_pres ~candidates ()
     in
-    let keep = Vec.create () in
-    Array.iteri
-      (fun r pre ->
-        (* Whether or not the name test was pushed into the
-           candidate index, the node test filters here (kind
-           tests cannot be pushed at all). *)
-        if Node_test.matches doc test pre then
-          Vec.push keep (iters.(r), Item.Node { Collection.doc_id; pre }))
-      pres;
-    let rows = Vec.to_array keep in
-    Table.make (Array.map fst rows) (Array.map snd rows)
+    let node pre = Item.Node { Collection.doc_id; pre } in
+    match candidates with
+    | Join.Named _ ->
+        (* The name test was pushed into the candidates: every row
+           already passes it. *)
+        Table.make iters (Array.map node pres)
+    | Join.All | Join.Pres _ ->
+        (* Otherwise the node test filters here (kind tests cannot be
+           pushed at all), compacting in place. *)
+        let n = Array.length pres in
+        let out_iters = Array.make n 0 and items = Array.make n (Item.Bool false) in
+        let k = ref 0 in
+        Array.iteri
+          (fun r pre ->
+            if Node_test.matches doc test pre then begin
+              out_iters.(!k) <- iters.(r);
+              items.(!k) <- node pre;
+              incr k
+            end)
+          pres;
+        if !k = n then Table.make out_iters items
+        else Table.make (Array.sub out_iters 0 !k) (Array.sub items 0 !k)
   in
   let tables =
     match env.pool with
@@ -838,7 +851,7 @@ and area_of_item env item =
   match item with
   | Item.Node n ->
       let doc = Collection.doc env.coll n.Collection.doc_id in
-      let annots = Catalog.annots ?pool:env.pool env.catalog env.config doc in
+      let annots = Catalog.annots env.catalog env.config doc in
       Option.map
         (fun area -> (n, area))
         (Standoff.Annots.area_of annots n.Collection.pre)
@@ -1423,7 +1436,7 @@ and standoff_function env ?span ~strategy_choice op test ctx cand_table =
               | Item.Node n ->
                   let doc = Collection.doc env.coll n.Collection.doc_id in
                   let annots =
-                    Catalog.annots ?pool:env.pool env.catalog env.config doc
+                    Catalog.annots env.catalog env.config doc
                   in
                   if
                     Standoff.Annots.is_annotation annots n.Collection.pre

@@ -15,6 +15,13 @@ module Timing = Standoff_util.Timing
 module Config = Standoff.Config
 module Annots = Standoff.Annots
 module MJ = Standoff.Merge_join_ll
+module Matches = Standoff.Matches
+module Active_set = Standoff.Active_set
+module Region_index = Standoff.Region_index
+
+(* The (iteration, candidate) column pairs of a sweep's matches. *)
+let match_pairs (m : Matches.t) =
+  List.init m.len (fun k -> (m.iters.(k), m.cands.(k)))
 
 (* The Figure 4 input: contexts c1..c4 with iterations 1,2,1,1 and
    candidates r1..r4, realised as a stand-off document so that node
@@ -47,7 +54,7 @@ let figure4_setup () =
     MJ.context_of_annotations annots ~iters:[| 1; 2; 1; 1 |]
       ~pres:[| c1; c2; c3; c4 |]
   in
-  let cands = Annots.candidate_index annots ~candidates:(Some [| r1; r2; r3; r4 |]) in
+  let cands = Annots.candidate_index_scan annots ~candidates:(Some [| r1; r2; r3; r4 |]) in
   (annots, context, cands)
 
 let event_to_string = function
@@ -65,7 +72,7 @@ let test_figure4_context_sorted () =
   let _, context, _ = figure4_setup () in
   Alcotest.(check int) "four region rows" 4 (MJ.context_row_count context);
   Alcotest.(check (list int64)) "sorted on start" [ 0L; 12L; 20L; 55L ]
-    (Array.to_list context.MJ.starts)
+    (Region_index.positions_to_list context.MJ.starts)
 
 let test_figure4_trace () =
   let _, context, cands = figure4_setup () in
@@ -90,14 +97,10 @@ let test_figure4_trace () =
       "emit(1,c4,r4)";    (* r4 contained in c4 *)
     ]
     (List.rev_map event_to_string !events);
-  let pairs =
-    Standoff_util.Vec.to_list matches
-    |> List.map (fun m -> (m.MJ.m_iter, m.MJ.m_cand))
-  in
   Alcotest.(check (list (pair int int)))
     "paper's result: (iter1,r1) and (iter1,r4)"
     [ (1, r1); (1, r4) ]
-    pairs
+    (match_pairs matches)
 
 let test_figure4_counterexample_candidate () =
   (* The candidate [22,28] is contained in c3 = [20,30] (iteration 1)
@@ -116,11 +119,10 @@ let test_figure4_counterexample_candidate () =
   let context =
     MJ.context_of_annotations annots ~iters:[| 1; 2; 1 |] ~pres:[| 2; 3; 4 |]
   in
-  let cands = Annots.candidate_index annots ~candidates:(Some [| 5 |]) in
+  let cands = Annots.candidate_index_scan annots ~candidates:(Some [| 5 |]) in
   let matches = MJ.select_narrow ~single_region:true context cands in
   let pairs =
-    Standoff_util.Vec.to_list matches
-    |> List.map (fun m -> (m.MJ.m_iter, m.MJ.m_cand))
+    match_pairs matches
     |> List.sort compare
   in
   Alcotest.(check (list (pair int int)))
@@ -143,7 +145,7 @@ let test_skip_covered () =
   let context =
     MJ.context_of_annotations annots ~iters:[| 7; 7 |] ~pres:[| 2; 3 |]
   in
-  let cands = Annots.candidate_index annots ~candidates:(Some [| 4 |]) in
+  let cands = Annots.candidate_index_scan annots ~candidates:(Some [| 4 |]) in
   let events = ref [] in
   let matches =
     MJ.select_narrow
@@ -153,7 +155,7 @@ let test_skip_covered () =
   Alcotest.(check bool) "skip event seen" true
     (List.exists (function MJ.Skip_covered _ -> true | _ -> false) !events);
   Alcotest.(check int) "single match, no duplicate" 1
-    (Standoff_util.Vec.length matches)
+    (Matches.length matches)
 
 let test_wide_pending () =
   (* The candidate starts before the only context region but reaches
@@ -170,11 +172,10 @@ let test_wide_pending () =
   let context =
     MJ.context_of_annotations annots ~iters:[| 1 |] ~pres:[| 2 |]
   in
-  let cands = Annots.candidate_index annots ~candidates:(Some [| 3; 4 |]) in
+  let cands = Annots.candidate_index_scan annots ~candidates:(Some [| 3; 4 |]) in
   let matches = MJ.select_wide ~single_region:true context cands in
   let pairs =
-    Standoff_util.Vec.to_list matches
-    |> List.map (fun m -> (m.MJ.m_iter, m.MJ.m_cand))
+    match_pairs matches
     |> List.sort_uniq compare
   in
   Alcotest.(check (list (pair int int))) "only the reaching candidate" [ (1, 3) ]
@@ -193,11 +194,10 @@ let test_wide_boundary_touch () =
   in
   let annots = Annots.extract Config.default d in
   let context = MJ.context_of_annotations annots ~iters:[| 1 |] ~pres:[| 2 |] in
-  let cands = Annots.candidate_index annots ~candidates:(Some [| 3; 4 |]) in
+  let cands = Annots.candidate_index_scan annots ~candidates:(Some [| 3; 4 |]) in
   let matches = MJ.select_wide ~single_region:true context cands in
   let cands_hit =
-    Standoff_util.Vec.to_list matches
-    |> List.map (fun m -> m.MJ.m_cand)
+    match_pairs matches |> List.map snd
     |> List.sort_uniq compare
   in
   Alcotest.(check (list int)) "touching candidate only" [ 3 ] cands_hit
@@ -260,11 +260,9 @@ let qcheck_heap_equals_list =
           (List.sort_uniq compare
              (List.map (fun p -> annots.Standoff.Annots.ids.(p mod n)) cand_picks))
       in
-      let cands = Annots.candidate_index annots ~candidates:(Some cand_ids) in
+      let cands = Annots.candidate_index_scan annots ~candidates:(Some cand_ids) in
       let canon matches =
-        Standoff_util.Vec.to_list matches
-        |> List.map (fun m -> (m.MJ.m_iter, m.MJ.m_cand))
-        |> List.sort_uniq compare
+        match_pairs matches |> List.sort_uniq compare
       in
       let narrow kind =
         canon (MJ.select_narrow ~active_set:kind ~single_region:true context cands)
@@ -275,14 +273,108 @@ let qcheck_heap_equals_list =
       narrow Standoff.Active_set.Sorted_list = narrow Standoff.Active_set.Lazy_heap
       && wide Standoff.Active_set.Sorted_list = wide Standoff.Active_set.Lazy_heap)
 
+(* In single-region mode the skip/replace refinements pin at most one
+   live region per iteration, so the active set never outgrows the
+   number of distinct live iterations — for the list and the heap
+   alike, over arbitrary add/trim sequences.  The model keeps, per
+   iteration, the furthest end added since its last trim. *)
+type set_op = Add of int * int | Trim of int
+
+let qcheck_active_size_bounded =
+  let gen =
+    QCheck.Gen.(
+      list_size (1 -- 60)
+        (frequency
+           [
+             (3, map2 (fun it e -> Add (it, e)) (int_bound 5) (int_bound 50));
+             (1, map (fun s -> Trim s) (int_bound 50));
+           ]))
+  in
+  let print ops =
+    String.concat ";"
+      (List.map
+         (function
+           | Add (it, e) -> Printf.sprintf "add %d:%d" it e
+           | Trim s -> Printf.sprintf "trim %d" s)
+         ops)
+  in
+  QCheck.Test.make ~name:"single-region size <= live iterations" ~count:500
+    (QCheck.make ~print gen)
+    (fun ops ->
+      List.for_all
+        (fun kind ->
+          let t = Active_set.create kind ~single_region:true ~iters:(0, 5) () in
+          let col = Region_index.positions 1 in
+          let live = Hashtbl.create 8 in
+          List.for_all
+            (fun (ctx, op) ->
+              (match op with
+              | Add (iter, e) ->
+                  col.{0} <- Int64.of_int e;
+                  Active_set.add t ~iter ~ctx col 0;
+                  if
+                    match Hashtbl.find_opt live iter with
+                    | Some e' -> e' < e
+                    | None -> true
+                  then Hashtbl.replace live iter e
+              | Trim s ->
+                  col.{0} <- Int64.of_int s;
+                  Active_set.trim t col 0;
+                  Hashtbl.filter_map_inplace
+                    (fun _ e -> if e < s then None else Some e)
+                    live);
+              (* Equal, so in particular never more. *)
+              Active_set.size t = Hashtbl.length live)
+            (List.mapi (fun k op -> (k, op)) ops))
+        [ Active_set.Sorted_list; Active_set.Lazy_heap ])
+
 let test_heap_rejects_multi_region () =
   Alcotest.(check bool) "multi-region rejected" true
     (match
-       Standoff.Active_set.create Standoff.Active_set.Lazy_heap
-         ~single_region:false ~callbacks:Standoff.Active_set.no_callbacks
+       Active_set.create Active_set.Lazy_heap ~single_region:false
+         ~iters:(0, 0) ()
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* An untraced sweep builds no trace events and boxes no positions:
+   its minor-heap allocation does not grow with the rows swept (the
+   large match and pending columns live in the major heap). *)
+let test_untraced_sweep_allocation () =
+  let sweep_words n =
+    let body =
+      String.concat ""
+        (List.init n (fun i ->
+             Printf.sprintf "<c start=\"%d\" end=\"%d\"/><r start=\"%d\" end=\"%d\"/>"
+               (10 * i) ((10 * i) + 8) ((10 * i) + 1) ((10 * i) + 3)))
+    in
+    let d = Doc.parse ~name:"alloc" ("<t>" ^ body ^ "</t>") in
+    let annots = Annots.extract Config.default d in
+    let pres = Doc.elements_named d "c" in
+    let context =
+      MJ.context_of_annotations annots
+        ~iters:(Array.init (Array.length pres) Fun.id)
+        ~pres
+    in
+    let cands = Annots.candidate_index annots ~name:(Some "r") in
+    List.map
+      (fun sweep ->
+        let before = Gc.minor_words () in
+        let m = sweep ~single_region:true context cands in
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "one match per candidate" n (Matches.length m);
+        words)
+      [ MJ.select_narrow ?active_set:None ?trace:None ?deadline:None;
+        MJ.select_wide ?active_set:None ?trace:None ?deadline:None ]
+  in
+  let small = sweep_words 1_000 and large = sweep_words 16_000 in
+  List.iter2
+    (fun s l ->
+      Alcotest.(check bool)
+        (Printf.sprintf "minor words %.0f at 1k rows, %.0f at 16k" s l)
+        true
+        (l < 2048. && l < s +. 512.))
+    small large
 
 let test_deadline_aborts () =
   (* A deadline in the past must abort the sweep promptly. *)
@@ -297,7 +389,7 @@ let test_deadline_aborts () =
   let context =
     MJ.context_of_annotations annots ~iters:(Array.map (fun _ -> 0) pres) ~pres
   in
-  let cands = Annots.candidate_index annots ~candidates:None in
+  let cands = Annots.candidate_index annots ~name:None in
   match
     Timing.run_with_timeout ~seconds:(-1.0) (fun deadline ->
         MJ.select_narrow ~deadline ~single_region:true context cands)
@@ -329,8 +421,14 @@ let () =
       ( "active-set",
         [
           QCheck_alcotest.to_alcotest qcheck_heap_equals_list;
+          QCheck_alcotest.to_alcotest qcheck_active_size_bounded;
           Alcotest.test_case "heap needs single-region" `Quick
             test_heap_rejects_multi_region;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "untraced sweep" `Quick
+            test_untraced_sweep_allocation;
         ] );
       ( "deadline",
         [ Alcotest.test_case "aborts" `Quick test_deadline_aborts ] );

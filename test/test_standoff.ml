@@ -140,23 +140,20 @@ let test_index_clustering () =
   Alcotest.(check int) "rows (multi-region repeats id)" 4
     (Region_index.row_count idx);
   Alcotest.(check (list int64)) "clustered on start" [ 0L; 5L; 5L; 50L ]
-    (Array.to_list idx.Region_index.starts);
+    (Region_index.positions_to_list idx.Region_index.starts);
   (* Equal starts: wider region first. *)
   Alcotest.(check (list int)) "ids" [ 11; 12; 10; 12 ]
-    (Array.to_list idx.Region_index.ids);
-  Alcotest.(check (list int)) "annotation ids" [ 10; 11; 12 ]
-    (Array.to_list (Region_index.annotation_ids idx))
+    (Array.to_list idx.Region_index.ids)
 
 let dump_index idx =
-  ( Array.to_list idx.Region_index.starts,
-    Array.to_list idx.Region_index.ends,
+  ( Region_index.positions_to_list idx.Region_index.starts,
+    Region_index.positions_to_list idx.Region_index.ends,
     Array.to_list idx.Region_index.ids,
     Array.to_list idx.Region_index.region_ranks )
 
 (* The build skips its sort when the rows already arrive in sweep
-   order.  The total order keeps that invisible: a shuffled copy of the
-   same pairs builds the same index, with and without a pool.  The
-   13,200 rows pass the pool's parallel-sort threshold. *)
+   order.  The total order keeps that invisible: shuffled and reversed
+   copies of the same pairs build the same index. *)
 let test_index_order_independent () =
   let ordered =
     List.concat
@@ -178,15 +175,13 @@ let test_index_order_independent () =
     done;
     Array.to_list a
   in
-  let pool = Standoff_util.Pool.create ~jobs:4 in
   let reference = dump_index (Region_index.build ordered) in
   List.iter
     (fun (label, idx) ->
       Alcotest.(check bool) label true (dump_index idx = reference))
     [
-      ("ordered, pool", Region_index.build ~pool ordered);
       ("shuffled", Region_index.build shuffled);
-      ("shuffled, pool", Region_index.build ~pool shuffled);
+      ("reversed", Region_index.build (List.rev ordered));
     ]
 
 let test_restrict_ids () =
@@ -213,7 +208,48 @@ let test_index_restrict () =
   let r = Region_index.restrict idx ~ids:[| 10; 12 |] in
   Alcotest.(check int) "restricted rows" 3 (Region_index.row_count r);
   Alcotest.(check (list int64)) "start order preserved" [ 5L; 5L; 50L ]
-    (Array.to_list r.Region_index.starts)
+    (Region_index.positions_to_list r.Region_index.starts)
+
+(* A loop-lifted query that cycles its joins over more element names
+   than any small cache holds must build each name's candidate index
+   exactly once, and nothing on later cycles. *)
+let test_per_name_index_built_once () =
+  let names = List.init 10 (Printf.sprintf "e%d") in
+  let body =
+    List.concat_map
+      (fun k ->
+        List.mapi
+          (fun i name ->
+            let s = (k * 100) + (i * 5) in
+            Printf.sprintf "<%s start=\"%d\" end=\"%d\"/>" name s (s + 20))
+          names)
+      (List.init 4 Fun.id)
+  in
+  let d = Doc.parse ~name:"names" ("<t>" ^ String.concat "" body ^ "</t>") in
+  let annots = Annots.extract Config.default d in
+  let builds = Standoff_obs.Metrics.counter "standoff_index_builds_total" in
+  let context_pres = annots.Annots.ids in
+  let context_iters = Array.map (fun pre -> pre mod 3) context_pres in
+  let order = Array.init (Array.length context_pres) Fun.id in
+  Array.stable_sort
+    (fun a b -> compare context_iters.(a) context_iters.(b))
+    order;
+  let context_iters = Array.map (Array.get context_iters) order
+  and context_pres = Array.map (Array.get context_pres) order in
+  let cycle () =
+    let before = Standoff_obs.Metrics.counter_value builds in
+    List.iter
+      (fun name ->
+        ignore
+          (Join.run_lifted Op.Select_narrow Config.Loop_lifted annots
+             ~loop:[| 0; 1; 2 |] ~context_iters ~context_pres
+             ~candidates:(Join.Named name) ()))
+      names;
+    Standoff_obs.Metrics.counter_value builds - before
+  in
+  Alcotest.(check int) "first cycle: one build per name" 10 (cycle ());
+  Alcotest.(check int) "second cycle: no builds" 0 (cycle ());
+  Alcotest.(check int) "third cycle: no builds" 0 (cycle ())
 
 (* ------------------------------------------------------------ *)
 (* The §3.1 multimedia example (Figure 1)                        *)
@@ -557,7 +593,7 @@ let qcheck_lifted_agreement =
           (fun op ->
             let iters, pres =
               Join.run_lifted op Config.Loop_lifted annots ~loop ~context_iters
-                ~context_pres ~candidates:(Some candidates) ()
+                ~context_pres ~candidates:(Join.Pres candidates) ()
             in
             Array.for_all
               (fun it ->
@@ -581,33 +617,50 @@ let qcheck_lifted_agreement =
           Op.all
       end)
 
-(* The candidate-side restriction (cached fast path used by the
-   loop-lifted strategy) must equal the paper's full-index-scan
-   intersection used by the per-iteration strategies. *)
+(* Like [build_attr_doc], but the annotations cycle through three
+   element names, and one more element of the first name carries no
+   region: per-name candidate sets then differ from each other and from
+   the annotation set. *)
+let element_names = [ "n0"; "n1"; "n2" ]
+
+let build_named_doc regions =
+  let body =
+    List.mapi
+      (fun i (s, e) ->
+        Printf.sprintf "<n%d start=\"%d\" end=\"%d\"/>" (i mod 3) s e)
+      regions
+    |> String.concat ""
+  in
+  Doc.parse ~name:"rand" ("<t><n0/>" ^ body ^ "</t>")
+
+(* The per-name index (built once from the candidate side, the
+   loop-lifted fast path) must equal the paper's full-index-scan
+   intersection used by the per-iteration strategies, for every name,
+   and list exactly the name's annotations. *)
 let qcheck_candidate_index_paths_agree =
   QCheck.Test.make
     ~name:"candidate_index = candidate_index_scan" ~count:300
     (QCheck.make ~print:print_attr_case gen_attr_case)
-    (fun (regions, _, cand_picks) ->
-      let d = build_attr_doc regions in
+    (fun (regions, _, _) ->
+      let d = build_named_doc regions in
       let annots = Annots.extract Config.default d in
-      let candidates = subset_pres annots cand_picks in
-      let dump idx =
-        ( Array.to_list idx.Region_index.starts,
-          Array.to_list idx.Region_index.ends,
-          Array.to_list idx.Region_index.ids,
-          Array.to_list idx.Region_index.region_ranks )
-      in
-      dump (Annots.candidate_index annots ~candidates:(Some candidates))
-      = dump (Annots.candidate_index_scan annots ~candidates:(Some candidates)))
+      List.for_all
+        (fun name ->
+          let candidates = Doc.elements_named d name in
+          dump_index (Annots.candidate_index annots ~name:(Some name))
+          = dump_index
+              (Annots.candidate_index_scan annots ~candidates:(Some candidates))
+          && Annots.candidate_ids annots ~name:(Some name)
+             = Annots.restrict_ids annots ~candidates)
+        ("absent" :: element_names))
 
 (* Region updates patch the cached tables forward.  Starting from a
-   warm catalogue (full index plus a few restricted indexes), a random
-   sequence of [set_region]s — moves to the first and the last row,
-   ties on start, empty regions, no-op moves and arbitrary moves —
-   must leave the cached table equal, column by column, to a fresh
-   extraction of the mutated document, and every restricted index
-   equal to the fresh table's. *)
+   warm catalogue (full index plus the per-name indexes of two of the
+   three names), a random sequence of [set_region]s — moves to the
+   first and the last row, ties on start, empty regions, no-op moves
+   and arbitrary moves — must leave the cached table equal to a fresh
+   extraction of the mutated document after every move, as judged by
+   [check cached fresh]. *)
 type move_kind = To_first | To_last | Tie_start | Point | Same | Anywhere
 
 let gen_move_kind =
@@ -615,66 +668,82 @@ let gen_move_kind =
 
 let gen_move_case =
   QCheck.Gen.(
-    triple
+    pair
       (list_size (1 -- 14) gen_region)
-      (list_size (1 -- 3) (list_size (0 -- 8) (int_bound 20)))
       (list_size (1 -- 12)
          (triple (int_bound 20) gen_move_kind (pair (int_bound 20) gen_region))))
 
-let print_move_case (regions, cand_sets, moves) =
+let print_move_case (regions, moves) =
   let kind = function
     | To_first -> "first" | To_last -> "last" | Tie_start -> "tie"
     | Point -> "point" | Same -> "same" | Anywhere -> "any"
   in
-  Printf.sprintf "%s cands=%d moves=%s"
+  Printf.sprintf "%s moves=%s"
     (print_attr_case (regions, [], []))
-    (List.length cand_sets)
     (String.concat ";"
        (List.map
           (fun (p, k, (o, (s, e))) ->
             Printf.sprintf "%d:%s:%d:[%d,%d]" p (kind k) o s e)
           moves))
 
+let per_name a =
+  List.map
+    (fun name -> dump_index (Annots.candidate_index a ~name:(Some name)))
+    element_names
+
+let moves_keep ~check (regions, moves) =
+  let d = build_named_doc regions in
+  let cat = Catalog.create () in
+  let warm = Catalog.annots cat Config.default d in
+  List.iter
+    (fun name -> ignore (Annots.candidate_index warm ~name:(Some name)))
+    [ "n0"; "n1" ];
+  let n = Array.length warm.Annots.ids in
+  let extent slot = Area.extent warm.Annots.areas.(slot) in
+  List.for_all
+    (fun (pick, kind, (other, (s, e))) ->
+      let slot = pick mod n in
+      let pre = warm.Annots.ids.(slot) in
+      let region =
+        match kind with
+        | To_first -> Region.make_int 0 200
+        | To_last -> Region.make_int 200 (200 + e - s)
+        | Tie_start ->
+            let st = Region.start_pos (extent (other mod n)) in
+            Region.make st (Int64.add st (Int64.of_int (e - s)))
+        | Point -> Region.make_int s s
+        | Same -> extent slot
+        | Anywhere -> Region.make_int s e
+      in
+      Standoff.Update.set_region cat Config.default d ~pre region;
+      let cached = Catalog.annots cat Config.default d in
+      cached == warm && check d cached (Annots.extract Config.default d))
+    moves
+
 let qcheck_set_region_patches_index =
   QCheck.Test.make ~name:"set_region patch = fresh extraction" ~count:300
     (QCheck.make ~print:print_move_case gen_move_case)
-    (fun (regions, cand_picks, moves) ->
-      let d = build_attr_doc regions in
-      let cat = Catalog.create () in
-      let warm = Catalog.annots cat Config.default d in
-      let cand_sets = List.map (subset_pres warm) cand_picks in
-      let restricted a =
-        List.map
-          (fun c -> dump_index (Annots.candidate_index a ~candidates:(Some c)))
-          cand_sets
-      in
-      ignore (restricted warm);
-      let n = Array.length warm.Annots.ids in
-      let extent slot = Area.extent warm.Annots.areas.(slot) in
-      List.for_all
-        (fun (pick, kind, (other, (s, e))) ->
-          let slot = pick mod n in
-          let pre = warm.Annots.ids.(slot) in
-          let region =
-            match kind with
-            | To_first -> Region.make_int 0 200
-            | To_last -> Region.make_int 200 (200 + e - s)
-            | Tie_start ->
-                let st = Region.start_pos (extent (other mod n)) in
-                Region.make st (Int64.add st (Int64.of_int (e - s)))
-            | Point -> Region.make_int s s
-            | Same -> extent slot
-            | Anywhere -> Region.make_int s e
-          in
-          Standoff.Update.set_region cat Config.default d ~pre region;
-          let cached = Catalog.annots cat Config.default d in
-          let fresh = Annots.extract Config.default d in
-          cached == warm
-          && cached.Annots.ids = fresh.Annots.ids
-          && cached.Annots.areas = fresh.Annots.areas
-          && dump_index cached.Annots.index = dump_index fresh.Annots.index
-          && restricted cached = restricted fresh)
-        moves)
+    (moves_keep ~check:(fun _ cached fresh ->
+         cached.Annots.ids = fresh.Annots.ids
+         && cached.Annots.areas = fresh.Annots.areas
+         && dump_index cached.Annots.index = dump_index fresh.Annots.index
+         && per_name cached = per_name fresh))
+
+(* Each per-name index, patched forward or built after the moves,
+   equals the restriction of a fresh extraction's full index to the
+   name's elements. *)
+let qcheck_set_region_per_name_restrict =
+  QCheck.Test.make ~name:"set_region per-name index = restrict of fresh"
+    ~count:300
+    (QCheck.make ~print:print_move_case gen_move_case)
+    (moves_keep ~check:(fun d cached fresh ->
+         per_name cached
+         = List.map
+             (fun name ->
+               dump_index
+                 (Region_index.restrict fresh.Annots.index
+                    ~ids:(Doc.elements_named d name)))
+             element_names))
 
 (* After [Engine.set_region] the DataGuide is carried forward — the
    probe at the new generation returns the very same guide — and every
@@ -806,6 +875,8 @@ let () =
         [
           Alcotest.test_case "clustering" `Quick test_index_clustering;
           Alcotest.test_case "restrict" `Quick test_index_restrict;
+          Alcotest.test_case "per-name indexes built once" `Quick
+            test_per_name_index_built_once;
           Alcotest.test_case "restrict_ids" `Quick test_restrict_ids;
           Alcotest.test_case "input order is invisible" `Quick
             test_index_order_independent;
@@ -827,6 +898,7 @@ let () =
           Alcotest.test_case "set_region keeps the DataGuide" `Quick
             test_set_region_keeps_guide;
           QCheck_alcotest.to_alcotest qcheck_set_region_patches_index;
+          QCheck_alcotest.to_alcotest qcheck_set_region_per_name_restrict;
         ] );
       ( "agreement",
         [
