@@ -27,8 +27,6 @@
 
    parallel-scaling options:
      --scale S            single-document XMark scale    (default 0.1)
-     --shards N           documents in the sharded run   (default 6)
-     --shard-scale S      XMark scale of each shard      (default 0.02)
      --jobs j1,j2,...     jobs counts to sweep           (default 1,2,4,8)
      --repeats N          timed runs per point (median)  (default 5)
      --queries Q1,...     subset of Q1 Q2 Q6 Q7          (default all)
@@ -243,7 +241,7 @@ let figure_6_body ~record ~scales ~timeout ~queries ~jobs () =
         (* Warm the region index so measurements see the index as part
            of the stored document, as in the paper (§4.3). *)
         ignore
-          (Engine.run setup.Setup.engine ~rollback_constructed:true
+          (Engine.run setup.Setup.engine
              (Printf.sprintf
                 "count(doc(\"%s\")//site/select-narrow::people)"
                 setup.Setup.standoff_doc));
@@ -551,7 +549,7 @@ let planner ?(scale = 0.01) ?(jobs = 1) () =
   let engine = setup.Setup.engine in
   (* Warm the region index outside the measurements. *)
   ignore
-    (Engine.run engine ~rollback_constructed:true
+    (Engine.run engine
        (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
           setup.Setup.standoff_doc));
   Printf.printf "%-6s %12s %12s %10s %8s\n" "query" "direct" "planned"
@@ -566,7 +564,7 @@ let planner ?(scale = 0.01) ?(jobs = 1) () =
         let once () =
           let (r, t) =
             Timing.time (fun () ->
-                Engine.run_prepared engine ~rollback_constructed:true prepared)
+                Engine.run_prepared engine prepared)
           in
           (r.Engine.serialized, t)
         in
@@ -587,64 +585,15 @@ let planner ?(scale = 0.01) ?(jobs = 1) () =
     \ candidate pushdown, step fusion, and per-operator strategy selection)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel scaling: the jobs sweep of the multicore execution layer.
-   Two shapes, matching the two levels of parallelism:
-
-   - single document: one XMark instance, chunked merge sweeps inside
-     each loop-lifted StandOff join (parallelism bounded by the number
-     of loop iterations of the dominant join);
-   - sharded collection: N XMark instances, the engine fans the
-     prepared query out one shard per document
-     ([Engine.run_prepared_sharded]), which parallelizes the whole
-     evaluation, not just the sweeps.
+(* Parallel scaling: the jobs sweep of the multicore execution layer
+   on one XMark instance, chunked merge sweeps inside each loop-lifted
+   StandOff join (parallelism bounded by the number of loop iterations
+   of the dominant join).
 
    Every point re-checks that its serialized result is byte-identical
-   to the jobs=1 run of the same shape. *)
-
-let replace_all ~needle ~by s =
-  let nl = String.length needle in
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let i = ref 0 in
-  while !i < n do
-    if !i + nl <= n && String.equal (String.sub s !i nl) needle then begin
-      Buffer.add_string buf by;
-      i := !i + nl
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
-(* The stock queries address their document as [doc("name")]; a shard
-   is addressed by its context item instead, so drop the doc() call
-   and let the leading path resolve from the shard root. *)
-let sharded_query_text q =
-  replace_all ~needle:"doc(\"@SHARD@\")" ~by:"" (q.Queries.standoff "@SHARD@")
-
-let build_shard_collection ~shards ~shard_scale =
-  let coll = Collection.create () in
-  for i = 1 to shards do
-    let dom =
-      Gen.generate { Gen.scale = shard_scale; seed = Int64.of_int (1000 + i) }
-    in
-    let transformed = Standoffify.transform dom in
-    ignore
-      (Collection.add coll
-         (Doc.of_dom
-            ~name:(Printf.sprintf "shard%d.xml" i)
-            transformed.Standoffify.doc));
-    Collection.add_blob coll
-      (Blob.of_string
-         ~name:(Printf.sprintf "shard%d.blob" i)
-         transformed.Standoffify.blob)
-  done;
-  coll
+   to the jobs=1 run. *)
 
 type ps_row = {
-  ps_mode : string;  (* "single-doc" | "sharded" *)
   ps_query : string;
   ps_jobs : int;
   ps_seconds : float;
@@ -652,8 +601,7 @@ type ps_row = {
   ps_identical : bool;  (* serialized result = jobs=1 result *)
 }
 
-let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
-    ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5) ?csv ?json ~queries () =
+let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5) ?csv ?json ~queries () =
   section "Parallel scaling: StandOff XMark queries, jobs sweep";
   let median times =
     let b = Array.copy times in
@@ -664,7 +612,7 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
   (* One sweep line: set the engine's jobs, one warm-up run, then the
      median of [repeats] timed runs.  The pool is torn down between
      points so a point never inherits the previous point's workers. *)
-  let sweep ~mode ~engine ~run_once label =
+  let sweep ~engine ~run_once label =
     Printf.printf "%-8s" label;
     let baseline = ref nan in
     let base_out = ref "" in
@@ -681,7 +629,6 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
         end;
         let row =
           {
-            ps_mode = mode;
             ps_query = label;
             ps_jobs = jobs;
             ps_seconds = t;
@@ -693,11 +640,7 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
         Printf.printf "%10.1fms" (t *. 1000.0);
         flush stdout)
       jobs_list;
-    let mine =
-      List.filter
-        (fun r -> r.ps_mode = mode && r.ps_query = label)
-        !rows
-    in
+    let mine = List.filter (fun r -> r.ps_query = label) !rows in
     let best =
       List.fold_left (fun acc r -> max acc r.ps_speedup) 1.0 mine
     in
@@ -710,7 +653,6 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
     Printf.printf "%s\n"
       (String.make (8 + (12 * List.length jobs_list) + 19) '-')
   in
-  (* --- single document: chunked merge sweeps ---------------------- *)
   let setup = Setup.build ~scale ~with_standard:false ~jobs:1 () in
   Printf.printf
     "\nsingle document: xmark scale %g (%s), loop-lifted, chunked sweeps\n"
@@ -721,7 +663,7 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
   (* Build the region index outside the measurements (§4.3: the index
      is part of the stored document). *)
   ignore
-    (Engine.run engine ~rollback_constructed:true
+    (Engine.run engine
        (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
           setup.Setup.standoff_doc));
   List.iter
@@ -731,30 +673,9 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
           (q.Queries.standoff setup.Setup.standoff_doc)
       in
       let run_once () =
-        (Engine.run_prepared engine ~rollback_constructed:true prepared)
-          .Engine.serialized
+        (Engine.run_prepared engine prepared).Engine.serialized
       in
-      sweep ~mode:"single-doc" ~engine ~run_once q.Queries.id)
-    queries;
-  (* --- sharded collection: per-document fan-out ------------------- *)
-  let coll = build_shard_collection ~shards ~shard_scale in
-  Printf.printf
-    "\nsharded collection: %d x xmark scale %g, one shard per document\n"
-    shards shard_scale;
-  header ();
-  let engine2 = Engine.create ~jobs:1 coll in
-  List.iter
-    (fun q ->
-      let prepared =
-        Engine.prepare engine2 ~strategy:Config.Loop_lifted
-          (sharded_query_text q)
-      in
-      let run_once () =
-        (Engine.run_prepared_sharded engine2 ~rollback_constructed:true
-           prepared)
-          .Engine.serialized
-      in
-      sweep ~mode:"sharded" ~engine:engine2 ~run_once q.Queries.id)
+      sweep ~engine ~run_once q.Queries.id)
     queries;
   let rows = List.rev !rows in
   let best =
@@ -767,18 +688,18 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
   in
   Option.iter
     (fun b ->
-      Printf.printf "\nbest speedup: %.2fx (%s %s at jobs=%d)\n" b.ps_speedup
-        b.ps_mode b.ps_query b.ps_jobs)
+      Printf.printf "\nbest speedup: %.2fx (%s at jobs=%d)\n" b.ps_speedup
+        b.ps_query b.ps_jobs)
     best;
   let all_identical = List.for_all (fun r -> r.ps_identical) rows in
   Printf.printf "all results identical to jobs=1: %b\n" all_identical;
   Option.iter
     (fun file ->
       let oc = open_out file in
-      output_string oc "mode,query,jobs,seconds,speedup,identical\n";
+      output_string oc "query,jobs,seconds,speedup,identical\n";
       List.iter
         (fun r ->
-          Printf.fprintf oc "%s,%s,%d,%.6f,%.3f,%b\n" r.ps_mode r.ps_query
+          Printf.fprintf oc "%s,%d,%.6f,%.3f,%b\n" r.ps_query
             r.ps_jobs r.ps_seconds r.ps_speedup r.ps_identical)
         rows;
       close_out oc;
@@ -788,25 +709,25 @@ let parallel_scaling ?(scale = 0.1) ?(shards = 6) ?(shard_scale = 0.02)
     (fun file ->
       let oc = open_out file in
       Printf.fprintf oc
-        "{\n  \"scale\": %g,\n  \"shards\": %d,\n  \"shard_scale\": %g,\n\
-        \  \"jobs\": [%s],\n  \"repeats\": %d,\n  \"all_identical\": %b,\n"
-        scale shards shard_scale
+        "{\n  \"scale\": %g,\n  \"jobs\": [%s],\n  \"repeats\": %d,\n\
+        \  \"all_identical\": %b,\n"
+        scale
         (String.concat ", " (List.map string_of_int jobs_list))
         repeats all_identical;
       Option.iter
         (fun b ->
           Printf.fprintf oc
-            "  \"best\": {\"mode\": \"%s\", \"query\": \"%s\", \"jobs\": %d, \
+            "  \"best\": {\"query\": \"%s\", \"jobs\": %d, \
              \"speedup\": %.3f},\n"
-            b.ps_mode b.ps_query b.ps_jobs b.ps_speedup)
+            b.ps_query b.ps_jobs b.ps_speedup)
         best;
       Printf.fprintf oc "  \"rows\": [\n";
       List.iteri
         (fun i r ->
           Printf.fprintf oc
-            "    {\"mode\": \"%s\", \"query\": \"%s\", \"jobs\": %d, \
+            "    {\"query\": \"%s\", \"jobs\": %d, \
              \"seconds\": %.6f, \"speedup\": %.3f, \"identical\": %b}%s\n"
-            r.ps_mode r.ps_query r.ps_jobs r.ps_seconds r.ps_speedup
+            r.ps_query r.ps_jobs r.ps_seconds r.ps_speedup
             r.ps_identical
             (if i = List.length rows - 1 then "" else ","))
         rows;
@@ -844,7 +765,7 @@ let obs_overhead ?(scale = 0.02) ?(repeats = 15) ?json ~queries () =
   (* Region index built outside the measurements (§4.3: part of the
      stored document). *)
   ignore
-    (Engine.run engine ~rollback_constructed:true
+    (Engine.run engine
        (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
           setup.Setup.standoff_doc));
   Printf.printf "%-8s%12s%12s%12s%10s\n" "query" "off" "on" "traced"
@@ -859,11 +780,11 @@ let obs_overhead ?(scale = 0.02) ?(repeats = 15) ?json ~queries () =
             (q.Queries.standoff setup.Setup.standoff_doc)
         in
         let run_once () =
-          ignore (Engine.run_prepared engine ~rollback_constructed:true prepared)
+          ignore (Engine.run_prepared engine prepared)
         in
         let run_traced () =
           ignore
-            (Engine.run_prepared engine ~rollback_constructed:true
+            (Engine.run_prepared engine
                ~trace:(Trace.create ()) prepared)
         in
         (* Warm every mode once, and size batches off the warm run. *)
@@ -968,7 +889,7 @@ type cache_row = {
   cb_cold_ms : float;  (* median evaluated-run latency, cache off *)
   cb_warm_ms : float;  (* median repeat latency, result cache primed *)
   cb_speedup : float;
-  cb_cacheable : bool;  (* false for constructor queries (never cached) *)
+  cb_cacheable : bool;  (* repeats hit the result cache *)
 }
 
 let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
@@ -982,7 +903,7 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
   (* Region index built outside the measurements (§4.3: part of the
      stored document). *)
   ignore
-    (Engine.run cold_engine ~rollback_constructed:true
+    (Engine.run cold_engine
        (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
           setup.Setup.standoff_doc));
   Printf.printf "xmark scale %g (%s), loop-lifted, jobs=1, median of %d\n\n"
@@ -1005,9 +926,7 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
               Gc.full_major ();
               let _, t =
                 Timing.time (fun () ->
-                    ignore
-                      (Engine.run_prepared engine ~rollback_constructed:true
-                         prepared))
+                    ignore (Engine.run_prepared engine prepared))
               in
               t)
         in
@@ -1018,12 +937,9 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
         let warm_prepared =
           Engine.prepare warm_engine ~strategy:Config.Loop_lifted text
         in
-        (* Prime, then check the stats delta over one repeat: a query
-           that constructs nodes is never result-cached, so its repeats
-           evaluate too and it reports cacheable=false. *)
-        ignore
-          (Engine.run_prepared warm_engine ~rollback_constructed:true
-             warm_prepared);
+        (* Prime, then check the stats delta over the repeats: a query
+           whose repeats evaluate reports cacheable=false. *)
+        ignore (Engine.run_prepared warm_engine warm_prepared);
         let hits_before =
           (Engine.result_cache_stats warm_engine).Standoff_cache.Lru.hits
         in
@@ -1056,7 +972,6 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
       (fun q ->
         ignore
           (Engine.run warm_engine ~strategy:Config.Loop_lifted
-             ~rollback_constructed:true
              (q.Queries.standoff setup.Setup.standoff_doc)))
       queries
   done;
@@ -1084,12 +999,12 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
     ignore (Collection.add coll2 d);
     let e = Engine.create ~jobs:1 ~cache:Engine.Cache_result coll2 in
     let q = "count(doc(\"upd.xml\")//p/select-narrow::c)" in
-    let before = (Engine.run e ~rollback_constructed:true q).Engine.serialized in
-    ignore (Engine.run e ~rollback_constructed:true q);
+    let before = (Engine.run e q).Engine.serialized in
+    ignore (Engine.run e q);
     let pre_c = (Doc.elements_named d "c").(0) in
     Standoff.Update.set_region (Engine.catalog e) Config.default d ~pre:pre_c
       (Region.make_int 50 60);
-    let after = (Engine.run e ~rollback_constructed:true q).Engine.serialized in
+    let after = (Engine.run e q).Engine.serialized in
     String.trim before = "1" && String.trim after = "0"
   in
   Printf.printf "update safety (query -> update -> query): %s\n"
@@ -1102,8 +1017,8 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
   let target_ok id =
     match speedup_of id with Some s -> s >= 5.0 | None -> true
   in
-  let pass = target_ok "Q1" && target_ok "Q6" && update_safe in
-  Printf.printf "warm-repeat target (Q1, Q6 >= 5x): %s\n"
+  let pass = target_ok "Q1" && target_ok "Q2" && target_ok "Q6" && update_safe in
+  Printf.printf "warm-repeat target (Q1, Q2, Q6 >= 5x): %s\n"
     (if pass && update_safe then "PASS" else "FAIL");
   Option.iter
     (fun file ->
@@ -1172,7 +1087,7 @@ let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
       (* Region index built outside the measurements (§4.3: part of
          the stored document). *)
       ignore
-        (Engine.run off_engine ~rollback_constructed:true
+        (Engine.run off_engine
            (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
               setup.Setup.standoff_doc));
       (* Cold guide construction, before any probe has cached one:
@@ -1217,7 +1132,7 @@ let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
                    so the medians compare steady-state evaluation and
                    the cold build cost stays in its own row. *)
                 ignore
-                  (Engine.run_prepared engine ~rollback_constructed:true
+                  (Engine.run_prepared engine
                      prepared);
                 let times =
                   Array.init repeats (fun _ ->
@@ -1225,13 +1140,12 @@ let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
                       let _, t =
                         Timing.time (fun () ->
                             ignore
-                              (Engine.run_prepared engine
-                                 ~rollback_constructed:true prepared))
+                              (Engine.run_prepared engine prepared))
                       in
                       t)
                 in
                 ( median times,
-                  (Engine.run engine ~rollback_constructed:true text)
+                  (Engine.run engine text)
                     .Engine.serialized )
               in
               let off, off_bytes = time_engine off_engine in
@@ -1358,8 +1272,7 @@ let bench_serve ?(scale = 0.02) ?(clients = 8) ?(requests = 40)
   Array.iter
     (fun t ->
       ignore
-        (Engine.run engine ~strategy:Config.Loop_lifted
-           ~rollback_constructed:true t))
+        (Engine.run engine ~strategy:Config.Loop_lifted t))
     texts;
   Printf.printf
     "xmark scale %g (%s), %d clients x %d keep-alive requests each, \
@@ -2004,7 +1917,7 @@ let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
     let read () =
       snd
         (Timing.time (fun () ->
-             ignore (Engine.run eng ~rollback_constructed:true rau_query)))
+             ignore (Engine.run eng rau_query)))
       *. 1000.0
     in
     ignore (read ());
@@ -2300,7 +2213,7 @@ let micro () =
   let q2 = Queries.q2.Queries.standoff setup.Setup.standoff_doc in
   let q6 = Queries.q6.Queries.standoff setup.Setup.standoff_doc in
   (* Warm caches outside measurement. *)
-  ignore (Engine.run setup.Setup.engine ~rollback_constructed:true q6);
+  ignore (Engine.run setup.Setup.engine q6);
   let xmark_dom = Gen.generate { Gen.scale = 0.002; seed = 3L } in
   let tests =
     Test.make_grouped ~name:"standoff"
@@ -2326,16 +2239,13 @@ let micro () =
                MJ.select_wide ~single_region:true c annots.Annots.index));
         Test.make ~name:"figure6/q2-loop-lifted (xmark 0.005)"
           (Staged.stage (fun () ->
-               Engine.run setup.Setup.engine ~strategy:Config.Loop_lifted
-                 ~rollback_constructed:true q2));
+               Engine.run setup.Setup.engine ~strategy:Config.Loop_lifted q2));
         Test.make ~name:"figure6/q6-loop-lifted (xmark 0.005)"
           (Staged.stage (fun () ->
-               Engine.run setup.Setup.engine ~strategy:Config.Loop_lifted
-                 ~rollback_constructed:true q6));
+               Engine.run setup.Setup.engine ~strategy:Config.Loop_lifted q6));
         Test.make ~name:"figure6/q6-basic (xmark 0.005)"
           (Staged.stage (fun () ->
-               Engine.run setup.Setup.engine ~strategy:Config.Basic_merge
-                 ~rollback_constructed:true q6));
+               Engine.run setup.Setup.engine ~strategy:Config.Basic_merge q6));
         Test.make ~name:"e4/staircase-descendant (xmark 0.005)"
           (Staged.stage
              (let doc_id =
@@ -2417,8 +2327,6 @@ let parse_figure6_args args =
 
 let parse_parallel_scaling_args args =
   let scale = ref 0.1 in
-  let shards = ref 6 in
-  let shard_scale = ref 0.02 in
   let jobs_list = ref [ 1; 2; 4; 8 ] in
   let repeats = ref 5 in
   let queries = ref Queries.all in
@@ -2428,12 +2336,6 @@ let parse_parallel_scaling_args args =
     | [] -> ()
     | "--scale" :: v :: rest ->
         scale := float_of_string v;
-        go rest
-    | "--shards" :: v :: rest ->
-        shards := int_of_string v;
-        go rest
-    | "--shard-scale" :: v :: rest ->
-        shard_scale := float_of_string v;
         go rest
     | "--jobs" :: v :: rest ->
         jobs_list :=
@@ -2456,7 +2358,7 @@ let parse_parallel_scaling_args args =
         failwith (Printf.sprintf "parallel-scaling: unknown argument %s" arg)
   in
   go args;
-  (!scale, !shards, !shard_scale, !jobs_list, !repeats, !queries, !csv, !json)
+  (!scale, !jobs_list, !repeats, !queries, !csv, !json)
 
 let parse_obs_overhead_args args =
   let scale = ref 0.02 in
@@ -2686,11 +2588,10 @@ let () =
       in
       planner ~scale ~jobs ()
   | _ :: "parallel-scaling" :: rest ->
-      let scale, shards, shard_scale, jobs_list, repeats, queries, csv, json =
+      let scale, jobs_list, repeats, queries, csv, json =
         parse_parallel_scaling_args rest
       in
-      parallel_scaling ~scale ~shards ~shard_scale ~jobs_list ~repeats ?csv
-        ?json ~queries ()
+      parallel_scaling ~scale ~jobs_list ~repeats ?csv ?json ~queries ()
   | _ :: "obs-overhead" :: rest ->
       let scale, repeats, queries, json = parse_obs_overhead_args rest in
       obs_overhead ~scale ~repeats ?json ~queries ()

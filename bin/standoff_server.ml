@@ -337,7 +337,6 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
            (fun e ->
              Printf.eprintf "slow query: %s\n%!"
                (Standoff_obs.Slow_log.entry_to_string e)));
-    Server.install_engine server ?durable engine;
     let module Pool = Standoff_util.Pool in
     let jobs_label =
       match Engine.jobs engine with
@@ -358,6 +357,9 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
       (Engine.cache_mode_to_string (Engine.cache_mode engine))
       (if auth_token = None then "off" else "bearer")
       (Collection.doc_count coll);
+    (* Ready only after the banner, so a readiness probe that succeeds
+       can rely on it being in the log. *)
+    Server.install_engine server ?durable engine;
     while not (Atomic.get stop_requested) do
       Thread.delay 0.1
     done;

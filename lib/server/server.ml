@@ -421,35 +421,29 @@ let handle_query t req =
           json_error ~request_id 500 "internal server error"
     in
     try
-      (* Prepare under the shared lock (it reads collection statistics),
-         then decide which side the evaluation needs: a constructing
-         run's checkpoint/rollback must not interleave with anything
-         else, so it gets the exclusive side. *)
+      (* Prepare and run under the shared lock: preparing reads
+         collection statistics, and a run only reads the collection
+         (its constructed nodes live in its own arena). *)
       let prepared =
         Rw_lock.read t.lock (fun () ->
             Engine.prepare t.eng ?strategy ?dataguide ~trace req.Http.body)
       in
-      let constructs = Engine.prepared_constructs prepared in
       if stream then
         (* The run happens lazily inside the stream body, so evaluation
            errors raised before the first emitted byte still downgrade
            to ordinary buffered error replies via [on_error]; a failure
            after it aborts the chunk stream, which is the truncation
            signal.  The lock is held across the emit loop: region reads
-           and constructed-node rollback must not interleave with
-           updates, exactly as on the buffered path. *)
+           must not interleave with updates, exactly as on the buffered
+           path. *)
         let sf emit =
-          let run () =
-            ignore
-              (Engine.run_prepared t.eng ~deadline ?context_doc
-                 ~rollback_constructed:constructs ~use_cache ?jobs ~emit
-                 ~trace prepared);
-            (* The buffered path appends one newline; keep the bytes
-               identical. *)
-            emit "\n"
-          in
-          if constructs then Rw_lock.write t.lock run
-          else Rw_lock.read t.lock run
+          Rw_lock.read t.lock (fun () ->
+              ignore
+                (Engine.run_prepared t.eng ~deadline ?context_doc ~use_cache
+                   ?jobs ~emit ~trace prepared);
+              (* The buffered path appends one newline; keep the bytes
+                 identical. *)
+              emit "\n")
         in
         {
           Listener.status = 200;
@@ -458,13 +452,10 @@ let handle_query t req =
           body = Listener.Stream { sf; on_error = query_error };
         }
       else
-        let run () =
-          Engine.run_prepared t.eng ~deadline ?context_doc
-            ~rollback_constructed:constructs ~use_cache ?jobs ~trace prepared
-        in
         let result =
-          if constructs then Rw_lock.write t.lock run
-          else Rw_lock.read t.lock run
+          Rw_lock.read t.lock (fun () ->
+              Engine.run_prepared t.eng ~deadline ?context_doc ~use_cache
+                ?jobs ~trace prepared)
         in
         let cache_attr =
           match result.Engine.trace with

@@ -69,11 +69,10 @@
     to a grace period, then force-close).
 
     Queries run concurrently on worker domains under the shared side
-    of a readers–writer lock; updates and node-constructing queries
-    (see {!Standoff_xquery.Engine.prepared_constructs}) take the
-    exclusive side, so a constructing run's checkpoint/rollback pair
-    cannot truncate another run's scratch documents and updates never
-    race an evaluation. *)
+    of a readers–writer lock, node-constructing ones included: their
+    constructed nodes live in the run's own arena, so a query never
+    writes to the collection.  Updates and ingests take the exclusive
+    side, so they never race an evaluation. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)

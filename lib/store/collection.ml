@@ -10,15 +10,24 @@ let m_doc_reads =
     ~help:"Document handle lookups by id"
 
 (* The lock serialises every access to the document Vec and the name
-   tables: parallel query shards read documents (and register
-   constructed ones) concurrently, and Vec growth swaps the backing
-   array, so even reads must not race a push. *)
+   tables: concurrent runs read documents while an ingest may push,
+   and Vec growth swaps the backing array, so even reads must not race
+   a push.  A run view copies the record, so it shares all four with
+   the collection it was made from, and adds its own arena.  The arena
+   needs no lock: only the domain evaluating the run pushes to it or
+   reads from it. *)
 type t = {
   lock : Mutex.t;
   docs : Doc.t Vec.t;
   by_name : (string, int) Hashtbl.t;
   blobs : (string, Blob.t) Hashtbl.t;
+  arena : Doc.t Vec.t option;
 }
+
+(* Far above any real doc id, so arena documents sort after every
+   shared one in document order. *)
+let arena_base = 1 lsl 30
+let in_arena id = id >= arena_base
 
 let locked coll f =
   Mutex.lock coll.lock;
@@ -45,7 +54,17 @@ let create () =
     docs = Vec.create ();
     by_name = Hashtbl.create 8;
     blobs = Hashtbl.create 8;
+    arena = None;
   }
+
+let run_view coll = { coll with arena = Some (Vec.create ()) }
+
+let add_constructed coll d =
+  match coll.arena with
+  | Some arena ->
+      Vec.push arena d;
+      arena_base + Vec.length arena - 1
+  | None -> invalid_arg "Collection.add_constructed: not a run view"
 
 let add coll d =
   locked coll (fun () ->
@@ -69,10 +88,18 @@ let add_blob coll b =
 
 let doc coll id =
   Metrics.incr m_doc_reads;
-  locked coll (fun () ->
-      if id < 0 || id >= Vec.length coll.docs then
-        invalid_arg (Printf.sprintf "Collection.doc: unknown id %d" id);
-      Vec.get coll.docs id)
+  let unknown () =
+    invalid_arg (Printf.sprintf "Collection.doc: unknown id %d" id)
+  in
+  if in_arena id then
+    match coll.arena with
+    | Some arena when id - arena_base < Vec.length arena ->
+        Vec.get arena (id - arena_base)
+    | _ -> unknown ()
+  else
+    locked coll (fun () ->
+        if id < 0 || id >= Vec.length coll.docs then unknown ();
+        Vec.get coll.docs id)
 
 let doc_id_of_name coll name =
   locked coll (fun () -> Hashtbl.find_opt coll.by_name name)
@@ -90,18 +117,6 @@ let fold_docs f acc coll =
   let acc = ref acc in
   Array.iteri (fun id d -> acc := f !acc id d) snapshot;
   !acc
-
-let checkpoint coll = locked coll (fun () -> Vec.length coll.docs)
-
-let rollback coll mark =
-  locked coll (fun () ->
-      if mark < 0 || mark > Vec.length coll.docs then
-        invalid_arg "Collection.rollback: invalid checkpoint";
-      Metrics.gauge_add m_docs (mark - Vec.length coll.docs);
-      for id = mark to Vec.length coll.docs - 1 do
-        Hashtbl.remove coll.by_name (Vec.get coll.docs id).Doc.doc_name
-      done;
-      Vec.truncate coll.docs mark)
 
 let fold_blobs f acc coll =
   let blobs =

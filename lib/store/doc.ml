@@ -47,10 +47,10 @@ type t = {
   mutable dataguide : guide option;
 }
 
-(* Process-unique document identities.  Names are unique only while a
-   document is registered: a rollback followed by re-registration under
-   the same name is a different document, and anything keyed on the
-   identity (the engine's result cache) must see it as such. *)
+(* Process-unique document identities.  Names are unique only within
+   one collection: two documents of the same name are still different
+   documents, and anything keyed on the identity (the engine's result
+   cache) must see them as such. *)
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 

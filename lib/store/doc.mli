@@ -47,8 +47,8 @@ type t = private {
   doc_name : string;
   doc_uid : int;
       (** process-unique identity, assigned at construction.  Unlike
-          [doc_name] it can never alias: a collection rollback followed
-          by re-registration under the same name yields a new [doc_uid],
+          [doc_name] it can never alias: two documents of the same name
+          (in two collections, or shredded twice) get distinct uids,
           which is what the engine's result cache keys document sets on. *)
   kind : kind array;
   size : int array;

@@ -91,8 +91,7 @@ let prepared_config p = p.p_config
 
 (* Conservative: a call to a constructing user function from a
    non-constructing body still reports [true] (function bodies are
-   checked whether called or not), which errs on the safe side for
-   callers deciding between shared and exclusive collection access. *)
+   checked whether called or not). *)
 let prepared_constructs p =
   Plan.constructs p.p_plan
   || List.exists (fun (_, g) -> Plan.constructs g) p.p_globals
@@ -552,9 +551,8 @@ let account t prepared trace ~jobs ~seconds ~failed =
 (* Result cache plumbing                                              *)
 
 (* The document-set component of a result key.  Uids, not names: a
-   rollback followed by re-registration under the same name is a
-   different document with possibly different content, and must land
-   on a different key — names would alias, uids cannot. *)
+   uid names one document for the life of the process, so a key can
+   never alias a different document that happens to share a name. *)
 let docset_digest t =
   let buf = Buffer.create 64 in
   Collection.fold_docs
@@ -564,12 +562,11 @@ let docset_digest t =
     () t.coll;
   Digest.string (Buffer.contents buf)
 
-let result_key t prepared ~context_doc ~sharded =
+let result_key t prepared ~context_doc =
   String.concat "\x00"
     [
       prepared.p_fingerprint;
       Option.value ~default:"" context_doc;
-      (if sharded then "sharded" else "");
       docset_digest t;
     ]
 
@@ -595,8 +592,7 @@ let emit_sliced emit s =
   done
 
 let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
-    ?(rollback_constructed = false) ?(use_cache = true) ?jobs ?emit ?trace
-    prepared =
+    ?rollback_constructed:_ ?(use_cache = true) ?jobs ?emit ?trace prepared =
   (* [jobs] overrides the engine-wide parallelism for this one run (the
      HTTP server maps a per-request [?jobs=] knob onto it); the engine
      field is left alone so concurrent runs are unaffected.  With no
@@ -613,7 +609,7 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
      an update racing the run can only make the stored entry stale
      (its stamp is older than the post-update version), never let a
      pre-update result outlive the update. *)
-  let key = if cache_on then Some (result_key t prepared ~context_doc ~sharded:false) else None in
+  let key = if cache_on then Some (result_key t prepared ~context_doc) else None in
   let generation = if cache_on then Catalog.version t.cat else 0 in
   let hit =
     match key with
@@ -651,7 +647,9 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
             | None -> Err.raisef "context document %S not found" name)
           context_doc
       in
-      let mark = Collection.checkpoint t.coll in
+      (* Constructors build into this run's arena; the view, and every
+         document in it, is dropped with the run. *)
+      let coll = Collection.run_view t.coll in
       let t0 = Timing.now () in
       let failed = ref true in
       Fun.protect
@@ -661,16 +659,12 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
              well-formed. *)
           Option.iter (fun tr -> ignore (Trace.finish tr)) trace;
           account t prepared trace ~jobs ~seconds:(Timing.now () -. t0)
-            ~failed:!failed;
-          (* Constructed-node scratch documents are dropped when the caller
-             does not need the node handles (benchmark loops), and always
-             on error. *)
-          if rollback_constructed then Collection.rollback t.coll mark)
+            ~failed:!failed)
         (fun () ->
           set_root_attrs trace prepared ~jobs
             ~cache:(if cache_on then "miss" else "off");
           let env =
-            Eval.initial_env ~coll:t.coll ~catalog:t.cat
+            Eval.initial_env ~coll ~catalog:t.cat
               ~config:prepared.p_config ~strategy:prepared.p_strategy ?trace
               ?pool:(pool_for jobs) ~deadline ~functions:prepared.p_functions
               ~context ()
@@ -685,7 +679,7 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
             phase_span trace "eval" (fun () -> Eval.eval env prepared.p_plan)
           in
           let items = Table.to_sequence table in
-          (* Serialize before constructed documents are rolled back.
+          (* Serialize through the view, which still holds the arena.
              The deadline is threaded through: a timeout firing while
              the result is being rendered aborts the run with the same
              clean [Deadline_exceeded] as one firing during evaluation —
@@ -694,22 +688,19 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
           let serialized =
             phase_span trace "serialize" (fun () ->
                 match emit with
-                | None -> Serialize.sequence ~deadline t.coll items
+                | None -> Serialize.sequence ~deadline coll items
                 | Some emit ->
                     (* Streamed: each item flushes through the caller's
                        sink at the serializer's deadline checkpoints —
                        the whole result is never materialized here. *)
-                    Serialize.sequence_emit ~deadline t.coll items ~emit;
+                    Serialize.sequence_emit ~deadline coll items ~emit;
                     "")
           in
           failed := false;
-          (* Cache only runs that constructed nothing: items referring
-             to scratch documents would dangle once those documents are
-             rolled back, and the document set the key captured no
-             longer matches anyway.  Streamed runs are never inserted
-             either — their serialization was handed away, not kept. *)
+          (* Streamed runs are never inserted: their serialization was
+             handed away, not kept. *)
           (match key with
-          | Some k when emit = None && Collection.checkpoint t.coll = mark ->
+          | Some k when emit = None ->
               Lru.add t.result_cache ~generation k
                 {
                   cr_items = items;
@@ -724,7 +715,7 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
             trace = Option.map Trace.root trace;
           })
 
-let run t ?strategy ?deadline ?context_doc ?rollback_constructed ?trace
+let run t ?strategy ?deadline ?context_doc ?rollback_constructed:_ ?trace
     query_text =
   let trace =
     match trace with
@@ -732,82 +723,7 @@ let run t ?strategy ?deadline ?context_doc ?rollback_constructed ?trace
     | None -> if trace_forced () then Some (Trace.create ()) else None
   in
   let prepared = prepare t ?strategy ?trace query_text in
-  run_prepared t ?deadline ?context_doc ?rollback_constructed ?trace prepared
-
-(* Per-document sharding: the paper's StandOff steps match only nodes
-   from the same XML fragment (§3.3), so a query whose leading [/]
-   refers to "the" document can be fanned out across every document of
-   the collection, one shard per document, and the shard results
-   concatenated in collection order.  One checkpoint brackets the whole
-   fan-out — the shards themselves never roll back, or they would
-   truncate each other's constructed documents. *)
-let run_prepared_sharded t ?(deadline = Timing.no_deadline)
-    ?(rollback_constructed = false) prepared =
-  let cache_on = t.cache = Cache_result in
-  let key =
-    if cache_on then
-      Some (result_key t prepared ~context_doc:None ~sharded:true)
-    else None
-  in
-  let generation = if cache_on then Catalog.version t.cat else 0 in
-  let hit =
-    match key with
-    | Some k -> Lru.find t.result_cache ~generation k
-    | None -> None
-  in
-  match hit with
-  | Some cr ->
-      {
-        items = cr.cr_items;
-        serialized = cr.cr_serialized;
-        config = cr.cr_config;
-        trace = None;
-      }
-  | None ->
-      let n_docs = Collection.doc_count t.coll in
-      let mark = Collection.checkpoint t.coll in
-      Fun.protect
-        ~finally:(fun () ->
-          if rollback_constructed then Collection.rollback t.coll mark)
-        (fun () ->
-          let pool = pool_for (effective_jobs t prepared) in
-          let run_one doc_id =
-            let context = Some (Item.Node { Collection.doc_id; pre = 0 }) in
-            let env =
-              Eval.initial_env ~coll:t.coll ~catalog:t.cat
-                ~config:prepared.p_config ~strategy:prepared.p_strategy ?pool
-                ~deadline ~functions:prepared.p_functions ~context ()
-            in
-            let env =
-              List.fold_left
-                (fun env (var, value) ->
-                  { env with Eval.vars = (var, Eval.eval env value) :: env.Eval.vars })
-                env prepared.p_globals
-            in
-            Table.to_sequence (Eval.eval env prepared.p_plan)
-          in
-          let doc_ids = Array.init n_docs Fun.id in
-          let per_doc =
-            match pool with
-            | Some p when Pool.jobs p > 1 && n_docs > 1 ->
-                Pool.map_array p run_one doc_ids
-            | _ -> Array.map run_one doc_ids
-          in
-          let items = List.concat (Array.to_list per_doc) in
-          let serialized = Serialize.sequence ~deadline t.coll items in
-          (match key with
-          | Some k when Collection.checkpoint t.coll = mark ->
-              Lru.add t.result_cache ~generation k
-                {
-                  cr_items = items;
-                  cr_serialized = serialized;
-                  cr_config = prepared.p_config;
-                }
-          | _ -> ());
-          (* Sharded evaluation runs [eval] inside pool workers, and the
-             trace collector is single-domain — so sharded runs are
-             untraced. *)
-          { items; serialized; config = prepared.p_config; trace = None })
+  run_prepared t ?deadline ?context_doc ?trace prepared
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN / EXPLAIN ANALYZE                                          *)
@@ -876,8 +792,7 @@ let explain_analyze t ?strategy ?dataguide ?(deadline = Timing.no_deadline)
      so a result-cache hit (which evaluates nothing and would render
      every operator "(not executed)") must be bypassed. *)
   let _ =
-    run_prepared t ~deadline ?context_doc ~rollback_constructed:true
-      ~use_cache:false ~trace prepared
+    run_prepared t ~deadline ?context_doc ~use_cache:false ~trace prepared
   in
   let tbl = analysis_of_trace (Trace.root trace) in
   render_prepared
@@ -885,9 +800,5 @@ let explain_analyze t ?strategy ?dataguide ?(deadline = Timing.no_deadline)
     prepared
 
 let run_with_timeout t ?strategy ?context_doc ?trace ~seconds query_text =
-  let mark = Collection.checkpoint t.coll in
-  Fun.protect
-    ~finally:(fun () -> Collection.rollback t.coll mark)
-    (fun () ->
-      Timing.run_with_timeout ~seconds (fun deadline ->
-          run t ?strategy ~deadline ?context_doc ?trace query_text))
+  Timing.run_with_timeout ~seconds (fun deadline ->
+      run t ?strategy ~deadline ?context_doc ?trace query_text)

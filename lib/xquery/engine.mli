@@ -14,12 +14,12 @@
     time.  An override pins every operator, which is what the paper's
     Figure 6 strategy sweeps use.
 
-    Nodes constructed by element constructors live in scratch documents
-    registered in the collection.  By default they stay alive so the
-    returned node handles remain valid; callers that run many queries
-    (the benchmark harness) pass [rollback_constructed:true] or use
-    {!run_with_timeout}, which always rolls back, and consume results
-    through [serialized]. *)
+    Nodes built by element constructors live in the run's own arena
+    ({!Standoff_store.Collection.run_view}), never in the shared
+    collection: a constructing query is an ordinary reader.  The arena
+    is dropped when the run ends, so a constructed node is consumed
+    through [serialized]; its handle in [items] is local to the run
+    (see {!result}). *)
 
 type t
 
@@ -32,8 +32,9 @@ type t
     {!Standoff.Catalog.regions_changed}) or
     {!Standoff.Catalog.invalidate} expires every earlier entry, so a
     cached result can never survive an update.  Runs that construct
-    nodes are never result-cached (their items would dangle after
-    rollback).  [Cache_result] implies plan caching. *)
+    nodes are cached like any other: their bytes are exact, and their
+    constructed items are run-local handles either way.
+    [Cache_result] implies plan caching. *)
 type cache_mode = Cache_off | Cache_plan | Cache_result
 
 (** [cache_mode_of_string s] parses ["off" | "plan" | "result"] (plus
@@ -198,8 +199,12 @@ val set_auto_strategy : t -> unit
 (** Everything a query run produces. *)
 type result = {
   items : Standoff_relalg.Item.t list;
-  serialized : string;  (** materialized before constructed nodes are
-                            rolled back *)
+      (** handles into the shared collection, except for constructed
+          nodes: those point into the run's arena, which is gone when
+          the run returns, so only their count and position mean
+          anything afterwards ({!Standoff_store.Collection.doc} rejects
+          them) *)
+  serialized : string;  (** rendered while the arena was alive *)
   config : Standoff.Config.t;  (** the configuration after the prolog *)
   trace : Standoff_obs.Trace.span option;
       (** the closed root span of the run, when tracing was on *)
@@ -215,14 +220,13 @@ val prepared_plan : prepared -> Plan.t
 (** The configuration the prolog produced. *)
 val prepared_config : prepared -> Standoff.Config.t
 
-(** [prepared_constructs p] holds when evaluating [p] may register
-    scratch documents in the collection (an element constructor occurs
-    in the body, a global variable, or any declared function — the
-    function check is conservative: declared-but-uncalled constructors
-    still count).  Concurrent callers (the HTTP server) use it to give
-    constructing runs exclusive collection access, so one run's
-    checkpoint/rollback pair can never truncate another's scratch
-    documents. *)
+(** [prepared_constructs p] holds when evaluating [p] may build nodes
+    in the run's arena (an element constructor occurs in the body, a
+    global variable, or any declared function — the function check is
+    conservative: declared-but-uncalled constructors still count).
+    Nothing in the system needs it any more; it stays for the served
+    benchmark's traced replay, which passes it as
+    [?rollback_constructed]. *)
 val prepared_constructs : prepared -> bool
 
 (** [prepare t ?strategy ?optimize ?dataguide ?trace query] parses
@@ -248,8 +252,9 @@ val prepare :
   string ->
   prepared
 
-(** [run_prepared t ?deadline ?context_doc ?rollback_constructed
-    ?trace prepared] evaluates a prepared query.  [context_doc]
+(** [run_prepared t ?deadline ?context_doc ?trace prepared] evaluates
+    a prepared query through a fresh run view of the collection, and
+    drops the view (and all it constructed) when it returns.  [context_doc]
     names the document that leading [/] paths refer to.  With [trace]
     (or [STANDOFF_TRACE=1] in the environment) the run produces a span
     tree — ["eval"] and ["serialize"] phase spans, one span per plan
@@ -290,6 +295,11 @@ val prepare :
     clean prefix has been emitted — the caller owns signalling
     truncation (the HTTP server's chunked encoding does it by omitting
     the terminator).
+
+    [rollback_constructed] is accepted and ignored: every run drops
+    its constructed nodes now.  It stays because the served
+    benchmark's input and traced-replay code pass it, and that code
+    changes only together with the benchmark.
     @raise Err.Error on dynamic errors
     @raise Standoff_util.Timing.Deadline_exceeded on timeout. *)
 val run_prepared :
@@ -305,7 +315,8 @@ val run_prepared :
   result
 
 (** [run t ?strategy ?deadline ?context_doc query] is {!prepare}
-    composed with {!run_prepared}.
+    composed with {!run_prepared}; [rollback_constructed] is ignored,
+    as there.
     @raise Err.Error on static/dynamic errors
     @raise Lexer.Syntax_error on parse errors
     @raise Standoff_util.Timing.Deadline_exceeded on timeout. *)
@@ -317,27 +328,6 @@ val run :
   ?rollback_constructed:bool ->
   ?trace:Standoff_obs.Trace.t ->
   string ->
-  result
-
-(** [run_prepared_sharded t ?deadline ?rollback_constructed prepared]
-    fans a prepared query out across every document of the collection
-    — one shard per document, the shard's document root as context
-    item — and concatenates the shard results in collection order.
-    Shards run in parallel on the shared scheduler when the engine's
-    effective jobs (configured, or adaptive from plan cost) exceeds 1.
-    StandOff steps match only nodes from the same fragment (§3.3), so
-    for document-scoped queries this is semantics-preserving.  A
-    single checkpoint brackets the fan-out; with
-    [rollback_constructed:true] all shards' constructed documents are
-    dropped together at the end.  Sharded runs evaluate inside pool
-    workers and are therefore never traced ([result.trace = None]).
-    Under [Cache_result] sharded runs hit the result cache too, under
-    a key distinct from the unsharded form of the same query. *)
-val run_prepared_sharded :
-  t ->
-  ?deadline:Standoff_util.Timing.deadline ->
-  ?rollback_constructed:bool ->
-  prepared ->
   result
 
 (** [explain t query] renders the optimized physical plan: prolog
@@ -358,8 +348,7 @@ val explain :
     aggregates the span tree into per-node {!Plan.analysis} records,
     and renders the plan annotated with per-operator call counts, row
     cardinalities, region-index rows scanned, resolved strategies, and
-    inclusive wall times.  Constructed nodes are rolled back.  The
-    result cache is bypassed (a hit evaluates nothing and would render
+    inclusive wall times.  The result cache is bypassed (a hit evaluates nothing and would render
     every operator "(not executed)"). *)
 val explain_analyze :
   t ->

@@ -29,9 +29,8 @@ type env = {
       (* span collector; [None] is the uninstrumented hot path.  The
          collector is single-domain: [eval]'s recursion stays on the
          calling domain (pool workers run join sweeps and index builds,
-         not [eval]), so span mutation needs no locking.  The sharded
-         entry point [Engine.run_prepared_sharded], which does eval in
-         workers, runs untraced. *)
+         not [eval]), so span mutation needs no locking.  The same
+         holds for the run view's arena in [coll]. *)
   span : Trace.span option;
       (* the span of the plan node currently being evaluated *)
   loop : int array;
@@ -41,6 +40,9 @@ type env = {
   depth : int;
   pool : Pool.t option;
       (* parallel execution; [None] is the sequential code path *)
+  arena_annots : (int, Standoff.Annots.t) Hashtbl.t;
+      (* annotation tables of the arena's documents, by doc id: built
+         once per run and dropped with it, never in [catalog] *)
 }
 
 and focus = {
@@ -76,7 +78,22 @@ let initial_env ~coll ~catalog ~config ~strategy ?trace ?pool
     functions;
     depth = 0;
     pool;
+    arena_annots = Hashtbl.create 4;
   }
+
+(* The annotation table of document [doc_id].  A shared document's
+   table is the catalogue's; one the run constructed is extracted
+   into the run's own table, so nothing of it outlives the run. *)
+let annots_of env doc_id doc =
+  if not (Collection.in_arena doc_id) then
+    Catalog.annots env.catalog env.config doc
+  else
+    match Hashtbl.find_opt env.arena_annots doc_id with
+    | Some a -> a
+    | None ->
+        let a = Standoff.Annots.extract env.config doc in
+        Hashtbl.add env.arena_annots doc_id a;
+        a
 
 (* ------------------------------------------------------------------ *)
 (* Environment plumbing                                               *)
@@ -226,7 +243,7 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
         let context_iters = Vec.to_array iters_v in
         let context_pres = Vec.to_array pres_v in
         let doc = Collection.doc env.coll doc_id in
-        let annots = Catalog.annots env.catalog env.config doc in
+        let annots = annots_of env doc_id doc in
         let name = if pushdown then Node_test.name_filter test else None in
         let strategy =
           match strategy_choice with
@@ -316,11 +333,6 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
 (* ------------------------------------------------------------------ *)
 (* Element construction                                               *)
 
-(* Names for constructed-node documents, unique across the process so
-   parallel shards and repeated runs never collide in the
-   collection. *)
-let ctor_counter = Stdlib.Atomic.make 0
-
 let rec dom_of_items env items =
   (* Adjacent atomic values merge into one text node separated by
      spaces; nodes are deep-copied. *)
@@ -378,13 +390,10 @@ and construct_element env ~tag ~attr_tables ~content_tables iter =
       content_tables
   in
   let el = Dom.element ~attrs:(attrs @ !content_attrs) tag children in
-  (* Process-wide counter: parallel query shards construct elements
-     concurrently into the shared collection, and [Collection.add]
-     rejects duplicate names. *)
-  let n = Stdlib.Atomic.fetch_and_add ctor_counter 1 in
-  let name = Printf.sprintf "#constructed-%d" (n + 1) in
-  let doc = Doc.of_dom ~name (Dom.document el) in
-  let doc_id = Collection.add env.coll doc in
+  (* The new document goes to the run's arena, never to the shared
+     collection; it has no name anyone can look up. *)
+  let doc = Doc.of_dom ~name:"#constructed" (Dom.document el) in
+  let doc_id = Collection.add_constructed env.coll doc in
   Item.Node { Collection.doc_id; pre = 1 }
 
 (* ------------------------------------------------------------------ *)
@@ -845,13 +854,12 @@ and eval_filter env input predicate =
 
 (* ---------------- function calls ---------------- *)
 
-(* The area of a node item under the current standoff configuration,
-   via the catalogue. *)
+(* The area of a node item under the current standoff configuration. *)
 and area_of_item env item =
   match item with
   | Item.Node n ->
       let doc = Collection.doc env.coll n.Collection.doc_id in
-      let annots = Catalog.annots env.catalog env.config doc in
+      let annots = annots_of env n.Collection.doc_id doc in
       Option.map
         (fun area -> (n, area))
         (Standoff.Annots.area_of annots n.Collection.pre)
@@ -1435,9 +1443,7 @@ and standoff_function env ?span ~strategy_choice op test ctx cand_table =
               match item with
               | Item.Node n ->
                   let doc = Collection.doc env.coll n.Collection.doc_id in
-                  let annots =
-                    Catalog.annots env.catalog env.config doc
-                  in
+                  let annots = annots_of env n.Collection.doc_id doc in
                   if
                     Standoff.Annots.is_annotation annots n.Collection.pre
                     && not (List.exists (Item.equal item) matched)

@@ -21,6 +21,8 @@
 
 type env = {
   coll : Standoff_store.Collection.t;
+      (** the run's view ({!Standoff_store.Collection.run_view});
+          element constructors add their documents to its arena *)
   catalog : Standoff.Catalog.t;
   config : Standoff.Config.t;
   strategy : Standoff.Config.strategy option;
@@ -39,6 +41,10 @@ type env = {
   pool : Standoff_util.Pool.t option;
       (** domain pool for parallel joins, index builds and per-document
           sharding; [None] is the (bit-identical) sequential path *)
+  arena_annots : (int, Standoff.Annots.t) Hashtbl.t;
+      (** annotation tables of the documents in [coll]'s arena
+          ({!Standoff_store.Collection.run_view}), built once per run;
+          they never enter [catalog] *)
 }
 
 and focus = {

@@ -90,11 +90,8 @@ val lower : ?is_udf:(string -> bool) -> Ast.expr -> t
 val free_vars : t -> string list
 
 (** [constructs p] holds when [p] contains an element constructor
-    anywhere — i.e. evaluating it may register scratch documents in the
-    collection.  Callers running queries concurrently (the HTTP server)
-    use this to decide which runs need exclusive access: a constructing
-    run's checkpoint/rollback pair must not interleave with another
-    run's. *)
+    anywhere — i.e. evaluating it may build nodes in the run's arena.
+    Only {!Engine.prepared_constructs} reads it. *)
 val constructs : t -> bool
 
 (** Per-node aggregation of one traced run (EXPLAIN ANALYZE): call

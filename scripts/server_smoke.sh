@@ -15,11 +15,13 @@ DOC='xmark-standoff-0.01.xml'
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
-# wait_up PID LOG — spin until /healthz answers or PID dies.
+# wait_up PID LOG — spin until /healthz?ready=1 answers or PID dies.
+# Bare /healthz answers as soon as the port is bound, before the
+# documents are loaded and the engine is installed.
 wait_up() {
   local pid=$1 logfile=$2 i
   for i in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/healthz?ready=1" >/dev/null 2>&1; then return 0; fi
     kill -0 "$pid" 2>/dev/null \
       || { cat "$logfile" >&2; fail "server died during startup"; }
     sleep 0.2
@@ -32,10 +34,10 @@ log=$(mktemp)
 server_pid=$!
 trap 'kill -9 $server_pid 2>/dev/null || true; rm -f "$log"' EXIT
 
-# Wait for the listener to come up.
+# Wait for the engine to be installed (see wait_up).
 up=0
 for _ in $(seq 1 100); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then up=1; break; fi
+  if curl -fsS "$BASE/healthz?ready=1" >/dev/null 2>&1; then up=1; break; fi
   kill -0 $server_pid 2>/dev/null || { cat "$log" >&2; fail "server died during startup"; }
   sleep 0.2
 done
@@ -222,5 +224,26 @@ kill -TERM $server_pid
 status=0
 wait $server_pid || status=$?
 [ "$status" = 0 ] || { cat "$ilog" >&2; fail "ingest server exited $status on SIGTERM"; }
+
+echo "== result cache: a constructing query hits on repeat"
+clog="$workdir/cache.log"
+"$BIN" --doc "$workdir/anno.xml" --port "$PORT" --workers 2 --cache result \
+  >"$clog" 2>&1 &
+server_pid=$!
+wait_up $server_pid "$clog"
+CQ='<cs>{doc("anno.xml")//p/select-narrow::c}</cs>'
+b1=$(curl -fsS -D "$workdir/h1" -X POST --data-binary "$CQ" "$BASE/query")
+b2=$(curl -fsS -D "$workdir/h2" -X POST --data-binary "$CQ" "$BASE/query")
+[ "$b1" = '<cs><c start="2" end="8"/></cs>' ] \
+  || fail "constructing query answered '$b1'"
+[ "$b2" = "$b1" ] || fail "cached repeat answered '$b2', first run '$b1'"
+grep -qi '^x-standoff-cache: miss' "$workdir/h1" \
+  || fail "first constructing run was not a cache miss"
+grep -qi '^x-standoff-cache: hit' "$workdir/h2" \
+  || fail "repeat constructing run was not a cache hit"
+kill -TERM $server_pid
+status=0
+wait $server_pid || status=$?
+[ "$status" = 0 ] || { cat "$clog" >&2; fail "cache server exited $status on SIGTERM"; }
 
 echo "PASS: server smoke test"

@@ -151,11 +151,11 @@ let test_stale_read_regression () =
      must see the post-update answer, never the cached pre-update
      one. *)
   let engine, d = engine_with_region_doc Engine.Cache_result in
-  let r1 = (Engine.run engine ~rollback_constructed:true narrow_count).Engine.serialized in
+  let r1 = (Engine.run engine narrow_count).Engine.serialized in
   Alcotest.(check string) "before update: c inside p" "1" (String.trim r1);
   (* Make sure the repeat actually comes from the cache... *)
   let hits0 = (Engine.result_cache_stats engine).Lru.hits in
-  let r1' = (Engine.run engine ~rollback_constructed:true narrow_count).Engine.serialized in
+  let r1' = (Engine.run engine narrow_count).Engine.serialized in
   Alcotest.(check string) "repeat identical" r1 r1';
   Alcotest.(check bool) "repeat was a cache hit" true
     ((Engine.result_cache_stats engine).Lru.hits > hits0);
@@ -163,15 +163,15 @@ let test_stale_read_regression () =
   let pre_c = (Doc.elements_named d "c").(0) in
   Update.set_region (Engine.catalog engine) Config.default d ~pre:pre_c
     (Region.make_int 50 60);
-  let r2 = (Engine.run engine ~rollback_constructed:true narrow_count).Engine.serialized in
+  let r2 = (Engine.run engine narrow_count).Engine.serialized in
   Alcotest.(check string) "after update: post-update answer" "0"
     (String.trim r2)
 
 let test_plan_cache_hits () =
   let engine, _ = engine_with_region_doc Engine.Cache_plan in
-  ignore (Engine.run engine ~rollback_constructed:true narrow_count);
+  ignore (Engine.run engine narrow_count);
   let s0 = Engine.plan_cache_stats engine in
-  ignore (Engine.run engine ~rollback_constructed:true narrow_count);
+  ignore (Engine.run engine narrow_count);
   let s1 = Engine.plan_cache_stats engine in
   Alcotest.(check bool) "repeat run reuses the prepared plan" true
     (s1.Lru.hits > s0.Lru.hits);
@@ -204,9 +204,9 @@ let test_plan_cache_dataguide_key () =
 let test_result_cache_byte_identical () =
   let engine, _ = engine_with_region_doc Engine.Cache_result in
   let q = "doc(\"upd.xml\")//p/select-narrow::c" in
-  let r1 = Engine.run engine ~rollback_constructed:true q in
+  let r1 = Engine.run engine q in
   let hits0 = (Engine.result_cache_stats engine).Lru.hits in
-  let r2 = Engine.run engine ~rollback_constructed:true q in
+  let r2 = Engine.run engine q in
   Alcotest.(check bool) "second run hit" true
     ((Engine.result_cache_stats engine).Lru.hits > hits0);
   Alcotest.(check string) "byte-identical serialization"
@@ -216,34 +216,12 @@ let test_result_cache_byte_identical () =
 
 let test_cache_off_never_hits () =
   let engine, _ = engine_with_region_doc Engine.Cache_off in
-  ignore (Engine.run engine ~rollback_constructed:true narrow_count);
-  ignore (Engine.run engine ~rollback_constructed:true narrow_count);
+  ignore (Engine.run engine narrow_count);
+  ignore (Engine.run engine narrow_count);
   let ps = Engine.plan_cache_stats engine in
   let rs = Engine.result_cache_stats engine in
   Alcotest.(check int) "plan cache idle" 0 (ps.Lru.hits + ps.Lru.misses);
   Alcotest.(check int) "result cache idle" 0 (rs.Lru.hits + rs.Lru.misses)
-
-let test_rollback_readd_fresh_answer () =
-  (* Rolling a document back and re-adding different content under the
-     SAME name must not revive the old cached answer: document identity
-     is the uid, not the name. *)
-  let coll = Collection.create () in
-  let mark = Collection.checkpoint coll in
-  ignore
-    (Collection.add coll
-       (Doc.parse ~name:"upd.xml"
-          "<t><p start=\"0\" end=\"10\"/><c start=\"2\" end=\"8\"/></t>"));
-  let engine = Engine.create ~jobs:1 ~cache:Engine.Cache_result coll in
-  let r1 = (Engine.run engine ~rollback_constructed:true narrow_count).Engine.serialized in
-  Alcotest.(check string) "original content" "1" (String.trim r1);
-  Collection.rollback coll mark;
-  ignore
-    (Collection.add coll
-       (Doc.parse ~name:"upd.xml"
-          "<t><p start=\"0\" end=\"10\"/><c start=\"50\" end=\"60\"/></t>"));
-  let r2 = (Engine.run engine ~rollback_constructed:true narrow_count).Engine.serialized in
-  Alcotest.(check string) "re-added content answered fresh" "0"
-    (String.trim r2)
 
 let test_cache_mode_strings () =
   List.iter
@@ -293,8 +271,6 @@ let () =
             test_result_cache_byte_identical;
           Alcotest.test_case "cache off never consults" `Quick
             test_cache_off_never_hits;
-          Alcotest.test_case "rollback + re-add same name" `Quick
-            test_rollback_readd_fresh_answer;
           Alcotest.test_case "cache mode strings" `Quick
             test_cache_mode_strings;
         ] );

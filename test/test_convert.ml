@@ -158,7 +158,7 @@ let qcheck_narrow_matches_descendant =
       ignore (Collection.add coll (Doc.of_dom ~name:"in.xml" dom));
       ignore (Collection.add coll (Doc.of_dom ~name:"so.xml" conv.Convert.doc));
       let eng = Engine.create coll in
-      let run q = (Engine.run eng ~rollback_constructed:true q).Engine.serialized in
+      let run q = (Engine.run eng q).Engine.serialized in
       let names = [ "a"; "b"; "c" ] in
       List.for_all
         (fun x ->
@@ -325,7 +325,7 @@ let test_engine_ingest () =
         [ "d1.xml.blob"; "d2.xml.blob" ] (List.map fst blobs)
   | _ -> Alcotest.fail "expected exactly one Ingest record");
   Alcotest.(check string) "ingested documents answer queries" "2"
-    (Engine.run eng ~rollback_constructed:true
+    (Engine.run eng
        "count(doc(\"d2.xml\")//p/select-narrow::w)")
       .Engine.serialized
 

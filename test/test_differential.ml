@@ -104,7 +104,7 @@ let run_case coll ?trace ~strategy ~jobs ~dataguide case =
   Fun.protect
     ~finally:(fun () -> Engine.shutdown e)
     (fun () ->
-      (Engine.run e ?trace ~rollback_constructed:true case.query)
+      (Engine.run e ?trace case.query)
         .Engine.serialized)
 
 (* One engine with the result cache on, the query run twice: the first
@@ -118,7 +118,7 @@ let run_case_cached coll ~strategy ~jobs ~dataguide case =
     ~finally:(fun () -> Engine.shutdown e)
     (fun () ->
       let once () =
-        (Engine.run e ~rollback_constructed:true case.query).Engine.serialized
+        (Engine.run e case.query).Engine.serialized
       in
       let cold = once () in
       (cold, once ()))

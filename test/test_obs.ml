@@ -125,7 +125,7 @@ let test_expose_parses () =
   let coll = figure1_coll () in
   let e = Engine.create coll in
   ignore
-    (Engine.run e ~rollback_constructed:true
+    (Engine.run e
        "count(doc(\"figure1.xml\")//music/select-wide::shot)");
   let text = Metrics.expose () in
   let lines = String.split_on_char '\n' text in
@@ -196,7 +196,7 @@ let test_joins_by_strategy_labelled () =
   let e = Engine.create coll in
   let q = "count(doc(\"figure1.xml\")//music/select-wide::shot)" in
   List.iter
-    (fun s -> ignore (Engine.run e ~strategy:s ~rollback_constructed:true q))
+    (fun s -> ignore (Engine.run e ~strategy:s q))
     Config.all_strategies;
   let text = Metrics.expose () in
   List.iter
@@ -225,7 +225,7 @@ let test_trace_shape_flwor () =
     "for $m in doc(\"figure1.xml\")//music \
      return <r>{for $s in $m/select-wide::shot return string($s/@id)}</r>"
   in
-  let r = Engine.run e ~trace ~rollback_constructed:true q in
+  let r = Engine.run e ~trace q in
   let root =
     match r.Engine.trace with
     | Some root -> root
@@ -300,7 +300,7 @@ let test_trace_rows_out_matches_result () =
   let e = Engine.create coll in
   let trace = Trace.create () in
   let r =
-    Engine.run e ~trace ~rollback_constructed:true
+    Engine.run e ~trace
       "doc(\"figure1.xml\")//music/select-wide::shot"
   in
   let root = Option.get r.Engine.trace in
@@ -333,7 +333,7 @@ let test_deadline_partial_trace () =
           let deadline = Timing.deadline_after 1e-6 in
           (match
              Engine.run e ~strategy:Config.Basic_merge ~deadline ~trace
-               ~rollback_constructed:true text
+               text
            with
           | _ -> Alcotest.failf "jobs=%d: expected Deadline_exceeded" jobs
           | exception Timing.Deadline_exceeded -> ());
@@ -363,14 +363,14 @@ let test_trace_forced_by_env () =
     ~finally:(fun () -> Unix.putenv "STANDOFF_TRACE" "")
     (fun () ->
       let r =
-        Engine.run e ~rollback_constructed:true
+        Engine.run e
           "count(doc(\"figure1.xml\")//shot)"
       in
       match r.Engine.trace with
       | Some root -> Alcotest.(check bool) "closed" true (Trace.all_closed root)
       | None -> Alcotest.fail "STANDOFF_TRACE=1 did not force a trace");
   let r =
-    Engine.run e ~rollback_constructed:true "count(doc(\"figure1.xml\")//shot)"
+    Engine.run e "count(doc(\"figure1.xml\")//shot)"
   in
   Alcotest.(check bool) "unset again: no trace" true (r.Engine.trace = None)
 
@@ -384,12 +384,12 @@ let test_slow_log_threshold () =
   let q = "count(doc(\"figure1.xml\")//shot)" in
   (* Threshold far above any conceivable runtime: nothing fires. *)
   Engine.set_slow_ms e (Some 1e9);
-  ignore (Engine.run e ~rollback_constructed:true q);
+  ignore (Engine.run e q);
   Alcotest.(check int) "fast query not logged" 0
     (List.length (Slow_log.recent ()));
   (* Threshold zero: everything fires, with the query text recorded. *)
   Engine.set_slow_ms e (Some 0.0);
-  ignore (Engine.run e ~rollback_constructed:true q);
+  ignore (Engine.run e q);
   (match Slow_log.recent () with
   | [ entry ] ->
       Alcotest.(check string) "query text recorded" q entry.Slow_log.e_query;
@@ -405,7 +405,7 @@ let test_slow_log_threshold () =
                  (List.length entries));
   (* Disabled again: no further entries. *)
   Engine.set_slow_ms e None;
-  ignore (Engine.run e ~rollback_constructed:true q);
+  ignore (Engine.run e q);
   Alcotest.(check int) "disabled: still 1 entry" 1
     (List.length (Slow_log.recent ()));
   Slow_log.clear ()
@@ -423,7 +423,6 @@ let test_slow_log_sink_and_summary () =
       let trace = Trace.create () in
       ignore
         (Engine.run e ~trace ~strategy:Config.Loop_lifted
-           ~rollback_constructed:true
            "count(doc(\"figure1.xml\")//music/select-narrow::shot)"));
   (match !hits with
   | [ entry ] ->

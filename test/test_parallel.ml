@@ -46,7 +46,7 @@ let check_jobs_equal ?strategy ?context_doc what coll q =
     Fun.protect
       ~finally:(fun () -> Engine.shutdown e)
       (fun () ->
-        (Engine.run e ?context_doc ~rollback_constructed:true q)
+        (Engine.run e ?context_doc q)
           .Engine.serialized)
   in
   let sequential = run 1 in
@@ -152,35 +152,10 @@ let test_xmark_queries () =
         (check_jobs_equal ("xmark " ^ q.Queries.id) setup.Setup.coll text))
     Queries.all
 
-let test_xmark_sharded_run () =
-  (* The engine-level fan-out merges per-document results in
-     collection order; on a single-document collection it must agree
-     with the plain run, at every jobs count. *)
-  let setup = Setup.build ~with_standard:false ~scale:0.003 () in
-  Engine.shutdown setup.Setup.engine;
-  let q = Queries.q1 in
-  let text = q.Queries.standoff setup.Setup.standoff_doc in
-  let run jobs =
-    let e = Engine.create ~jobs setup.Setup.coll in
-    Fun.protect
-      ~finally:(fun () -> Engine.shutdown e)
-      (fun () ->
-        let prepared = Engine.prepare e text in
-        (Engine.run_prepared_sharded e ~rollback_constructed:true prepared)
-          .Engine.serialized)
-  in
-  let sequential = run 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "sharded Q1: jobs=%d = jobs=1" jobs)
-        sequential (run jobs))
-    jobs_sweep
-
 let test_nested_cap_inheritance () =
-  (* Sharded fan-out over a multi-document collection nests batches:
-     the outer per-document batch caps at the engine's jobs, and each
-     shard's evaluation submits its own chunked sweeps, which must
+  (* A StandOff step whose context spans 8 documents nests batches:
+     the outer per-document batch caps at the run's jobs, and each
+     document's join submits its own chunked sweeps, which must
      inherit that cap rather than multiply it (8 docs x jobs 8 would
      ask for 64 domains).  The observable contract is byte-identical
      output at every cap. *)
@@ -197,17 +172,26 @@ let test_nested_cap_inheritance () =
          ~name:(Printf.sprintf "n%d.xml" d)
          ("<t>" ^ String.concat "" parts ^ "</t>"))
   done;
-  let q = "for $x in //a return <g>{count($x/select-wide::b)}</g>" in
+  let docs =
+    String.concat ", "
+      (List.init 8 (fun d -> Printf.sprintf "doc(\"n%d.xml\")" (d + 1)))
+  in
+  let q =
+    Printf.sprintf "for $x in (%s)//a return <g>{count($x/select-wide::b)}</g>"
+      docs
+  in
   let run jobs =
     let e = Engine.create ~strategy:Config.Loop_lifted ~jobs coll in
     Fun.protect
       ~finally:(fun () -> Engine.shutdown e)
       (fun () ->
         let prepared = Engine.prepare e q in
-        (Engine.run_prepared_sharded e ~rollback_constructed:true prepared)
-          .Engine.serialized)
+        (Engine.run_prepared e prepared).Engine.serialized)
   in
   let sequential = run 1 in
+  (* Each <g>..</g> holds two g's: one group per a, in all 8 documents. *)
+  Alcotest.(check int) "groups span every document" (2 * 8 * 40)
+    (List.length (String.split_on_char 'g' sequential) - 1);
   List.iter
     (fun jobs ->
       Alcotest.(check string)
@@ -227,7 +211,7 @@ let test_adaptive_jobs_identical () =
     Fun.protect
       ~finally:(fun () -> Engine.shutdown e)
       (fun () ->
-        (Engine.run e ~rollback_constructed:true text).Engine.serialized)
+        (Engine.run e text).Engine.serialized)
   in
   List.iter
     (fun q ->
@@ -297,7 +281,7 @@ let qcheck_parallel_equals_sequential =
         Fun.protect
           ~finally:(fun () -> Engine.shutdown e)
           (fun () ->
-            (Engine.run e ~rollback_constructed:true q).Engine.serialized)
+            (Engine.run e q).Engine.serialized)
       in
       List.for_all
         (fun op ->
@@ -324,8 +308,6 @@ let () =
           Alcotest.test_case "multi-document sharding" `Quick
             test_multi_document;
           Alcotest.test_case "xmark Q1/Q2/Q6/Q7" `Slow test_xmark_queries;
-          Alcotest.test_case "engine-level sharded run" `Slow
-            test_xmark_sharded_run;
           Alcotest.test_case "nested batches: sharded multi-doc caps" `Quick
             test_nested_cap_inheritance;
           Alcotest.test_case "adaptive jobs identical" `Slow

@@ -331,11 +331,11 @@ let test_xmark_roundtrip () =
           setup.Standoff_xmark.Setup.standoff_doc
       in
       let a =
-        (Engine.run setup.Standoff_xmark.Setup.engine ~rollback_constructed:true q)
+        (Engine.run setup.Standoff_xmark.Setup.engine q)
           .Engine.serialized
       in
       let b =
-        (Engine.run (Engine.create coll') ~rollback_constructed:true q)
+        (Engine.run (Engine.create coll') q)
           .Engine.serialized
       in
       Alcotest.(check string) "Q6 equal after reload" a b)

@@ -212,7 +212,7 @@ let test_explain_analyze_xmark_regression () =
 
 let both_paths engine ?context_doc q =
   let run ~optimize =
-    (Engine.run_prepared engine ?context_doc ~rollback_constructed:true
+    (Engine.run_prepared engine ?context_doc
        (Engine.prepare engine ~optimize q))
       .Engine.serialized
   in

@@ -186,7 +186,7 @@ let test_bodies_byte_identical_across_strategies () =
         (fun strategy ->
           let s = Config.strategy_to_string strategy in
           let expected =
-            (Engine.run reference ~strategy ~rollback_constructed:true
+            (Engine.run reference ~strategy
                narrow_words)
               .Engine.serialized
           in
@@ -452,6 +452,33 @@ let test_update_then_query () =
       check_status "missing params" 400
         (oneshot p ~meth:"POST" ~target:"/update?doc=upd.xml" ""))
 
+let test_constructing_query_cached () =
+  (* A constructing query is an ordinary reader: under the result
+     cache its repeat is a hit with the same bytes. *)
+  let engine =
+    Engine.create ~jobs:1 ~cache:Engine.Cache_result (fresh_collection ())
+  in
+  let q = "<ws>{doc(\"upd.xml\")//p/select-narrow::w}</ws>" in
+  let expected =
+    (Engine.run (Engine.create ~jobs:1 (fresh_collection ())) q)
+      .Engine.serialized ^ "\n"
+  in
+  with_server ~engine (fun srv ->
+      let p = Server.port srv in
+      let ask () = oneshot p ~meth:"POST" ~target:"/query" q in
+      let r1 = ask () in
+      check_status "first query" 200 r1;
+      Alcotest.(check string) "same bytes as a direct run" expected
+        r1.Http.r_body;
+      Alcotest.(check (option string))
+        "first run evaluated" (Some "miss")
+        (Http.response_header r1 "x-standoff-cache");
+      let r2 = ask () in
+      Alcotest.(check string) "repeat identical" r1.Http.r_body r2.Http.r_body;
+      Alcotest.(check (option string))
+        "repeat was a cache hit" (Some "hit")
+        (Http.response_header r2 "x-standoff-cache"))
+
 let test_ingest_endpoint () =
   let engine =
     Engine.create ~jobs:1 ~cache:Engine.Cache_off (fresh_collection ())
@@ -573,7 +600,7 @@ let test_concurrent_mixed_jobs_identical () =
         Engine.create ~jobs:0 ~cache:Engine.Cache_off (fresh_collection ())
       in
       let expected =
-        (Engine.run engine ~rollback_constructed:true narrow_words)
+        (Engine.run engine narrow_words)
           .Engine.serialized
         ^ "\n"
       in
@@ -775,7 +802,7 @@ let test_deadline_during_serialization () =
     Engine.create ~jobs:1 ~cache:Engine.Cache_off (fresh_collection ())
   in
   let expected =
-    (Engine.run engine ~rollback_constructed:true narrow_words)
+    (Engine.run engine narrow_words)
       .Engine.serialized
   in
   Alcotest.(check bool)
@@ -783,7 +810,7 @@ let test_deadline_during_serialization () =
     (String.contains expected '\n');
   let run_with_fuel n trace =
     Engine.run engine ~deadline:(Timing.deadline_with_fuel n)
-      ~rollback_constructed:true ?trace narrow_words
+      ?trace narrow_words
   in
   (* Find the least fuel that lets the run finish. *)
   let rec least n =
@@ -812,7 +839,7 @@ let test_deadline_during_serialization () =
     (Trace.find_all (fun sp -> Trace.name sp = "serialize") root <> []);
   (* The engine is fully usable afterwards. *)
   let again =
-    (Engine.run engine ~rollback_constructed:true narrow_words)
+    (Engine.run engine narrow_words)
       .Engine.serialized
   in
   Alcotest.(check string) "engine unharmed" expected again
@@ -869,6 +896,8 @@ let () =
             test_deadline_408_partial_trace;
           Alcotest.test_case "?stream=1 chunked and byte-identical" `Quick
             test_stream_byte_identical;
+          Alcotest.test_case "constructing query result-cached" `Quick
+            test_constructing_query_cached;
         ] );
       ( "auth",
         [ Alcotest.test_case "bearer token gate" `Quick test_auth_token ] );

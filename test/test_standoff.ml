@@ -416,7 +416,7 @@ let test_update_shift_failure_is_atomic () =
       (Option.get (Standoff_store.Collection.doc_id_of_name coll "s.xml"))
   in
   let q = "count(doc(\"s.xml\")//t/select-wide::a)" in
-  let run () = (Engine.run eng ~rollback_constructed:true q).Engine.serialized in
+  let run () = (Engine.run eng q).Engine.serialized in
   let before = run () in
   let v0 = Catalog.version (Engine.catalog eng) in
   (* Shifting everything from 0 by -5 moves <a> (10 -> 5) fine but
@@ -769,7 +769,7 @@ let test_set_region_keeps_guide () =
       (fun q ->
         List.map
           (fun strategy ->
-            (Engine.run eng ~strategy ~rollback_constructed:true q)
+            (Engine.run eng ~strategy q)
               .Engine.serialized)
           Config.all_strategies)
       queries

@@ -187,13 +187,13 @@ let test_queries_agree () =
   List.iter
     (fun q ->
       let standard =
-        (Engine.run setup.Setup.engine ~rollback_constructed:true
+        (Engine.run setup.Setup.engine
            (q.Queries.standard setup.Setup.standard_doc)).Engine.serialized
       in
       List.iter
         (fun strategy ->
           let standoff =
-            (Engine.run setup.Setup.engine ~strategy ~rollback_constructed:true
+            (Engine.run setup.Setup.engine ~strategy
                (q.Queries.standoff setup.Setup.standoff_doc)).Engine.serialized
           in
           match q.Queries.id with
@@ -223,7 +223,6 @@ let test_q6_q7_counts_strategies () =
     (fun q ->
       let expected =
         (Engine.run setup.Setup.engine ~strategy:Config.Loop_lifted
-           ~rollback_constructed:true
            (q.Queries.standoff setup.Setup.standoff_doc)).Engine.serialized
       in
       List.iter
@@ -232,7 +231,7 @@ let test_q6_q7_counts_strategies () =
             (Printf.sprintf "%s %s" q.Queries.id
                (Config.strategy_to_string strategy))
             expected
-            (Engine.run setup.Setup.engine ~strategy ~rollback_constructed:true
+            (Engine.run setup.Setup.engine ~strategy
                (q.Queries.standoff setup.Setup.standoff_doc)).Engine.serialized)
         Config.all_strategies)
     [ Queries.q6; Queries.q7 ]
@@ -242,7 +241,7 @@ let test_q6_q7_counts_strategies () =
 let test_q2_shape () =
   let setup = Setup.build ~scale ~with_standard:false () in
   let r =
-    Engine.run setup.Setup.engine ~rollback_constructed:true
+    Engine.run setup.Setup.engine
       (Queries.q2.Queries.standoff setup.Setup.standoff_doc)
   in
   let c = Gen.counts_for scale in
@@ -255,7 +254,7 @@ let test_q2_shape () =
 let test_tree_steps_break_after_permutation () =
   let setup = Setup.build ~scale ~with_standard:true () in
   let run q =
-    (Engine.run setup.Setup.engine ~rollback_constructed:true q).Engine.serialized
+    (Engine.run setup.Setup.engine q).Engine.serialized
   in
   let q6_standard_on_original =
     run (Queries.q6.Queries.standard setup.Setup.standard_doc)
@@ -283,7 +282,7 @@ let test_extended_queries () =
   let setup = Setup.build ~scale () in
   let c = Gen.counts_for scale in
   let run q =
-    (Engine.run setup.Setup.engine ~rollback_constructed:true
+    (Engine.run setup.Setup.engine
        (q.Queries.ext_standard setup.Setup.standard_doc))
       .Engine.items
   in
@@ -305,7 +304,7 @@ let test_extended_queries () =
           (* Persons without a homepage: complementary count checked
              against a direct query. *)
           let with_homepage =
-            (Engine.run setup.Setup.engine ~rollback_constructed:true
+            (Engine.run setup.Setup.engine
                (Printf.sprintf
                   "count(doc(\"%s\")/site/people/person[exists(homepage)])"
                   setup.Setup.standard_doc))
@@ -316,7 +315,7 @@ let test_extended_queries () =
       | "Q20" ->
           (* The three buckets partition the people. *)
           let text =
-            (Engine.run setup.Setup.engine ~rollback_constructed:true
+            (Engine.run setup.Setup.engine
                (Printf.sprintf
                   "let $p := doc(\"%s\")/site/people/person return \
                    count($p[profile/@income >= 60000]) + \

@@ -262,6 +262,97 @@ let test_constructor_copies_nodes () =
   check "per iteration" "<t>TCP/IP</t>\n<t>Data on the Web</t>\n<t>XML Queries</t>"
     "for $b in doc(\"books.xml\")//book return <t>{string($b/title)}</t>"
 
+(* Constructed nodes live in the run's own arena: no query writes to
+   the shared collection, whichever entry point runs it and however
+   the run ends. *)
+
+let missing_doc_error e name q =
+  match Engine.run e q with
+  | exception Err.Error msg ->
+      Alcotest.(check string) "ordinary missing-document error"
+        (Printf.sprintf "doc(%S): no such document" name) msg
+  | r -> Alcotest.failf "doc(%S) answered %S" name r.Engine.serialized
+
+let test_constructed_not_by_name () =
+  let e = make_engine () in
+  ignore (Engine.run e "<a/>");
+  (* The names constructors ever used, plus any constructed document
+     a run left registered in the shared collection. *)
+  let left =
+    Collection.fold_docs
+      (fun acc _ d ->
+        let name = d.Standoff_store.Doc.doc_name in
+        if String.length name > 0 && name.[0] = '#' then name :: acc else acc)
+      [] (Engine.collection e)
+  in
+  List.iter
+    (fun name ->
+      missing_doc_error e name
+        (Printf.sprintf "let $x := <a/> return (doc(%S), $x)" name))
+    ("#constructed-1" :: "#constructed" :: left)
+
+let test_constructing_runs_leave_collection () =
+  let e = make_engine () in
+  let coll = Engine.collection e in
+  let before = Collection.doc_count coll in
+  let same what = Alcotest.(check int) what before (Collection.doc_count coll) in
+  let q =
+    "<r>{for $b in doc(\"books.xml\")//book return <t>{$b/title}</t>}</r>"
+  in
+  ignore (Engine.run e q);
+  same "run";
+  ignore (Engine.run_prepared e (Engine.prepare e q));
+  same "run_prepared";
+  ignore (Engine.explain_analyze e q);
+  same "explain_analyze";
+  (match Engine.run_with_timeout e ~seconds:60.0 q with
+  | Standoff_util.Timing.Finished _ -> ()
+  | Standoff_util.Timing.Timed_out _ -> Alcotest.fail "run_with_timeout: DNF");
+  same "run_with_timeout";
+  (* A fuel deadline fires on an exact checkpoint; every fuel below the
+     first that completes kills the run somewhere, between constructors
+     included.  The result cache is off here: a hit evaluates nothing. *)
+  let e = Engine.create ~cache:Engine.Cache_off coll in
+  let rec sweep fuel =
+    match
+      Engine.run e ~deadline:(Standoff_util.Timing.deadline_with_fuel fuel) q
+    with
+    | _ -> fuel
+    | exception Standoff_util.Timing.Deadline_exceeded ->
+        same (Printf.sprintf "killed at fuel %d" fuel);
+        sweep (fuel + 1)
+  in
+  Alcotest.(check bool) "some runs were killed" true (sweep 0 > 1);
+  same "after the deadline sweep"
+
+let test_arena_tables_do_not_leak () =
+  (* A StandOff step over constructed nodes extracts their annotation
+     table for the run only; nothing of it may stay behind. *)
+  let e = make_engine () in
+  let q =
+    "count(<a><b start=\"1\" end=\"5\"/><c start=\"2\" end=\"3\"/></a>\
+     //b/select-narrow::c)"
+  in
+  Alcotest.(check string) "c inside b" "1" (Engine.run e q).Engine.serialized;
+  (* Words the engine keeps alive: its collection, catalogue and
+     caches.  [Gc.stat]'s [live_words] is not exact enough under
+     OCaml 5 to measure a few words per run; reachability is. *)
+  let live () =
+    Gc.full_major ();
+    Obj.reachable_words (Obj.repr e)
+  in
+  for _ = 1 to 100 do
+    ignore (Engine.run e q)
+  done;
+  let runs = 2000 in
+  let w0 = live () in
+  for _ = 1 to runs do
+    ignore (Engine.run e q)
+  done;
+  let grown = live () - w0 in
+  if grown >= 10 * runs then
+    Alcotest.failf "%d words more kept alive after %d runs" grown runs
+
 (* ------------------------------------------------------------ *)
 (* StandOff axes in query syntax                                 *)
 
@@ -539,12 +630,12 @@ let qcheck_engine_strategies_agree =
               axis
           in
           let expected =
-            (Engine.run e ~strategy:Config.Loop_lifted ~rollback_constructed:true q)
+            (Engine.run e ~strategy:Config.Loop_lifted q)
               .Engine.serialized
           in
           List.for_all
             (fun strategy ->
-              (Engine.run e ~strategy ~rollback_constructed:true q).Engine.serialized
+              (Engine.run e ~strategy q).Engine.serialized
               = expected)
             Config.all_strategies)
         [ "select-narrow"; "select-wide"; "reject-narrow"; "reject-wide" ])
@@ -606,6 +697,12 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_constructor_basic;
           Alcotest.test_case "node copies" `Quick test_constructor_copies_nodes;
+          Alcotest.test_case "constructed documents have no name" `Quick
+            test_constructed_not_by_name;
+          Alcotest.test_case "constructing runs leave the collection" `Quick
+            test_constructing_runs_leave_collection;
+          Alcotest.test_case "arena tables do not leak" `Quick
+            test_arena_tables_do_not_leak;
         ] );
       ( "standoff",
         [
