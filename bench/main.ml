@@ -23,7 +23,7 @@
      --scales s1,s2,...   XMark scale factors     (default 0.002,0.01,0.02,0.1,0.2)
      --timeout SECONDS    per-point DNF budget    (default 10)
      --queries Q1,Q2,...  subset of Q1 Q2 Q6 Q7   (default all)
-     --jobs N             parallelism of every engine (default STANDOFF_JOBS or 1)
+     --jobs N             parallelism of every engine (default STANDOFF_JOBS, else 0 = adaptive)
 
    parallel-scaling options:
      --scale S            single-document XMark scale    (default 0.1)
@@ -609,16 +609,16 @@ let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5)
     b.(Array.length b / 2)
   in
   let rows = ref [] in
-  (* One sweep line: set the engine's jobs, one warm-up run, then the
-     median of [repeats] timed runs.  The pool is torn down between
-     points so a point never inherits the previous point's workers. *)
+  (* One sweep line: per jobs count, one warm-up run, then the median
+     of [repeats] timed runs.  The pool is torn down between points so
+     a point never inherits the previous point's workers. *)
   let sweep ~engine ~run_once label =
     Printf.printf "%-8s" label;
     let baseline = ref nan in
     let base_out = ref "" in
     List.iter
       (fun jobs ->
-        Engine.set_jobs engine jobs;
+        let run_once () = run_once ~jobs in
         let out = run_once () in
         let times = Array.init repeats (fun _ -> snd (Timing.time run_once)) in
         Engine.shutdown engine;
@@ -672,8 +672,8 @@ let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5)
         Engine.prepare engine ~strategy:Config.Loop_lifted
           (q.Queries.standoff setup.Setup.standoff_doc)
       in
-      let run_once () =
-        (Engine.run_prepared engine prepared).Engine.serialized
+      let run_once ~jobs =
+        (Engine.run_prepared engine ~jobs prepared).Engine.serialized
       in
       sweep ~engine ~run_once q.Queries.id)
     queries;
@@ -2296,12 +2296,15 @@ let micro () =
 
 let default_scales = [ 0.002; 0.01; 0.02; 0.1; 0.2 ]
 
+(* Every command's default parallelism: [STANDOFF_JOBS], else adaptive. *)
+let env_jobs () = (Engine.Options.of_env ()).Engine.Options.jobs
+
 let parse_figure6_args args =
   let scales = ref default_scales in
   let timeout = ref 10.0 in
   let queries = ref Queries.all in
   let csv = ref None in
-  let jobs = ref (Config.default_jobs ()) in
+  let jobs = ref (env_jobs ()) in
   let rec go = function
     | [] -> ()
     | "--scales" :: v :: rest ->
@@ -2556,7 +2559,7 @@ let parse_router_args args =
 
 let parse_scale_jobs_args ~cmd ~default_scale args =
   let scale = ref default_scale in
-  let jobs = ref (Config.default_jobs ()) in
+  let jobs = ref (env_jobs ()) in
   let rec go = function
     | [] -> ()
     | "--scale" :: v :: rest ->
@@ -2620,11 +2623,11 @@ let () =
       table_3_1 ();
       figure_4 ();
       figure_6 ~scales:default_scales ~timeout:10.0 ~queries:Queries.all
-        ~jobs:(Config.default_jobs ()) ();
+        ~jobs:(env_jobs ()) ();
       staircase_vs_standoff ();
       active_set_ablation ();
-      scaling ~jobs:(Config.default_jobs ()) ();
-      planner ~jobs:(Config.default_jobs ()) ();
+      scaling ~jobs:(env_jobs ()) ();
+      planner ~jobs:(env_jobs ()) ();
       micro ()
   | _ :: cmd :: _ ->
       Printf.eprintf

@@ -11,7 +11,6 @@
 
 module Doc = Standoff_store.Doc
 module Collection = Standoff_store.Collection
-module Blob = Standoff_store.Blob
 module Config = Standoff.Config
 module Op = Standoff.Op
 module Annots = Standoff.Annots
@@ -19,37 +18,9 @@ module Engine = Standoff_xquery.Engine
 module Gen = Standoff_xmark.Gen
 module Standoffify = Standoff_xmark.Standoffify
 module Convert = Standoff_convert.Convert
+module Flags = Standoff_flags.Flags
 
 open Cmdliner
-
-let load_collection ?db docs blobs =
-  let coll =
-    match db with
-    | Some path -> Standoff_store.Persist.load_collection path
-    | None -> Collection.create ()
-  in
-  List.iter
-    (fun path ->
-      let name = Filename.basename path in
-      let doc =
-        (* .sodb documents load from the binary store, skipping the
-           parse/shred pipeline. *)
-        if Filename.check_suffix path ".sodb" then
-          Standoff_store.Persist.load_doc path
-        else Doc.of_dom ~name (Standoff_xml.Parser.parse_file path)
-      in
-      ignore (Collection.add coll doc))
-    docs;
-  List.iter
-    (fun spec ->
-      match String.index_opt spec '=' with
-      | Some i ->
-          let name = String.sub spec 0 i in
-          let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-          Collection.add_blob coll (Blob.of_file ~name path)
-      | None -> Collection.add_blob coll (Blob.of_file ~name:(Filename.basename spec) spec))
-    blobs;
-  coll
 
 let handle_errors f =
   try f () with
@@ -74,86 +45,6 @@ let handle_errors f =
   | Invalid_argument msg ->
       Printf.eprintf "error: %s\n" msg;
       exit 1
-
-(* ---------------- shared options ---------------- *)
-
-let docs_arg =
-  Arg.(
-    value & opt_all file []
-    & info [ "d"; "doc" ] ~docv:"FILE" ~doc:"XML document to load (repeatable).")
-
-let blobs_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "b"; "blob" ] ~docv:"NAME=FILE"
-        ~doc:"BLOB to register under NAME (repeatable).")
-
-let db_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "db" ] ~docv:"FILE"
-        ~doc:"Load a saved collection database (see the db-save command).")
-
-let strategy_conv =
-  Arg.conv
-    ( (fun s ->
-        try Ok (Config.strategy_of_string s)
-        with Invalid_argument m -> Error (`Msg m)),
-      fun fmt s -> Format.pp_print_string fmt (Config.strategy_to_string s) )
-
-let strategy_arg =
-  Arg.(
-    value
-    & opt (some strategy_conv) None
-    & info [ "s"; "strategy" ] ~docv:"STRATEGY"
-        ~doc:
-          "Pin the evaluation strategy: udf-nocand | udf-cand | basic | \
-           loop-lifted.  Default: pick per operator from annotation \
-           statistics.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int (Config.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Evaluate with up to N domains in parallel (merge sweeps, \
-           index builds, per-document shards).  1 = fully sequential; \
-           0 = adaptive, sized per query from its plan cost within the \
-           machine's domain budget.  Defaults to \\$(b,STANDOFF_JOBS) \
-           or 0.")
-
-let cache_conv =
-  Arg.conv
-    ( (fun s ->
-        try Ok (Engine.cache_mode_of_string s)
-        with Invalid_argument m -> Error (`Msg m)),
-      fun fmt m -> Format.pp_print_string fmt (Engine.cache_mode_to_string m) )
-
-let cache_arg =
-  Arg.(
-    value
-    & opt (some cache_conv) None
-    & info [ "cache" ] ~docv:"MODE"
-        ~doc:
-          "Query caching level: off | plan (reuse prepared plans) | result \
-           (additionally serve byte-identical results for repeat queries; \
-           updates invalidate).  Defaults to \\$(b,STANDOFF_CACHE), else \
-           off.  The result-cache byte budget is 64 MiB, overridable with \
-           \\$(b,STANDOFF_CACHE_MB).")
-
-let dataguide_arg =
-  Arg.(
-    value
-    & opt (some bool) None
-    & info [ "dataguide" ] ~docv:"BOOL"
-        ~doc:
-          "Use the DataGuide path index: downward child/descendant name \
-           paths collapse into single index probes and the planner's \
-           statistics answer from per-path cardinalities.  Results are \
-           byte-identical either way.  Defaults to \
-           \\$(b,STANDOFF_DATAGUIDE), else on.")
 
 (* ---------------- query ---------------- *)
 
@@ -212,18 +103,8 @@ let query_cmd =
              span per plan operator with row counts) and write it to FILE \
              as JSON.  On timeout the partial trace is still written.")
   in
-  let slow_ms_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slow-ms" ] ~docv:"MS"
-          ~doc:
-            "Slow-query threshold in milliseconds: runs at least this slow \
-             are reported on stderr.  Defaults to \\$(b,STANDOFF_SLOW_MS), \
-             else disabled.")
-  in
-  let run docs blobs db strategy jobs cache dataguide context timeout explain
-      explain_analyze metrics trace_json slow_ms query =
+  let run docs blobs db options context timeout explain explain_analyze
+      metrics trace_json query =
     handle_errors (fun () ->
         let query =
           if String.length query > 0 && query.[0] = '@' then (
@@ -240,21 +121,12 @@ let query_cmd =
                collection must not stop it: fall back to an empty one
                (the plan still prints; only the statistics-driven
                decisions lose their input). *)
-            try load_collection ?db docs blobs
+            try Flags.load_collection ?db docs blobs
             with _ -> Collection.create ()
-          else load_collection ?db docs blobs
+          else Flags.load_collection ?db docs blobs
         in
-        let engine =
-          Engine.create ?strategy ~jobs ?slow_ms ?cache ?dataguide coll
-        in
-        (* Slow queries (threshold from --slow-ms or STANDOFF_SLOW_MS)
-           are reported on stderr as they happen. *)
-        if Engine.slow_ms engine <> None then
-          Standoff_obs.Slow_log.set_sink
-            (Some
-               (fun e ->
-                 Printf.eprintf "slow query: %s\n%!"
-                   (Standoff_obs.Slow_log.entry_to_string e)));
+        let engine = Engine.create ~options coll in
+        Flags.report_slow_queries options;
         if explain then begin
           print_endline (Engine.explain engine query);
           exit 0
@@ -315,10 +187,9 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate an XQuery with StandOff axis support")
     Term.(
-      const run $ docs_arg $ blobs_arg $ db_arg $ strategy_arg $ jobs_arg
-      $ cache_arg $ dataguide_arg $ context_arg $ timeout_arg $ explain_arg
-      $ explain_analyze_arg $ metrics_arg $ trace_json_arg $ slow_ms_arg
-      $ query_arg)
+      const run $ Flags.docs_arg $ Flags.blobs_arg $ Flags.db_arg
+      $ Flags.engine_options $ context_arg $ timeout_arg $ explain_arg
+      $ explain_analyze_arg $ metrics_arg $ trace_json_arg $ query_arg)
 
 (* ---------------- shred ---------------- *)
 
@@ -418,7 +289,7 @@ let axes_cmd =
   in
   let run docs blobs strategy from_q to_q =
     handle_errors (fun () ->
-        let coll = load_collection docs blobs in
+        let coll = Flags.load_collection docs blobs in
         let engine = Engine.create ?strategy coll in
         List.iter
           (fun op ->
@@ -433,7 +304,8 @@ let axes_cmd =
     (Cmd.info "axes"
        ~doc:"Run all four StandOff joins between two node expressions")
     Term.(
-      const run $ docs_arg $ blobs_arg $ strategy_arg $ context_q $ candidate_q)
+      const run $ Flags.docs_arg $ Flags.blobs_arg $ Flags.strategy_arg
+      $ context_q $ candidate_q)
 
 (* ---------------- index ---------------- *)
 
@@ -648,7 +520,7 @@ let db_save_cmd =
   in
   let run docs blobs out =
     handle_errors (fun () ->
-        let coll = load_collection docs blobs in
+        let coll = Flags.load_collection docs blobs in
         Standoff_store.Persist.save_collection coll out;
         Printf.printf "saved %d document(s) to %s\n" (Collection.doc_count coll)
           out)
@@ -658,7 +530,7 @@ let db_save_cmd =
        ~doc:
          "Shred documents and save them (plus BLOBs) as a binary database \
           that 'query --db' loads without re-parsing")
-    Term.(const run $ docs_arg $ blobs_arg $ out_arg)
+    Term.(const run $ Flags.docs_arg $ Flags.blobs_arg $ out_arg)
 
 let () =
   let info =

@@ -67,9 +67,12 @@ let shard_workers_arg =
 
 let fsync_arg =
   Arg.(
-    value & opt string "always"
+    value
+    & opt Standoff_flags.Flags.fsync_conv Standoff_store.Wal.Always
     & info [ "fsync" ] ~docv:"POLICY"
-        ~doc:"WAL fsync policy passed to managed shards (with --data-root).")
+        ~doc:
+          "WAL fsync policy passed to managed shards (with --data-root): \
+           always | batch[:N] | never, as standoff-server's --fsync.")
 
 let snapshot_every_arg =
   Arg.(
@@ -195,7 +198,7 @@ let run host port shards externals data_root shard_exe shard_workers fsync
                 !argv
                 @ [
                     "--data-dir"; Filename.concat root name;
-                    "--fsync"; fsync;
+                    "--fsync"; Standoff_store.Wal.fsync_policy_to_string fsync;
                     "--snapshot-every"; string_of_int snapshot_every;
                   ]
           | None -> ());

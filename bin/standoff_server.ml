@@ -7,61 +7,13 @@
      curl -sS -X POST --data-binary @q.xq 'localhost:8080/query?strategy=loop-lifted'
      curl -sS localhost:8080/metrics *)
 
-module Doc = Standoff_store.Doc
 module Collection = Standoff_store.Collection
-module Blob = Standoff_store.Blob
-module Config = Standoff.Config
 module Engine = Standoff_xquery.Engine
 module Server = Standoff_server.Server
+module Flags = Standoff_flags.Flags
 module Setup = Standoff_xmark.Setup
 
 open Cmdliner
-
-let load_collection ?db docs blobs =
-  let coll =
-    match db with
-    | Some path -> Standoff_store.Persist.load_collection path
-    | None -> Collection.create ()
-  in
-  List.iter
-    (fun path ->
-      let name = Filename.basename path in
-      let doc =
-        if Filename.check_suffix path ".sodb" then
-          Standoff_store.Persist.load_doc path
-        else Doc.of_dom ~name (Standoff_xml.Parser.parse_file path)
-      in
-      ignore (Collection.add coll doc))
-    docs;
-  List.iter
-    (fun spec ->
-      match String.index_opt spec '=' with
-      | Some i ->
-          let name = String.sub spec 0 i in
-          let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-          Collection.add_blob coll (Blob.of_file ~name path)
-      | None ->
-          Collection.add_blob coll
-            (Blob.of_file ~name:(Filename.basename spec) spec))
-    blobs;
-  coll
-
-let docs_arg =
-  Arg.(
-    value & opt_all file []
-    & info [ "d"; "doc" ] ~docv:"FILE" ~doc:"XML document to load (repeatable).")
-
-let blobs_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "b"; "blob" ] ~docv:"NAME=FILE"
-        ~doc:"BLOB to register under NAME (repeatable).")
-
-let db_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "db" ] ~docv:"FILE" ~doc:"Load a saved collection database.")
 
 let xmark_arg =
   Arg.(
@@ -141,58 +93,6 @@ let grace_arg =
     & info [ "grace" ] ~docv:"SECONDS"
         ~doc:"Drain budget for graceful shutdown.")
 
-let strategy_conv =
-  Arg.conv
-    ( (fun s ->
-        try Ok (Config.strategy_of_string s)
-        with Invalid_argument m -> Error (`Msg m)),
-      fun fmt s -> Format.pp_print_string fmt (Config.strategy_to_string s) )
-
-let strategy_arg =
-  Arg.(
-    value
-    & opt (some strategy_conv) None
-    & info [ "s"; "strategy" ] ~docv:"STRATEGY"
-        ~doc:
-          "Pin the evaluation strategy engine-wide (clients can still \
-           override per request with ?strategy=).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int (Config.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Engine parallelism (domains) per query evaluation.  0 (the \
-           default) sizes each run adaptively from its plan cost, within \
-           what the domain budget has left after the connection workers.")
-
-let cache_conv =
-  Arg.conv
-    ( (fun s ->
-        try Ok (Engine.cache_mode_of_string s)
-        with Invalid_argument m -> Error (`Msg m)),
-      fun fmt m -> Format.pp_print_string fmt (Engine.cache_mode_to_string m) )
-
-let cache_arg =
-  Arg.(
-    value
-    & opt (some cache_conv) None
-    & info [ "cache" ] ~docv:"MODE"
-        ~doc:
-          "Query caching level: off | plan | result.  Defaults to \
-           \\$(b,STANDOFF_CACHE), else off.")
-
-let slow_ms_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "slow-ms" ] ~docv:"MS"
-        ~doc:
-          "Slow-query threshold: runs at least this slow land in the \
-           slow-query log (GET /slow) and on stderr.  Defaults to \
-           \\$(b,STANDOFF_SLOW_MS), else disabled.")
-
 let data_dir_arg =
   Arg.(
     value
@@ -204,19 +104,10 @@ let data_dir_arg =
            before they are acknowledged; shutdown writes a compacting \
            snapshot.  Without it the store is purely in-memory.")
 
-let fsync_conv =
-  Arg.conv
-    ( (fun s ->
-        try Ok (Standoff_store.Wal.fsync_policy_of_string s)
-        with Invalid_argument m -> Error (`Msg m)),
-      fun fmt p ->
-        Format.pp_print_string fmt (Standoff_store.Wal.fsync_policy_to_string p)
-    )
-
 let fsync_arg =
   Arg.(
     value
-    & opt fsync_conv Standoff_store.Wal.Always
+    & opt Flags.fsync_conv Standoff_store.Wal.Always
     & info [ "fsync" ] ~docv:"POLICY"
         ~doc:
           "WAL fsync policy: always (acknowledged implies durable), \
@@ -247,8 +138,8 @@ let snapshot_every_arg =
            --data-dir.")
 
 let serve docs blobs db xmark host port workers queue max_body keep_alive
-    timeout_ms max_timeout_ms socket_timeout grace strategy jobs cache slow_ms
-    auth_token data_dir fsync snapshot_every =
+    timeout_ms max_timeout_ms socket_timeout grace options auth_token data_dir
+    fsync snapshot_every =
   try
     let config =
       {
@@ -278,7 +169,7 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
     Server.start server;
     let seed () =
-      let coll = load_collection ?db docs blobs in
+      let coll = Flags.load_collection ?db docs blobs in
       (match xmark with
       | Some scale ->
           let setup = Setup.build ~scale ~with_standard:false ~jobs:1 () in
@@ -330,16 +221,11 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
               dir;
           (Some d, Standoff.Durable.collection d)
     in
-    let engine = Engine.create ?strategy ~jobs ?slow_ms ?cache coll in
-    if Engine.slow_ms engine <> None then
-      Standoff_obs.Slow_log.set_sink
-        (Some
-           (fun e ->
-             Printf.eprintf "slow query: %s\n%!"
-               (Standoff_obs.Slow_log.entry_to_string e)));
+    let engine = Engine.create ~options coll in
+    Flags.report_slow_queries options;
     let module Pool = Standoff_util.Pool in
     let jobs_label =
-      match Engine.jobs engine with
+      match options.Engine.Options.jobs with
       | 0 -> Printf.sprintf "auto(<=%d)" (Pool.max_parallelism ())
       | n -> string_of_int n
     in
@@ -354,7 +240,7 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
        %!"
       (Pool.domain_budget ()) (Server.workers server) jobs_label host
       (Server.port server) queue
-      (Engine.cache_mode_to_string (Engine.cache_mode engine))
+      (Engine.Options.cache_to_string options.Engine.Options.cache)
       (if auth_token = None then "off" else "bearer")
       (Collection.doc_count coll);
     (* Ready only after the banner, so a readiness probe that succeeds
@@ -408,9 +294,9 @@ let () =
     (Cmd.eval
        (Cmd.v info
           Term.(
-            const serve $ docs_arg $ blobs_arg $ db_arg $ xmark_arg $ host_arg
-            $ port_arg $ workers_arg $ queue_arg $ max_body_arg
-            $ keep_alive_arg $ timeout_ms_arg $ max_timeout_ms_arg
-            $ socket_timeout_arg $ grace_arg $ strategy_arg $ jobs_arg
-            $ cache_arg $ slow_ms_arg $ auth_token_arg $ data_dir_arg
+            const serve $ Flags.docs_arg $ Flags.blobs_arg $ Flags.db_arg
+            $ xmark_arg $ host_arg $ port_arg $ workers_arg $ queue_arg
+            $ max_body_arg $ keep_alive_arg $ timeout_ms_arg
+            $ max_timeout_ms_arg $ socket_timeout_arg $ grace_arg
+            $ Flags.engine_options $ auth_token_arg $ data_dir_arg
             $ fsync_arg $ snapshot_every_arg)))

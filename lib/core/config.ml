@@ -76,8 +76,3 @@ let strategy_to_string = function
   | Loop_lifted -> "loop-lifted"
 
 let all_strategies = [ Udf_no_candidates; Udf_candidates; Basic_merge; Loop_lifted ]
-
-(* The execution-parallelism knob rides along with the configuration
-   module so every layer (engine, CLI, bench) agrees on its default:
-   the STANDOFF_JOBS environment variable, else 1 (sequential). *)
-let default_jobs () = Standoff_util.Pool.default_jobs ()

@@ -79,10 +79,3 @@ val strategy_to_string : strategy -> string
 
 (** [all_strategies] in the order of the paper's comparison. *)
 val all_strategies : strategy list
-
-(** [default_jobs ()] is the default parallelism for query execution:
-    the [STANDOFF_JOBS] environment variable when set to an integer
-    >= 0, else [0] — which the engine interprets as {e adaptive}
-    (size each run from its plan cost, within the process domain
-    budget).  [1] forces the fully sequential path. *)
-val default_jobs : unit -> int

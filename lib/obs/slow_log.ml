@@ -2,9 +2,8 @@
    a bounded in-memory ring (newest first) and counted; an optional
    sink receives each entry as it lands (the CLI points it at stderr).
 
-   The threshold itself lives on the engine ([Engine.set_slow_ms],
-   seeded from [STANDOFF_SLOW_MS]); this module only stores what the
-   engine decides to record. *)
+   The threshold itself is an engine setting ([Engine.Options.slow_ms]);
+   this module only stores what the engine decides to record. *)
 
 type entry = {
   e_at : float;  (** wall-clock time the query finished *)
@@ -23,14 +22,6 @@ let sink : (entry -> unit) option ref = ref None
 let slow_total =
   Metrics.counter "standoff_slow_queries_total"
     ~help:"Queries that exceeded the slow-query threshold"
-
-let env_threshold_ms () =
-  match Sys.getenv_opt "STANDOFF_SLOW_MS" with
-  | None -> None
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some ms when ms >= 0.0 -> Some ms
-      | _ -> None)
 
 let set_sink f = sink := f
 

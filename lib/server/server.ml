@@ -322,49 +322,48 @@ let require what = function
   | Some v -> v
   | None -> raise (Http.Bad_request (Printf.sprintf "missing required %s" what))
 
-let strategy_param req =
-  match Http.param req "strategy" with
+(* An engine setting carried as a query parameter, parsed by the
+   engine's own parser ([Engine.Options]), so a spelling means here what
+   it means in a flag or an environment variable. *)
+let setting_param parse req name =
+  match Http.param req name with
   | None -> None
   | Some v -> (
-      try Some (Config.strategy_of_string v)
-      with Invalid_argument m -> raise (Http.Bad_request m))
+      try Some (parse v)
+      with Invalid_argument _ ->
+        raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
 
-(* [?cache=off] bypasses the result cache for this run (the engine's
-   own caching level is server-wide configuration, not a per-request
-   knob — per-request we can only opt out). *)
-let use_cache_param req =
-  match Http.param req "cache" with
-  | None -> true
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "off" | "0" | "false" | "no" -> false
-      | "on" | "1" | "true" | "yes" | "result" | "plan" -> true
-      | v -> raise (Http.Bad_request (Printf.sprintf "malformed cache=%S" v)))
+let strategy_param req = setting_param Config.strategy_of_string req "strategy"
 
 (* [?dataguide=off] prepares this request without the DataGuide path
    index (no collapse rewrite, name-count statistics) — a pure
    performance knob, results are byte-identical either way. *)
 let dataguide_param req =
-  match Http.param req "dataguide" with
-  | None -> None
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "off" | "0" | "false" | "no" -> Some false
-      | "on" | "1" | "true" | "yes" -> Some true
-      | v ->
-          raise (Http.Bad_request (Printf.sprintf "malformed dataguide=%S" v)))
+  setting_param Engine.Options.bool_of_string req "dataguide"
 
-(* [?stream=1] asks for the result via chunked transfer encoding,
-   serialized item by item — bounded buffering however large the
-   answer.  Bytes are identical to the buffered form. *)
-let stream_param req =
-  match Http.param req "stream" with
-  | None -> false
-  | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "off" | "0" | "false" | "no" -> false
-      | "on" | "1" | "true" | "yes" -> true
-      | v -> raise (Http.Bad_request (Printf.sprintf "malformed stream=%S" v)))
+type query_settings = {
+  q_strategy : Config.strategy option;
+  q_jobs : int option;
+  q_use_cache : bool;
+  q_dataguide : bool option;
+  q_stream : bool;
+}
+
+let query_settings req =
+  {
+    q_strategy = strategy_param req;
+    q_jobs = setting_param Engine.Options.jobs_of_string req "jobs";
+    (* The engine's caching level is server-wide configuration; per
+       request a client can only opt out of it. *)
+    q_use_cache =
+      (match setting_param Engine.Options.cache_of_string req "cache" with
+      | Some Engine.Cache_off -> false
+      | _ -> true);
+    q_dataguide = dataguide_param req;
+    q_stream =
+      Option.value ~default:false
+        (setting_param Engine.Options.bool_of_string req "stream");
+  }
 
 let deadline_of t req =
   let requested = float_param req "timeout-ms" in
@@ -388,11 +387,10 @@ let handle_query t req =
   if String.trim req.Http.body = "" then
     json_error ~request_id 400 "empty query body"
   else
-    let strategy = strategy_param req in
-    let jobs = int_param req "jobs" in
-    let use_cache = use_cache_param req in
-    let dataguide = dataguide_param req in
-    let stream = stream_param req in
+    let { q_strategy = strategy; q_jobs = jobs; q_use_cache = use_cache;
+          q_dataguide = dataguide; q_stream = stream } =
+      query_settings req
+    in
     let context_doc = Http.param req "context" in
     let deadline, timeout_ms = deadline_of t req in
     let trace = Trace.create () in

@@ -9,7 +9,9 @@
     - [POST /query] — XQuery text in the body; knobs as query
       parameters: [?strategy=] pins the StandOff strategy,
       [?jobs=] overrides the engine parallelism for this run,
-      [?cache=off] bypasses the result cache, [?timeout-ms=] sets the
+      [?cache=off] bypasses the result cache, [?dataguide=off]
+      prepares without the DataGuide path index (these four parse as
+      {!query_settings} says), [?timeout-ms=] sets the
       per-request deadline (clamped to the configured maximum),
       [?context=] names the context document.  Answers
       [200 text/plain] with the serialized result (byte-identical to
@@ -73,6 +75,25 @@
     constructed nodes live in the run's own arena, so a query never
     writes to the collection.  Updates and ingests take the exclusive
     side, so they never race an evaluation. *)
+
+(** The engine settings one [POST /query] carries as parameters
+    ([strategy], [jobs], [cache], [dataguide], [stream]), each parsed
+    by the engine's parser for that setting
+    ({!Standoff_xquery.Engine.Options}), so every spelling means what
+    it means in a flag or an environment variable.  [cache] is an
+    opt-out: any spelling of off clears [q_use_cache]; every other
+    valid mode leaves it set. *)
+type query_settings = {
+  q_strategy : Standoff.Config.strategy option;
+  q_jobs : int option;
+  q_use_cache : bool;
+  q_dataguide : bool option;
+  q_stream : bool;
+}
+
+(** [query_settings req] parses [req]'s engine settings.
+    @raise Http.Bad_request on a malformed value. *)
+val query_settings : Http.request -> query_settings
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)

@@ -75,14 +75,6 @@ let shared ~jobs =
 
 let jobs t = t.cap
 
-let default_jobs () =
-  match Sys.getenv_opt "STANDOFF_JOBS" with
-  | None -> 0
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> 0)
-
 (* ------------------------------------------------------------------ *)
 (* Batches                                                            *)
 

@@ -53,11 +53,6 @@ val jobs : t -> int
     @raise Invalid_argument if [jobs < 1]. *)
 val shared : jobs:int -> t
 
-(** [default_jobs ()] reads the [STANDOFF_JOBS] environment variable
-    (an integer >= 0); unset or unparsable means [0], which callers
-    (the engine) interpret as "pick adaptively per request". *)
-val default_jobs : unit -> int
-
 (** [domain_budget ()] is the process domain budget: the total number
     of domains (workers + the main domain + reserved external domains)
     execution is sized against. *)

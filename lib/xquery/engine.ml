@@ -23,48 +23,122 @@ let m_query_seconds =
     ~buckets:Metrics.duration_buckets ~help:"Wall-clock query latency"
 
 (* ------------------------------------------------------------------ *)
-(* Cache modes                                                        *)
+(* Options: every engine setting, one parser each                     *)
 
 type cache_mode = Cache_off | Cache_plan | Cache_result
 
-let cache_mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "off" | "none" | "0" | "false" | "no" -> Cache_off
-  | "plan" -> Cache_plan
-  | "result" | "on" | "1" | "true" | "yes" -> Cache_result
-  | s ->
-      invalid_arg
-        (Printf.sprintf "unknown cache mode %S (expected off | plan | result)"
-           s)
+module Options = struct
+  type t = {
+    strategy : Config.strategy option;
+    jobs : int;
+    cache : cache_mode;
+    dataguide : bool;
+    slow_ms : float option;
+    cache_bytes : int;
+  }
 
-let cache_mode_to_string = function
-  | Cache_off -> "off"
-  | Cache_plan -> "plan"
-  | Cache_result -> "result"
+  let default =
+    {
+      strategy = None;
+      jobs = 0;
+      cache = Cache_off;
+      dataguide = true;
+      slow_ms = None;
+      cache_bytes = 64 * 1024 * 1024;
+    }
 
-let default_cache_mode () =
-  match Sys.getenv_opt "STANDOFF_CACHE" with
-  | Some s -> cache_mode_of_string s
-  | None -> Cache_off
+  (* An optional '-' then ASCII digits and nothing else, the strictness
+     the HTTP layer applies to its integer parameters: [int_of_string]
+     alone would also take "0x10", "1_0" or "+5". *)
+  let decimal what s =
+    let digits =
+      if String.starts_with ~prefix:"-" s then
+        String.sub s 1 (String.length s - 1)
+      else s
+    in
+    let n =
+      if
+        digits <> ""
+        && String.for_all (function '0' .. '9' -> true | _ -> false) digits
+      then int_of_string_opt s
+      else None
+    in
+    match n with
+    | Some n -> n
+    | None -> invalid_arg (Printf.sprintf "malformed %s %S" what s)
 
-(* The DataGuide path index defaults on; STANDOFF_DATAGUIDE=off turns
-   it off process-wide (per-request knobs still override). *)
-let default_dataguide () =
-  match Sys.getenv_opt "STANDOFF_DATAGUIDE" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "off" | "0" | "false" | "no" -> false
-      | _ -> true)
-  | None -> true
+  let jobs_of_string s = max 0 (decimal "jobs" s)
 
-(* Result-cache byte budget; the entry cap is secondary. *)
-let result_cache_bytes () =
-  match Sys.getenv_opt "STANDOFF_CACHE_MB" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some mb -> max 1 mb * 1024 * 1024
-      | None -> 64 * 1024 * 1024)
-  | None -> 64 * 1024 * 1024
+  let bool_of_string s =
+    match String.lowercase_ascii (String.trim s) with
+    | "off" | "0" | "false" | "no" -> false
+    | "on" | "1" | "true" | "yes" -> true
+    | _ ->
+        invalid_arg
+          (Printf.sprintf "malformed switch %S (expected on | off)" s)
+
+  let cache_of_string s =
+    match String.lowercase_ascii (String.trim s) with
+    | "none" -> Cache_off
+    | "plan" -> Cache_plan
+    | "result" -> Cache_result
+    | _ -> (
+        match bool_of_string s with
+        | true -> Cache_result
+        | false -> Cache_off
+        | exception Invalid_argument _ ->
+            invalid_arg
+              (Printf.sprintf
+                 "unknown cache mode %S (expected off | plan | result)" s))
+
+  let cache_to_string = function
+    | Cache_off -> "off"
+    | Cache_plan -> "plan"
+    | Cache_result -> "result"
+
+  let slow_ms_of_string s =
+    match float_of_string_opt (String.trim s) with
+    | Some ms when Float.is_finite ms && ms >= 0.0 -> ms
+    | _ -> invalid_arg (Printf.sprintf "malformed slow-query threshold %S" s)
+
+  let cache_bytes_of_string s =
+    match decimal "cache size (MiB)" s with
+    | mb when mb >= 1 -> mb * 1024 * 1024
+    | _ -> invalid_arg (Printf.sprintf "cache size %S must be at least 1 MiB" s)
+
+  let override ?strategy ?jobs ?slow_ms ?cache ?dataguide o =
+    let or_else v d = match v with Some _ -> v | None -> d in
+    {
+      o with
+      strategy = or_else strategy o.strategy;
+      jobs = max 0 (Option.value jobs ~default:o.jobs);
+      slow_ms = or_else slow_ms o.slow_ms;
+      cache = Option.value cache ~default:o.cache;
+      dataguide = Option.value dataguide ~default:o.dataguide;
+    }
+
+  (* An empty value counts as unset: [Unix.putenv] cannot remove a
+     variable, so resetting one means setting it to "". *)
+  let of_env () =
+    let read var parse set o =
+      match Sys.getenv_opt var with
+      | None | Some "" -> o
+      | Some s -> (
+          match parse s with
+          | v -> set o v
+          | exception Invalid_argument m ->
+              invalid_arg (Printf.sprintf "%s: %s" var m))
+    in
+    default
+    |> read "STANDOFF_JOBS" jobs_of_string (fun o jobs -> { o with jobs })
+    |> read "STANDOFF_CACHE" cache_of_string (fun o cache -> { o with cache })
+    |> read "STANDOFF_CACHE_MB" cache_bytes_of_string (fun o cache_bytes ->
+           { o with cache_bytes })
+    |> read "STANDOFF_DATAGUIDE" bool_of_string (fun o dataguide ->
+           { o with dataguide })
+    |> read "STANDOFF_SLOW_MS" slow_ms_of_string (fun o ms ->
+           { o with slow_ms = Some ms })
+end
 
 (* ------------------------------------------------------------------ *)
 (* Prepared queries: parse -> lower -> optimize, once.                *)
@@ -110,16 +184,7 @@ type cached_result = {
 type t = {
   coll : Collection.t;
   cat : Catalog.t;
-  mutable strategy : Config.strategy option;
-      (* engine-wide override; [None] lets the planner/evaluator pick a
-         strategy per operator *)
-  mutable jobs : int;
-  mutable slow_ms : float option;
-      (* slow-query log threshold; [None] disables logging *)
-  mutable cache : cache_mode;
-  mutable dataguide : bool;
-      (* path-collapse rewrite + DataGuide statistics; purely a
-         performance knob, results are byte-identical either way *)
+  options : Options.t;
   plan_cache : (string, prepared) Lru.t;
       (* keyed on (query text, effective strategy, optimize flag,
          dataguide flag);
@@ -127,7 +192,7 @@ type t = {
          only steer strategy choice, and all strategies are
          result-equivalent *)
   result_cache : (string, cached_result) Lru.t;
-      (* keyed on (plan fingerprint, context, document-uid set),
+      (* keyed on (plan fingerprint, context, document count),
          stamped with the catalogue version at lookup time *)
   mutable on_update : (Standoff_store.Wal.op -> unit) option;
       (* durability hook: called after each successful in-place update
@@ -135,37 +200,22 @@ type t = {
          [Durable.log] *)
 }
 
-let create ?strategy ?jobs ?slow_ms ?cache ?dataguide coll =
-  (* [jobs = 0] means adaptive: each request picks its parallelism
-     from the prepared plan's cost estimate, clamped to what the
-     domain budget has left after external reservations. *)
-  let jobs =
-    match jobs with Some n -> max 0 n | None -> Config.default_jobs ()
-  in
-  let slow_ms =
-    match slow_ms with Some _ -> slow_ms | None -> Slow_log.env_threshold_ms ()
-  in
-  let cache =
-    match cache with Some c -> c | None -> default_cache_mode ()
-  in
-  let dataguide =
-    match dataguide with Some b -> b | None -> default_dataguide ()
+let create ?options ?strategy ?jobs ?slow_ms ?cache ?dataguide coll =
+  let options =
+    Options.override ?strategy ?jobs ?slow_ms ?cache ?dataguide
+      (match options with Some o -> o | None -> Options.of_env ())
   in
   {
     coll;
     cat = Catalog.create ();
-    strategy;
-    jobs;
-    slow_ms;
-    cache;
-    dataguide;
+    options;
     plan_cache =
       Lru.create ~name:"plan" ~max_entries:128
         ~weight:(fun p -> String.length p.p_text + 512)
         ();
     result_cache =
       Lru.create ~name:"result" ~max_entries:1024
-        ~max_bytes:(result_cache_bytes ())
+        ~max_bytes:options.Options.cache_bytes
         ~weight:(fun r ->
           String.length r.cr_serialized + (64 * List.length r.cr_items) + 128)
         ();
@@ -174,16 +224,7 @@ let create ?strategy ?jobs ?slow_ms ?cache ?dataguide coll =
 
 let collection t = t.coll
 let catalog t = t.cat
-let set_strategy t s = t.strategy <- Some s
-let set_auto_strategy t = t.strategy <- None
-let jobs t = t.jobs
-let set_jobs t n = t.jobs <- max 0 n
-let slow_ms t = t.slow_ms
-let set_slow_ms t ms = t.slow_ms <- ms
-let cache_mode t = t.cache
-let set_cache_mode t m = t.cache <- m
-let dataguide t = t.dataguide
-let set_dataguide t b = t.dataguide <- b
+let options t = t.options
 let plan_cache_stats t = Lru.stats t.plan_cache
 let result_cache_stats t = Lru.stats t.result_cache
 let set_on_update t f = t.on_update <- f
@@ -319,7 +360,9 @@ let adaptive_jobs cost =
   max 1 (min wanted (Pool.max_parallelism ()))
 
 let effective_jobs t prepared =
-  if t.jobs > 0 then t.jobs else adaptive_jobs prepared.p_cost
+  match t.options.Options.jobs with
+  | 0 -> adaptive_jobs prepared.p_cost
+  | jobs -> jobs
 
 type result = {
   items : Item.t list;
@@ -441,7 +484,7 @@ let prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text =
     match (strategy_override, strategy) with
     | Some s, _ -> Some s
     | None, Some s -> Some s
-    | None, None -> t.strategy
+    | None, None -> t.options.Options.strategy
   in
   (* Statistics steer the optimizer's pushdown rule and the adaptive
      jobs estimate; both are heuristics, so stale numbers can only
@@ -491,9 +534,9 @@ let prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text =
 
 let prepare t ?strategy ?(optimize = true) ?dataguide ?trace query_text =
   let dataguide =
-    match dataguide with Some b -> b | None -> t.dataguide
+    Option.value dataguide ~default:t.options.Options.dataguide
   in
-  if t.cache = Cache_off then
+  if t.options.Options.cache = Cache_off then
     prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text
   else begin
     (* The key is everything outside the text that steers lowering: the
@@ -505,7 +548,9 @@ let prepare t ?strategy ?(optimize = true) ?dataguide ?trace query_text =
        never change the result, and replanning on every update would
        defeat the cache. *)
     let effective =
-      match strategy with Some _ -> strategy | None -> t.strategy
+      match strategy with
+      | Some _ -> strategy
+      | None -> t.options.Options.strategy
     in
     let key =
       String.concat "\x00"
@@ -533,7 +578,7 @@ let account t prepared trace ~jobs ~seconds ~failed =
   Metrics.incr m_queries_total;
   if failed then Metrics.incr m_query_errors_total;
   Metrics.observe m_query_seconds seconds;
-  match t.slow_ms with
+  match t.options.Options.slow_ms with
   | Some ms when seconds *. 1e3 >= ms ->
       Slow_log.record
         {
@@ -550,24 +595,17 @@ let account t prepared trace ~jobs ~seconds ~failed =
 (* ------------------------------------------------------------------ *)
 (* Result cache plumbing                                              *)
 
-(* The document-set component of a result key.  Uids, not names: a
-   uid names one document for the life of the process, so a key can
-   never alias a different document that happens to share a name. *)
-let docset_digest t =
-  let buf = Buffer.create 64 in
-  Collection.fold_docs
-    (fun () _ d ->
-      Buffer.add_string buf (string_of_int d.Doc.doc_uid);
-      Buffer.add_char buf ';')
-    () t.coll;
-  Digest.string (Buffer.contents buf)
-
+(* The document-set component of a result key is the document count:
+   the collection is append-only ([Collection.add] only pushes; nothing
+   removes or replaces a document) and this cache belongs to one engine
+   over one collection, so the count names the document set.  Taken
+   under the collection lock, O(1) per run, hits included. *)
 let result_key t prepared ~context_doc =
   String.concat "\x00"
     [
       prepared.p_fingerprint;
       Option.value ~default:"" context_doc;
-      docset_digest t;
+      string_of_int (Collection.doc_count t.coll);
     ]
 
 let set_root_attrs trace prepared ~jobs ~cache =
@@ -596,7 +634,7 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
   (* [jobs] overrides the engine-wide parallelism for this one run (the
      HTTP server maps a per-request [?jobs=] knob onto it); the engine
      field is left alone so concurrent runs are unaffected.  With no
-     override and the engine in adaptive mode ([jobs t = 0]) the run is
+     override and the engine in adaptive mode ([jobs = 0]) the run is
      sized from the plan's cost estimate. *)
   let jobs = match jobs with Some n -> max 1 n | None -> effective_jobs t prepared in
   let trace =
@@ -604,7 +642,7 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
     | Some _ -> trace
     | None -> if trace_forced () then Some (Trace.create ()) else None
   in
-  let cache_on = use_cache && t.cache = Cache_result in
+  let cache_on = use_cache && t.options.Options.cache = Cache_result in
   (* The key and the generation stamp are both taken before evaluation:
      an update racing the run can only make the stored entry stale
      (its stamp is older than the post-update version), never let a

@@ -27,7 +27,7 @@ type t
     {!run} calls with the same text and effective strategy (parse +
     optimize are skipped).  [Cache_result] additionally serves
     byte-identical results for repeat runs, keyed on (plan fingerprint,
-    context document, document-uid set) and stamped with the
+    context document, document count) and stamped with the
     catalogue's invalidation version — any [Update.*] (through
     {!Standoff.Catalog.regions_changed}) or
     {!Standoff.Catalog.invalidate} expires every earlier entry, so a
@@ -37,49 +37,89 @@ type t
     [Cache_result] implies plan caching. *)
 type cache_mode = Cache_off | Cache_plan | Cache_result
 
-(** [cache_mode_of_string s] parses ["off" | "plan" | "result"] (plus
-    common boolean spellings; ["on"] means [Cache_result]).
-    @raise Invalid_argument on anything else. *)
-val cache_mode_of_string : string -> cache_mode
+(** The engine settings.  Each is parsed by exactly one function
+    below, which every source shares: the command-line flags of
+    [standoff-cli query] and [standoff-server], the environment
+    ({!of_env}) and the HTTP server's per-request parameters.  The
+    strategy parses with {!Standoff.Config.strategy_of_string}, as a
+    prolog [declare option standoff-strategy] does.  Every parser
+    raises [Invalid_argument] on a malformed value. *)
+module Options : sig
+  type t = {
+    strategy : Standoff.Config.strategy option;
+        (** engine-wide strategy pin; [None] lets each StandOff
+            operator pick its own from annotation statistics *)
+    jobs : int;
+        (** parallelism cap per run; [1] is the exact sequential path,
+            [0] is adaptive (each run sized from its plan cost) *)
+    cache : cache_mode;
+    dataguide : bool;
+        (** the DataGuide path index: collapse rewrite and per-path
+            statistics; results are byte-identical either way *)
+    slow_ms : float option;
+        (** slow-query-log threshold in milliseconds; [None] disables
+            the log *)
+    cache_bytes : int;  (** the result cache's byte budget *)
+  }
 
-val cache_mode_to_string : cache_mode -> string
+  (** [default]: auto strategy, adaptive jobs, no caching, DataGuide
+      on, slow log off, a 64 MiB result cache. *)
+  val default : t
 
-(** [default_cache_mode ()] is [STANDOFF_CACHE] from the environment,
-    else [Cache_off]. *)
-val default_cache_mode : unit -> cache_mode
+  (** [of_env ()] is {!default} overridden by the environment:
+      [STANDOFF_JOBS], [STANDOFF_CACHE], [STANDOFF_CACHE_MB] (a whole
+      number of MiB, at least 1, spelled as for {!jobs_of_string}),
+      [STANDOFF_DATAGUIDE] and [STANDOFF_SLOW_MS].  An empty variable
+      counts as unset.  The only reader of these variables.
+      @raise Invalid_argument on a malformed value, with a message
+      that names the variable. *)
+  val of_env : unit -> t
 
-(** [default_dataguide ()] is [false] when [STANDOFF_DATAGUIDE] is set
-    to ["off"], ["0"], ["false"] or ["no"] in the environment, else
-    [true] — the DataGuide path index defaults on. *)
-val default_dataguide : unit -> bool
+  (** [override ?strategy ?jobs ?slow_ms ?cache ?dataguide o] is [o]
+      with each given field replaced; a [jobs] below 0 means 0. *)
+  val override :
+    ?strategy:Standoff.Config.strategy ->
+    ?jobs:int ->
+    ?slow_ms:float ->
+    ?cache:cache_mode ->
+    ?dataguide:bool ->
+    t ->
+    t
 
-(** [create ?strategy ?jobs ?slow_ms ?cache ?dataguide coll] wraps a
-    collection.
-    Without [strategy], each StandOff operator picks its own strategy
-    from annotation statistics ({!Standoff.Join.auto_strategy}).
-    [jobs] (default {!Standoff.Config.default_jobs}, i.e.
-    [STANDOFF_JOBS] or 0) caps the parallelism of query execution:
-    with [jobs = 1] every run takes the exact sequential code path;
-    with more, runs submit to the process-wide work-stealing scheduler
-    ({!Standoff_util.Pool}) driving parallel merge sweeps, index
-    builds, and per-document sharding.  [jobs = 0] means {e adaptive}:
-    each run is sized from its plan's cost estimate
-    ({!Optimize.estimate_cost}) — cheap requests run sequentially,
-    expensive ones scale up to {!Standoff_util.Pool.max_parallelism} —
-    so concurrent requests share the domain budget instead of each
-    claiming a fixed slice.  [slow_ms]
-    is the slow-query-log threshold in milliseconds (default:
-    [STANDOFF_SLOW_MS], else disabled); runs at least that slow are
-    recorded in {!Standoff_obs.Slow_log}.  [cache] (default:
-    [STANDOFF_CACHE], else {!Cache_off}) selects the caching level;
-    the result cache's byte budget is 64 MiB, overridable with
-    [STANDOFF_CACHE_MB].  [dataguide] (default: {!default_dataguide},
-    i.e. [STANDOFF_DATAGUIDE], else on) enables the DataGuide path
-    index: downward child/descendant name paths collapse into single
-    index probes and the optimizer's statistics answer from per-path
-    cardinalities — a pure performance knob, results are
-    byte-identical either way. *)
+  (** [jobs_of_string s]: decimal digits with an optional ['-'], no
+      surrounding blanks; a negative count means [0]. *)
+  val jobs_of_string : string -> int
+
+  (** [bool_of_string s]: ["on" | "1" | "true" | "yes"] or
+      ["off" | "0" | "false" | "no"], case and surrounding blanks
+      ignored.  The DataGuide switch and the HTTP [stream] flag. *)
+  val bool_of_string : string -> bool
+
+  (** [cache_of_string s]: ["off" | "none" | "plan" | "result"], or a
+      {!bool_of_string} spelling (on means [Cache_result]). *)
+  val cache_of_string : string -> cache_mode
+
+  val cache_to_string : cache_mode -> string
+
+  (** [slow_ms_of_string s]: a finite, non-negative float. *)
+  val slow_ms_of_string : string -> float
+end
+
+(** [create ?options ?strategy ?jobs ?slow_ms ?cache ?dataguide coll]
+    wraps a collection.  The engine's settings are
+    {!Options.override} of the other arguments over [options] (default
+    {!Options.of_env}[ ()]); they never change afterwards.  See
+    {!Options.t} for what each setting does.  With [jobs] other than 1, runs submit to the process-wide
+    work-stealing scheduler ({!Standoff_util.Pool}) driving parallel
+    merge sweeps, index builds and per-document sharding; adaptive
+    runs ([jobs = 0]) scale up to
+    {!Standoff_util.Pool.max_parallelism}, so concurrent requests share
+    the domain budget instead of each claiming a fixed slice.  Runs at
+    least [slow_ms] slow are recorded in {!Standoff_obs.Slow_log}.
+    @raise Invalid_argument when [options] is omitted and the
+    environment holds a malformed setting. *)
 val create :
+  ?options:Options.t ->
   ?strategy:Standoff.Config.strategy ->
   ?jobs:int ->
   ?slow_ms:float ->
@@ -88,13 +128,8 @@ val create :
   Standoff_store.Collection.t ->
   t
 
-(** [cache_mode t] is the engine's caching level. *)
-val cache_mode : t -> cache_mode
-
-(** [set_cache_mode t m] reconfigures the caching level.  Existing
-    entries stay (they are keyed and stamped safely either way); they
-    are simply not consulted while the relevant level is off. *)
-val set_cache_mode : t -> cache_mode -> unit
+(** [options t] is the engine's settings. *)
+val options : t -> Options.t
 
 (** [plan_cache_stats t] / [result_cache_stats t] are exact per-engine
     hit/miss/eviction/size snapshots ({!Standoff_cache.Lru.stats});
@@ -104,28 +139,6 @@ val set_cache_mode : t -> cache_mode -> unit
 val plan_cache_stats : t -> Standoff_cache.Lru.stats
 
 val result_cache_stats : t -> Standoff_cache.Lru.stats
-
-(** [jobs t] is the configured parallelism cap; [0] means adaptive. *)
-val jobs : t -> int
-
-(** [set_jobs t n] reconfigures the parallelism (clamped to >= 0;
-    [0] selects adaptive sizing). *)
-val set_jobs : t -> int -> unit
-
-(** [slow_ms t] is the slow-query-log threshold, if any. *)
-val slow_ms : t -> float option
-
-(** [set_slow_ms t ms] reconfigures the slow-query-log threshold;
-    [None] disables logging. *)
-val set_slow_ms : t -> float option -> unit
-
-(** [dataguide t] is the engine-wide DataGuide default. *)
-val dataguide : t -> bool
-
-(** [set_dataguide t b] reconfigures the engine-wide DataGuide
-    default.  Already-cached plans keep the flag they were prepared
-    under (the plan-cache key includes it). *)
-val set_dataguide : t -> bool -> unit
 
 (** [shutdown _] parks the process-wide scheduler's worker domains
     ({!Standoff_util.Pool.park}).  All engines share the one worker
@@ -189,13 +202,6 @@ val ingest :
   (string * string) list ->
   int
 
-(** [set_strategy t s] pins the engine-wide strategy. *)
-val set_strategy : t -> Standoff.Config.strategy -> unit
-
-(** [set_auto_strategy t] removes the engine-wide pin, returning to
-    per-operator selection. *)
-val set_auto_strategy : t -> unit
-
 (** Everything a query run produces. *)
 type result = {
   items : Standoff_relalg.Item.t list;
@@ -237,8 +243,8 @@ val prepared_constructs : prepared -> bool
     preparation only (collapse rewrite + per-path statistics); it
     never changes results.  With [trace], the parse and
     lowering/optimize phases are recorded as ["parse"] and
-    ["optimize"] spans.  When the engine caches plans ({!cache_mode}
-    other than [Cache_off]), a repeat [prepare] with the same text,
+    ["optimize"] spans.  When the engine caches plans (its
+    {!Options.t} [cache] other than [Cache_off]), a repeat [prepare] with the same text,
     effective strategy, [optimize] and [dataguide] flags returns the
     cached prepared query and records no parse/optimize spans.
     @raise Err.Error on static errors
@@ -275,7 +281,7 @@ val prepare :
     [jobs] overrides the engine-wide parallelism for this run only
     (clamped to [>= 1]); the engine configuration is untouched, so
     concurrent runs with different overrides do not interfere.
-    Without an override, an engine in adaptive mode ([jobs t = 0])
+    Without an override, an engine in adaptive mode ([jobs = 0])
     sizes the run from the prepared plan's cost estimate.
 
     Results are byte-identical across every jobs setting: parallel

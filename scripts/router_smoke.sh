@@ -4,7 +4,8 @@
 # query/update/ingest plus the fan-out endpoints, stream a response
 # bigger than any single write buffer, kill -9 one shard and require
 # supervised recovery (WAL replay included), then SIGTERM the router
-# and require a clean exit with no orphaned shard processes.
+# and require a clean exit with no orphaned shard processes.  First of
+# all, a malformed --fsync must stop the router before it spawns.
 #
 #   scripts/router_smoke.sh [path/to/standoff_router.exe] [path/to/standoff_server.exe]
 set -euo pipefail
@@ -20,9 +21,24 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 
 workdir=$(mktemp -d)
 rlog="$workdir/router.log"
-trap 'kill -9 ${router_pid:-0} 2>/dev/null || true;
+# ${router_pid:-0} would be "kill -9 0", the whole process group, when
+# a check fails before the router is started.
+trap '[ -n "${router_pid:-}" ] && kill -9 "$router_pid" 2>/dev/null || true;
       pkill -9 -f "data/shard-" 2>/dev/null || true;
       rm -rf "$workdir"' EXIT
+
+echo "== a bad --fsync is refused before the router listens or spawns a shard"
+set +e
+timeout -s KILL 10 "$ROUTER" --shards 1 --data-root "$workdir/badfsync" \
+  --shard-exe "$SERVER" --port "$PORT" --fsync bogus >"$workdir/badfsync.log" 2>&1
+rc=$?
+set -e
+{ [ "$rc" -ne 0 ] && [ "$rc" -ne 137 ]; } \
+  || { cat "$workdir/badfsync.log" >&2; fail "--fsync bogus: router exited $rc"; }
+grep -q listening "$workdir/badfsync.log" && fail "--fsync bogus: router listened"
+[ ! -e "$workdir/badfsync/shard-0" ] || fail "--fsync bogus: a shard was spawned"
+pgrep -f -- "--data-dir $workdir/badfsync/" >/dev/null \
+  && fail "--fsync bogus: a shard is running"
 
 MAX_BODY=$((1024 * 1024))
 "$ROUTER" --shards 4 --data-root "$workdir/data" --shard-exe "$SERVER" \

@@ -214,6 +214,27 @@ let test_result_cache_byte_identical () =
   Alcotest.(check int) "same item count" (List.length r1.Engine.items)
     (List.length r2.Engine.items)
 
+(* The result key names the document set by its count (the collection
+   is append-only), so a document registered straight through
+   [Collection.add] — which, unlike [Engine.ingest], bumps no catalogue
+   version — must still turn the next identical run into a miss. *)
+let test_result_cache_sees_added_document () =
+  let engine, _ = engine_with_region_doc Engine.Cache_result in
+  let stats () = Engine.result_cache_stats engine in
+  ignore (Engine.run engine narrow_count);
+  ignore (Engine.run engine narrow_count);
+  let s0 = stats () in
+  ignore
+    (Collection.add (Engine.collection engine)
+       (Doc.parse ~name:"other.xml" "<t/>"));
+  ignore (Engine.run engine narrow_count);
+  let s1 = stats () in
+  Alcotest.(check int) "run after the add misses" (s0.Lru.misses + 1)
+    s1.Lru.misses;
+  Alcotest.(check int) "and does not hit" s0.Lru.hits s1.Lru.hits;
+  ignore (Engine.run engine narrow_count);
+  Alcotest.(check int) "its repeat hits" (s1.Lru.hits + 1) (stats ()).Lru.hits
+
 let test_cache_off_never_hits () =
   let engine, _ = engine_with_region_doc Engine.Cache_off in
   ignore (Engine.run engine narrow_count);
@@ -228,8 +249,8 @@ let test_cache_mode_strings () =
     (fun (s, m) ->
       Alcotest.(check string)
         (Printf.sprintf "parse %S" s)
-        (Engine.cache_mode_to_string m)
-        (Engine.cache_mode_to_string (Engine.cache_mode_of_string s)))
+        (Engine.Options.cache_to_string m)
+        (Engine.Options.cache_to_string (Engine.Options.cache_of_string s)))
     [
       ("off", Engine.Cache_off);
       ("none", Engine.Cache_off);
@@ -237,7 +258,7 @@ let test_cache_mode_strings () =
       ("result", Engine.Cache_result);
       ("on", Engine.Cache_result);
     ];
-  match Engine.cache_mode_of_string "bogus" with
+  match Engine.Options.cache_of_string "bogus" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted bogus cache mode"
 
@@ -269,6 +290,8 @@ let () =
             test_plan_cache_dataguide_key;
           Alcotest.test_case "result cache byte-identical" `Quick
             test_result_cache_byte_identical;
+          Alcotest.test_case "added document misses" `Quick
+            test_result_cache_sees_added_document;
           Alcotest.test_case "cache off never consults" `Quick
             test_cache_off_never_hits;
           Alcotest.test_case "cache mode strings" `Quick

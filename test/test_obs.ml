@@ -380,20 +380,17 @@ let test_trace_forced_by_env () =
 let test_slow_log_threshold () =
   Slow_log.clear ();
   let coll = figure1_coll () in
-  let e = Engine.create coll in
   let q = "count(doc(\"figure1.xml\")//shot)" in
   (* Threshold far above any conceivable runtime: nothing fires. *)
-  Engine.set_slow_ms e (Some 1e9);
-  ignore (Engine.run e q);
+  ignore (Engine.run (Engine.create ~slow_ms:1e9 coll) q);
   Alcotest.(check int) "fast query not logged" 0
     (List.length (Slow_log.recent ()));
   (* Threshold zero: everything fires, with the query text recorded. *)
-  Engine.set_slow_ms e (Some 0.0);
-  ignore (Engine.run e q);
+  ignore (Engine.run (Engine.create ~slow_ms:0.0 coll) q);
   (match Slow_log.recent () with
   | [ entry ] ->
       Alcotest.(check string) "query text recorded" q entry.Slow_log.e_query;
-      (* The engine defaults to adaptive sizing ([jobs e = 0]); the log
+      (* The engine defaults to adaptive sizing ([jobs = 0]); the log
          records the jobs the run actually resolved to, always >= 1. *)
       Alcotest.(check bool) "jobs recorded (resolved >= 1)" true
         (entry.Slow_log.e_jobs >= 1);
@@ -403,9 +400,8 @@ let test_slow_log_threshold () =
         (entry.Slow_log.e_seconds >= 0.0)
   | entries -> Alcotest.failf "expected 1 slow entry, got %d"
                  (List.length entries));
-  (* Disabled again: no further entries. *)
-  Engine.set_slow_ms e None;
-  ignore (Engine.run e q);
+  (* Disabled, as by default: no further entries. *)
+  ignore (Engine.run (Engine.create ~options:Engine.Options.default coll) q);
   Alcotest.(check int) "disabled: still 1 entry" 1
     (List.length (Slow_log.recent ()));
   Slow_log.clear ()
@@ -413,8 +409,7 @@ let test_slow_log_threshold () =
 let test_slow_log_sink_and_summary () =
   Slow_log.clear ();
   let coll = figure1_coll () in
-  let e = Engine.create coll in
-  Engine.set_slow_ms e (Some 0.0);
+  let e = Engine.create ~slow_ms:0.0 coll in
   let hits = ref [] in
   Slow_log.set_sink (Some (fun entry -> hits := entry :: !hits));
   Fun.protect
@@ -440,18 +435,18 @@ let test_slow_log_sink_and_summary () =
   Slow_log.clear ()
 
 let test_slow_log_env_threshold () =
+  let slow_ms () = (Engine.Options.of_env ()).Engine.Options.slow_ms in
   Unix.putenv "STANDOFF_SLOW_MS" "250";
   Fun.protect
     ~finally:(fun () -> Unix.putenv "STANDOFF_SLOW_MS" "")
     (fun () ->
       Alcotest.(check (option (float 1e-9))) "parsed" (Some 250.0)
-        (Slow_log.env_threshold_ms ());
+        (slow_ms ());
       let coll = figure1_coll () in
       let e = Engine.create coll in
       Alcotest.(check (option (float 1e-9))) "engine default picks it up"
-        (Some 250.0) (Engine.slow_ms e));
-  Alcotest.(check (option (float 1e-9))) "unset: disabled" None
-    (Slow_log.env_threshold_ms ())
+        (Some 250.0) (Engine.options e).Engine.Options.slow_ms);
+  Alcotest.(check (option (float 1e-9))) "unset: disabled" None (slow_ms ())
 
 let () =
   Alcotest.run "obs"
