@@ -1,78 +1,12 @@
 (* Benchmark harness regenerating every table and figure of the paper's
-   evaluation, plus Bechamel micro-benchmarks of the core algorithms.
-
-   Usage:
-     main.exe                          run everything with defaults
-     main.exe table-3-1                the §3.1 StandOff-join example table
-     main.exe figure-4                 the Listing 1 execution trace
-     main.exe figure-6 [options]       the XMark sweep (3 strategies + DNF)
-     main.exe staircase-vs-standoff    §4.6 claim: select-narrow vs descendant
-     main.exe planner [--scale S] [--jobs N]   optimized plan vs direct lowering
-     main.exe scaling [--jobs N]       merge-join throughput vs annotation count
-     main.exe parallel-scaling [opts]  jobs sweep: speedup curves (CSV/JSON)
-     main.exe obs-overhead [opts]      metrics-enabled vs disabled latency
-     main.exe cache [opts]             result cache: cold vs warm, hit rate
-     main.exe dataguide [opts]         DataGuide path index: guide-on vs off
-     main.exe serve [opts]             HTTP server: latency/throughput, 503 probe
-     main.exe persist [opts]           WAL throughput, recovery, snapshots, read after update
-     main.exe ingest [opts]            bulk ingestion vs per-document loads
-     main.exe router [opts]            shard router: 1 process vs N shards
-     main.exe micro                    Bechamel micro-benchmarks
-
-   figure-6 options:
-     --scales s1,s2,...   XMark scale factors     (default 0.002,0.01,0.02,0.1,0.2)
-     --timeout SECONDS    per-point DNF budget    (default 10)
-     --queries Q1,Q2,...  subset of Q1 Q2 Q6 Q7   (default all)
-     --jobs N             parallelism of every engine (default STANDOFF_JOBS, else 0 = adaptive)
-
-   parallel-scaling options:
-     --scale S            single-document XMark scale    (default 0.1)
-     --jobs j1,j2,...     jobs counts to sweep           (default 1,2,4,8)
-     --repeats N          timed runs per point (median)  (default 5)
-     --queries Q1,...     subset of Q1 Q2 Q6 Q7          (default all)
-     --csv FILE           write per-point rows as CSV
-     --json FILE          write the sweep as JSON (BENCH_parallel.json shape)
-
-   obs-overhead options:
-     --scale S            XMark scale factor            (default 0.02)
-     --repeats N          ~50ms samples per mode (min)  (default 15)
-     --queries Q1,...     subset of Q1 Q2 Q6 Q7         (default all)
-     --json FILE          output file                   (default BENCH_obs.json)
-     --no-json            skip the JSON file
-
-   cache options:
-     --scale S            XMark scale factor            (default 0.02)
-     --repeats N          timed runs per mode (median)  (default 5)
-     --queries Q1,...     subset of Q1 Q2 Q6 Q7         (default all)
-     --json FILE          output file                   (default BENCH_cache.json)
-     --no-json            skip the JSON file
-
-   dataguide options:
-     --scales s1,s2,...   XMark scale factors           (default 0.1,0.2)
-     --repeats N          timed runs per point (median) (default 5)
-     --queries Q1,...     subset of Q1 Q2 Q6 Q7         (default all)
-     --json FILE          output file                   (default BENCH_dataguide.json)
-     --no-json            skip the JSON file
-
-   serve options:
-     --scale S            XMark scale factor            (default 0.02)
-     --clients N          concurrent socket clients     (default 8)
-     --requests N         keep-alive requests per client (default 40)
-     --workers w1,w2,...  worker counts to sweep        (default 1,4,8)
-     --queries Q1,...     subset of Q1 Q2 Q6 Q7         (default all)
-     --json FILE          output file                   (default BENCH_server.json)
-     --no-json            skip the JSON file
-
-   persist options:
-     --updates N          updates per throughput point  (default 5000)
-     --sweep n1,n2,...    WAL lengths for recovery sweep (default 1000,5000,10000)
-     --json FILE          output file                   (default BENCH_persist.json)
-     --no-json            skip the JSON file
+   evaluation, plus the CI bench gates and Bechamel micro-benchmarks of
+   the core algorithms.  One command per experiment; with no command it
+   runs every paper artifact.  Usage: main.exe --help.
 
    The paper benchmarked 11MB-1100MB documents (scale 0.1-10) with a
-   one-hour DNF budget on 2006 hardware; the default sweep uses the
-   same 1:5:10:50:100 size ratios at 1/50 scale with a 10 s budget, so
-   the crossovers and DNFs land in the same relative places. *)
+   one-hour DNF budget on 2006 hardware; the default figure-6 sweep uses
+   the same 1:5:10:50:100 size ratios at 1/50 scale with a 10 s budget,
+   so the crossovers and DNFs land in the same relative places. *)
 
 module Timing = Standoff_util.Timing
 module Vec = Standoff_util.Vec
@@ -101,6 +35,99 @@ module Queries = Standoff_xmark.Queries
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+(* ------------------------------------------------------------------ *)
+(* Shared measurement, output and client helpers                       *)
+
+(* The median wall time of [n] runs of [f]; with [gc], each run starts
+   from a settled heap. *)
+let median_time ?(gc = false) n f =
+  Stats.median
+    (List.init n (fun _ ->
+         if gc then Gc.full_major ();
+         snd (Timing.time f)))
+
+(* Builds the stand-off document's region index outside the
+   measurements (§4.3: the index is part of the stored document). *)
+let warm_index engine setup =
+  ignore
+    (Engine.run engine
+       (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
+          setup.Setup.standoff_doc))
+
+(* JSON values for the BENCH_*.json files.  A figure that came out
+   non-finite (a ratio over a zero time, a percentile of no samples) is
+   written as null. *)
+let num f = if Float.is_finite f then Json.Num f else Json.Null
+let int n = Json.Num (float_of_int n)
+
+(* Writes [fields] to [file], if any: one top-level field per line and
+   one line per row of an array of objects. *)
+let write_json file fields =
+  Option.iter
+    (fun file ->
+      let field (k, v) =
+        Printf.sprintf "  \"%s\": %s" (Json.escape k)
+          (match v with
+          | Json.Arr (Json.Obj _ :: _ as rows) ->
+              "[\n    "
+              ^ String.concat ",\n    " (List.map Json.to_string rows)
+              ^ "\n  ]"
+          | v -> Json.to_string v)
+      in
+      let oc = open_out file in
+      output_string oc
+        ("{\n" ^ String.concat ",\n" (List.map field fields) ^ "\n}\n");
+      close_out oc;
+      Printf.printf "wrote %s\n" file)
+    file
+
+(* [scratch_dirs prefix] makes a temporary directory, removed at exit,
+   and returns a generator of fresh paths inside it. *)
+let scratch_dirs prefix =
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  let root = Filename.temp_file prefix "" in
+  Sys.remove root;
+  Unix.mkdir root 0o755;
+  at_exit (fun () -> try rm_rf root with Sys_error _ | Unix.Unix_error _ -> ());
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat root (Printf.sprintf "d%d" !n)
+
+(* A loopback client socket for [serve] and [router].  The timeouts
+   turn a stuck server into a failed request instead of a hung run. *)
+let connect port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 60.0;
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* [with_client port f] runs [f send] over one keep-alive loopback
+   connection; [send ~meth ~target body] writes a request and reads its
+   reply. *)
+let with_client port f =
+  let fd = connect port in
+  let reader = Http.reader fd in
+  Fun.protect
+    ~finally:(fun () -> close_noerr fd)
+    (fun () ->
+      f (fun ~meth ~target body ->
+          Http.write_request fd ~meth ~target body;
+          Http.read_response reader))
+
+let oneshot port ~meth ~target body =
+  with_client port (fun send -> send ~meth ~target body)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment E1: the §3.1 table                                       *)
@@ -354,20 +381,13 @@ let staircase_vs_standoff () =
   Gc.compact ();
   ignore (batch 10 run_descendant);
   ignore (batch 10 run_standoff);
-  let batches = 9 and per_batch = 20 in
-  let desc_times = Array.init batches (fun _ -> 0.0) in
-  let so_times = Array.init batches (fun _ -> 0.0) in
-  for i = 0 to batches - 1 do
-    desc_times.(i) <- batch per_batch run_descendant;
-    so_times.(i) <- batch per_batch run_standoff
+  let desc_times = ref [] and so_times = ref [] in
+  for _ = 1 to 9 do
+    desc_times := batch 20 run_descendant :: !desc_times;
+    so_times := batch 20 run_standoff :: !so_times
   done;
-  let median a =
-    let b = Array.copy a in
-    Array.sort compare b;
-    b.(Array.length b / 2)
-  in
-  let t_desc = median desc_times in
-  let t_so = median so_times in
+  let t_desc = Stats.median !desc_times in
+  let t_so = Stats.median !so_times in
   Printf.printf
     "loop-lifted descendant (Staircase Join): %8.3fms\n\
      loop-lifted select-narrow (StandOff):    %8.3fms\n\
@@ -381,7 +401,7 @@ let staircase_vs_standoff () =
 
 let scaling ?(jobs = 1) () =
   section "Scaling: loop-lifted StandOff MergeJoin throughput";
-  let pool = if jobs > 1 then Some (Pool.shared ~jobs) else None in
+  let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
   Printf.printf
     "nested annotation forests (XMark-like shape); context = every 10th\n\
      annotation, its own iteration; candidates = all annotations\n";
@@ -425,19 +445,15 @@ let scaling ?(jobs = 1) () =
       let ctx = Array.init (m / 10) (fun i -> ids.(i * 10)) in
       let iters = Array.init (Array.length ctx) Fun.id in
       let context = MJ.context_of_annotations annots ~iters ~pres:ctx in
+      let sweep () =
+        MJ.select_narrow ~single_region:true context annots.Annots.index
+      in
+      let matches = sweep () in
       (* The median of five runs: one run of a ~100 ms sweep swings
          by 2x with the collector's timing. *)
-      let median_time f =
-        let runs = List.init 5 (fun _ -> Timing.time f) in
-        let times = List.sort compare (List.map snd runs) in
-        (fst (List.hd runs), List.nth times 2)
-      in
-      let (matches, t_sweep) =
-        median_time (fun () ->
-            MJ.select_narrow ~single_region:true context annots.Annots.index)
-      in
-      let (_, t_total) =
-        median_time (fun () ->
+      let t_sweep = median_time 5 sweep in
+      let t_total =
+        median_time 5 (fun () ->
             Join.run_lifted Op.Select_narrow Config.Loop_lifted annots ?pool
               ~loop:iters ~context_iters:iters ~context_pres:ctx
               ~candidates:Join.All ())
@@ -547,11 +563,7 @@ let planner ?(scale = 0.01) ?(jobs = 1) () =
   Printf.printf "xmark scale %g (%s serialized), %d jobs\n\n" scale
     (Setup.size_label setup.Setup.serialized_size) jobs;
   let engine = setup.Setup.engine in
-  (* Warm the region index outside the measurements. *)
-  ignore
-    (Engine.run engine
-       (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
-          setup.Setup.standoff_doc));
+  warm_index engine setup;
   Printf.printf "%-6s %12s %12s %10s %8s\n" "query" "direct" "planned"
     "speedup" "agree";
   Printf.printf "%s\n" (String.make 52 '-');
@@ -560,18 +572,10 @@ let planner ?(scale = 0.01) ?(jobs = 1) () =
       let text = query.Queries.standoff setup.Setup.standoff_doc in
       let measure ~optimize =
         let prepared = Engine.prepare engine ~optimize text in
+        let run () = (Engine.run_prepared engine prepared).Engine.serialized in
         (* One warm-up run, then the median of five. *)
-        let once () =
-          let (r, t) =
-            Timing.time (fun () ->
-                Engine.run_prepared engine prepared)
-          in
-          (r.Engine.serialized, t)
-        in
-        let serialized, _ = once () in
-        let times = Array.init 5 (fun _ -> snd (once ())) in
-        Array.sort compare times;
-        (serialized, times.(Array.length times / 2))
+        let serialized = run () in
+        (serialized, median_time 5 run)
       in
       let direct_out, t_direct = measure ~optimize:false in
       let planned_out, t_planned = measure ~optimize:true in
@@ -603,11 +607,6 @@ type ps_row = {
 
 let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5) ?csv ?json ~queries () =
   section "Parallel scaling: StandOff XMark queries, jobs sweep";
-  let median times =
-    let b = Array.copy times in
-    Array.sort compare b;
-    b.(Array.length b / 2)
-  in
   let rows = ref [] in
   (* One sweep line: per jobs count, one warm-up run, then the median
      of [repeats] timed runs.  The pool is torn down between points so
@@ -620,9 +619,8 @@ let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5)
       (fun jobs ->
         let run_once () = run_once ~jobs in
         let out = run_once () in
-        let times = Array.init repeats (fun _ -> snd (Timing.time run_once)) in
+        let t = median_time repeats run_once in
         Engine.shutdown engine;
-        let t = median times in
         if Float.is_nan !baseline then begin
           baseline := t;
           base_out := out
@@ -660,12 +658,7 @@ let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5)
     (Setup.size_label setup.Setup.serialized_size);
   header ();
   let engine = setup.Setup.engine in
-  (* Build the region index outside the measurements (§4.3: the index
-     is part of the stored document). *)
-  ignore
-    (Engine.run engine
-       (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
-          setup.Setup.standoff_doc));
+  warm_index engine setup;
   List.iter
     (fun q ->
       let prepared =
@@ -705,36 +698,23 @@ let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5)
       close_out oc;
       Printf.printf "wrote %s\n" file)
     csv;
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n  \"scale\": %g,\n  \"jobs\": [%s],\n  \"repeats\": %d,\n\
-        \  \"all_identical\": %b,\n"
-        scale
-        (String.concat ", " (List.map string_of_int jobs_list))
-        repeats all_identical;
-      Option.iter
-        (fun b ->
-          Printf.fprintf oc
-            "  \"best\": {\"query\": \"%s\", \"jobs\": %d, \
-             \"speedup\": %.3f},\n"
-            b.ps_query b.ps_jobs b.ps_speedup)
-        best;
-      Printf.fprintf oc "  \"rows\": [\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    {\"query\": \"%s\", \"jobs\": %d, \
-             \"seconds\": %.6f, \"speedup\": %.3f, \"identical\": %b}%s\n"
-            r.ps_query r.ps_jobs r.ps_seconds r.ps_speedup
-            r.ps_identical
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json
+  let row r =
+    Json.Obj
+      [ ("query", Json.Str r.ps_query); ("jobs", int r.ps_jobs);
+        ("seconds", num r.ps_seconds); ("speedup", num r.ps_speedup);
+        ("identical", Json.Bool r.ps_identical) ]
+  in
+  let best_field b =
+    ( "best",
+      Json.Obj
+        [ ("query", Json.Str b.ps_query); ("jobs", int b.ps_jobs);
+          ("speedup", num b.ps_speedup) ] )
+  in
+  write_json json
+    ([ ("scale", num scale); ("jobs", Json.Arr (List.map int jobs_list));
+       ("repeats", int repeats); ("all_identical", Json.Bool all_identical) ]
+    @ Option.to_list (Option.map best_field best)
+    @ [ ("rows", Json.Arr (List.map row rows)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: metrics armed vs disabled                   *)
@@ -762,12 +742,7 @@ let obs_overhead ?(scale = 0.02) ?(repeats = 15) ?json ~queries () =
     (Setup.size_label setup.Setup.serialized_size)
     repeats;
   let engine = setup.Setup.engine in
-  (* Region index built outside the measurements (§4.3: part of the
-     stored document). *)
-  ignore
-    (Engine.run engine
-       (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
-          setup.Setup.standoff_doc));
+  warm_index engine setup;
   Printf.printf "%-8s%12s%12s%12s%10s\n" "query" "off" "on" "traced"
     "overhead";
   Printf.printf "%s\n" (String.make 54 '-');
@@ -830,8 +805,7 @@ let obs_overhead ?(scale = 0.02) ?(repeats = 15) ?json ~queries () =
           best_traced := Float.min !best_traced (sample run_traced)
         done;
         all_ratios := Array.to_list ratios @ !all_ratios;
-        Array.sort compare ratios;
-        let median_ratio = ratios.(repeats / 2) in
+        let median_ratio = Stats.median (Array.to_list ratios) in
         let row =
           {
             ob_query = q.Queries.id;
@@ -851,34 +825,26 @@ let obs_overhead ?(scale = 0.02) ?(repeats = 15) ?json ~queries () =
   (* Per-query medians over a dozen samples still carry a couple of
      percent of environment noise; the headline number pools every
      iteration's back-to-back ratio across all queries, which is the
-     tightest drift-free estimate this harness can produce. *)
-  let pooled = Array.of_list !all_ratios in
-  Array.sort compare pooled;
+     tightest drift-free estimate this harness can produce.  Of an even
+     pooled count (4 queries by default) the gate reads the upper middle
+     sample, as it always has. *)
+  let pooled = Stats.sorted_of_list !all_ratios in
   let overhead = (pooled.(Array.length pooled / 2) -. 1.0) *. 100.0 in
   let pass = overhead < 2.0 in
   Printf.printf "\npooled overhead (median over %d paired samples): %.2f%% \
                  (budget 2%%) -> %s\n"
     (Array.length pooled) overhead
     (if pass then "PASS" else "FAIL");
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n  \"scale\": %g,\n  \"repeats\": %d,\n  \"overhead_pct\": \
-         %.3f,\n  \"budget_pct\": 2.0,\n  \"pass\": %b,\n  \"rows\": [\n"
-        scale repeats overhead pass;
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    {\"query\": \"%s\", \"off_ms\": %.4f, \"on_ms\": %.4f, \
-             \"traced_ms\": %.4f, \"overhead_pct\": %.3f}%s\n"
-            r.ob_query r.ob_off_ms r.ob_on_ms r.ob_traced_ms r.ob_overhead_pct
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json
+  let row r =
+    Json.Obj
+      [ ("query", Json.Str r.ob_query); ("off_ms", num r.ob_off_ms);
+        ("on_ms", num r.ob_on_ms); ("traced_ms", num r.ob_traced_ms);
+        ("overhead_pct", num r.ob_overhead_pct) ]
+  in
+  write_json json
+    [ ("scale", num scale); ("repeats", int repeats);
+      ("overhead_pct", num overhead); ("budget_pct", num 2.0);
+      ("pass", Json.Bool pass); ("rows", Json.Arr (List.map row rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Result cache: cold vs warm repeat latency, hit-rate sweep,          *)
@@ -900,12 +866,7 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
      the caching level, so the cold/warm difference isolates the cache. *)
   let cold_engine = Engine.create ~jobs:1 ~cache:Engine.Cache_off coll in
   let warm_engine = Engine.create ~jobs:1 ~cache:Engine.Cache_result coll in
-  (* Region index built outside the measurements (§4.3: part of the
-     stored document). *)
-  ignore
-    (Engine.run cold_engine
-       (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
-          setup.Setup.standoff_doc));
+  warm_index cold_engine setup;
   Printf.printf "xmark scale %g (%s), loop-lifted, jobs=1, median of %d\n\n"
     scale
     (Setup.size_label setup.Setup.serialized_size)
@@ -913,27 +874,18 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
   Printf.printf "%-8s%12s%12s%10s%12s\n" "query" "cold" "warm" "speedup"
     "cacheable";
   Printf.printf "%s\n" (String.make 54 '-');
-  let median a =
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
   let rows =
     List.map
       (fun q ->
         let text = q.Queries.standoff setup.Setup.standoff_doc in
         let time_runs engine prepared =
-          Array.init repeats (fun _ ->
-              Gc.full_major ();
-              let _, t =
-                Timing.time (fun () ->
-                    ignore (Engine.run_prepared engine prepared))
-              in
-              t)
+          median_time ~gc:true repeats (fun () ->
+              Engine.run_prepared engine prepared)
         in
         let cold_prepared =
           Engine.prepare cold_engine ~strategy:Config.Loop_lifted text
         in
-        let cold = median (time_runs cold_engine cold_prepared) in
+        let cold = time_runs cold_engine cold_prepared in
         let warm_prepared =
           Engine.prepare warm_engine ~strategy:Config.Loop_lifted text
         in
@@ -943,7 +895,7 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
         let hits_before =
           (Engine.result_cache_stats warm_engine).Standoff_cache.Lru.hits
         in
-        let warm = median (time_runs warm_engine warm_prepared) in
+        let warm = time_runs warm_engine warm_prepared in
         let hits_after =
           (Engine.result_cache_stats warm_engine).Standoff_cache.Lru.hits
         in
@@ -1020,28 +972,21 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
   let pass = target_ok "Q1" && target_ok "Q2" && target_ok "Q6" && update_safe in
   Printf.printf "warm-repeat target (Q1, Q2, Q6 >= 5x): %s\n"
     (if pass && update_safe then "PASS" else "FAIL");
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n  \"scale\": %g,\n  \"repeats\": %d,\n  \"hit_rate_sweep\": \
-         {\"runs\": %d, \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f},\n\
-        \  \"update_safe\": %b,\n  \"pass\": %b,\n  \"rows\": [\n"
-        scale repeats
-        (sweep_rounds * List.length queries)
-        sweep_hits sweep_misses hit_rate update_safe pass;
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    {\"query\": \"%s\", \"cold_ms\": %.4f, \"warm_ms\": %.4f, \
-             \"speedup\": %.2f, \"cacheable\": %b}%s\n"
-            r.cb_query r.cb_cold_ms r.cb_warm_ms r.cb_speedup r.cb_cacheable
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json
+  let row r =
+    Json.Obj
+      [ ("query", Json.Str r.cb_query); ("cold_ms", num r.cb_cold_ms);
+        ("warm_ms", num r.cb_warm_ms); ("speedup", num r.cb_speedup);
+        ("cacheable", Json.Bool r.cb_cacheable) ]
+  in
+  write_json json
+    [ ("scale", num scale); ("repeats", int repeats);
+      ( "hit_rate_sweep",
+        Json.Obj
+          [ ("runs", int (sweep_rounds * List.length queries));
+            ("hits", int sweep_hits); ("misses", int sweep_misses);
+            ("hit_rate", num hit_rate) ] );
+      ("update_safe", Json.Bool update_safe); ("pass", Json.Bool pass);
+      ("rows", Json.Arr (List.map row rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* DataGuide path index: guide-on vs guide-off on the Figure 6 set    *)
@@ -1065,10 +1010,6 @@ type dg_build = {
 
 let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
   section "DataGuide path index: guide-on vs guide-off";
-  let median a =
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
   let rows = ref [] in
   let builds = ref [] in
   List.iter
@@ -1084,12 +1025,7 @@ let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
       let on_engine =
         Engine.create ~jobs:1 ~cache:Engine.Cache_off ~dataguide:true coll
       in
-      (* Region index built outside the measurements (§4.3: part of
-         the stored document). *)
-      ignore
-        (Engine.run off_engine
-           (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
-              setup.Setup.standoff_doc));
+      warm_index off_engine setup;
       (* Cold guide construction, before any probe has cached one:
          the one-off price a first query pays per document. *)
       let build_ms, paths =
@@ -1131,22 +1067,10 @@ let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
                    (element index; the guide itself on the on-engine),
                    so the medians compare steady-state evaluation and
                    the cold build cost stays in its own row. *)
-                ignore
-                  (Engine.run_prepared engine
-                     prepared);
-                let times =
-                  Array.init repeats (fun _ ->
-                      Gc.full_major ();
-                      let _, t =
-                        Timing.time (fun () ->
-                            ignore
-                              (Engine.run_prepared engine prepared))
-                      in
-                      t)
-                in
-                ( median times,
-                  (Engine.run engine text)
-                    .Engine.serialized )
+                ignore (Engine.run_prepared engine prepared);
+                ( median_time ~gc:true repeats (fun () ->
+                      Engine.run_prepared engine prepared),
+                  (Engine.run engine text).Engine.serialized )
               in
               let off, off_bytes = time_engine off_engine in
               let on, on_bytes = time_engine on_engine in
@@ -1196,42 +1120,25 @@ let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
         largest s
         (if q2_ok then "PASS" else "FAIL")
   | None -> ());
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n  \"scales\": [%s],\n  \"repeats\": %d,\n  \"identical\": %b,\n\
-        \  \"q2_standoff_speedup_largest\": %s,\n  \"pass\": %b,\n\
-        \  \"builds\": [\n"
-        (String.concat ", " (List.map (Printf.sprintf "%g") scales))
-        repeats identical
-        (match q2_speedup with
-        | Some s -> Printf.sprintf "%.2f" s
-        | None -> "null")
-        pass;
-      List.iteri
-        (fun i b ->
-          Printf.fprintf oc
-            "    {\"scale\": %g, \"bytes\": %d, \"build_ms\": %.4f, \
-             \"paths\": %d}%s\n"
-            b.dgb_scale b.dgb_bytes b.dgb_build_ms b.dgb_paths
-            (if i = List.length builds - 1 then "" else ","))
-        builds;
-      Printf.fprintf oc "  ],\n  \"rows\": [\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    {\"scale\": %g, \"query\": \"%s\", \"form\": \"%s\", \
-             \"off_ms\": %.4f, \"on_ms\": %.4f, \"speedup\": %.2f, \
-             \"identical\": %b}%s\n"
-            r.dg_scale r.dg_query r.dg_form r.dg_off_ms r.dg_on_ms
-            r.dg_speedup r.dg_identical
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json
+  let build b =
+    Json.Obj
+      [ ("scale", num b.dgb_scale); ("bytes", int b.dgb_bytes);
+        ("build_ms", num b.dgb_build_ms); ("paths", int b.dgb_paths) ]
+  in
+  let row r =
+    Json.Obj
+      [ ("scale", num r.dg_scale); ("query", Json.Str r.dg_query);
+        ("form", Json.Str r.dg_form); ("off_ms", num r.dg_off_ms);
+        ("on_ms", num r.dg_on_ms); ("speedup", num r.dg_speedup);
+        ("identical", Json.Bool r.dg_identical) ]
+  in
+  write_json json
+    [ ("scales", Json.Arr (List.map num scales)); ("repeats", int repeats);
+      ("identical", Json.Bool identical);
+      ( "q2_standoff_speedup_largest",
+        Option.fold ~none:Json.Null ~some:num q2_speedup );
+      ("pass", Json.Bool pass); ("builds", Json.Arr (List.map build builds));
+      ("rows", Json.Arr (List.map row rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Network service: concurrent socket clients against the HTTP server  *)
@@ -1244,13 +1151,6 @@ type sv_row = {
   sv_p99_ms : float;
   sv_errors : int;
 }
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then Float.nan
-  else
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
 
 let bench_serve ?(scale = 0.02) ?(clients = 8) ?(requests = 40)
     ?(worker_counts = [ 1; 4; 8 ]) ?json ~queries () =
@@ -1283,12 +1183,9 @@ let bench_serve ?(scale = 0.02) ?(clients = 8) ?(requests = 40)
   Printf.printf "%-9s%13s%11s%11s%11s%9s\n" "workers" "throughput" "p50" "p95"
     "p99" "errors";
   Printf.printf "%s\n" (String.make 64 '-');
-  let connect port =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    fd
+  let query send text =
+    send ~meth:"POST" ~target:"/query?strategy=loop-lifted" text
   in
-  let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> () in
   let run_point workers =
     let config =
       {
@@ -1306,32 +1203,16 @@ let bench_serve ?(scale = 0.02) ?(clients = 8) ?(requests = 40)
     (* Warm-up: one untimed pass over every query text through the
        freshly started server, so worker-domain spawn-up, scheduler
        start and first-touch allocation land outside the measurement. *)
-    (let fd = connect port in
-     Fun.protect
-       ~finally:(fun () -> close_noerr fd)
-       (fun () ->
-         let reader = Http.reader fd in
-         Array.iter
-           (fun text ->
-             Http.write_request fd ~meth:"POST"
-               ~target:"/query?strategy=loop-lifted" text;
-             ignore (Http.read_response reader))
-           texts));
+    with_client port (fun send ->
+        Array.iter (fun text -> ignore (query send text)) texts);
     let errors = Atomic.make 0 in
     let lat = Array.make (clients * requests) 0.0 in
     let client c () =
-      let fd = connect port in
-      let reader = Http.reader fd in
-      Fun.protect
-        ~finally:(fun () -> close_noerr fd)
-        (fun () ->
+      with_client port (fun send ->
           for i = 0 to requests - 1 do
             let text = texts.((c + i) mod Array.length texts) in
             let t0 = Unix.gettimeofday () in
-            Http.write_request fd ~meth:"POST"
-              ~target:"/query?strategy=loop-lifted" text;
-            let resp = Http.read_response reader in
-            if resp.Http.status <> 200 then Atomic.incr errors;
+            if (query send text).Http.status <> 200 then Atomic.incr errors;
             lat.((c * requests) + i) <- (Unix.gettimeofday () -. t0) *. 1e3
           done)
     in
@@ -1345,9 +1226,9 @@ let bench_serve ?(scale = 0.02) ?(clients = 8) ?(requests = 40)
       {
         sv_workers = workers;
         sv_rps = float_of_int (clients * requests) /. wall;
-        sv_p50_ms = percentile lat 50.0;
-        sv_p95_ms = percentile lat 95.0;
-        sv_p99_ms = percentile lat 99.0;
+        sv_p50_ms = Stats.percentile lat 50.0;
+        sv_p95_ms = Stats.percentile lat 95.0;
+        sv_p99_ms = Stats.percentile lat 99.0;
         sv_errors = Atomic.get errors;
       }
     in
@@ -1439,35 +1320,23 @@ let bench_serve ?(scale = 0.02) ?(clients = 8) ?(requests = 40)
      %s\n"
     (if enforce_monotone then "" else " [informational]")
     (if pass then "PASS" else "FAIL");
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n\
-        \  \"scale\": %g,\n\
-        \  \"clients\": %d,\n\
-        \  \"requests_per_client\": %d,\n\
-        \  \"overload\": {\"connections\": %d, \"served\": %d, \"shed\": %d},\n\
-        \  \"domain_budget\": %d,\n\
-        \  \"monotone\": %b,\n\
-        \  \"monotone_enforced\": %b,\n\
-        \  \"pass\": %b,\n\
-        \  \"rows\": [\n"
-        scale clients requests burst served shed (Pool.domain_budget ())
-        monotone enforce_monotone pass;
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    {\"workers\": %d, \"throughput_rps\": %.1f, \"p50_ms\": \
-             %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, \"errors\": %d}%s\n"
-            r.sv_workers r.sv_rps r.sv_p50_ms r.sv_p95_ms r.sv_p99_ms
-            r.sv_errors
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json;
+  let row r =
+    Json.Obj
+      [ ("workers", int r.sv_workers); ("throughput_rps", num r.sv_rps);
+        ("p50_ms", num r.sv_p50_ms); ("p95_ms", num r.sv_p95_ms);
+        ("p99_ms", num r.sv_p99_ms); ("errors", int r.sv_errors) ]
+  in
+  write_json json
+    [ ("scale", num scale); ("clients", int clients);
+      ("requests_per_client", int requests);
+      ( "overload",
+        Json.Obj
+          [ ("connections", int burst); ("served", int served);
+            ("shed", int shed) ] );
+      ("domain_budget", int (Pool.domain_budget ()));
+      ("monotone", Json.Bool monotone);
+      ("monotone_enforced", Json.Bool enforce_monotone);
+      ("pass", Json.Bool pass); ("rows", Json.Arr (List.map row rows)) ];
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1498,18 +1367,7 @@ let bench_router ?(shards = 4) ?(docs = 256) ?(clients = 8) ?(updates = 100)
     Printf.eprintf "router: %s not found (dune build bin first)\n" exe;
     exit 1
   end;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  let root = Filename.temp_file "standoff-bench-router" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
-  at_exit (fun () ->
-      try rm_rf root with Sys_error _ | Unix.Unix_error _ -> ());
+  let fresh_dir = scratch_dirs "standoff-bench-router" in
   let doc_name i = Printf.sprintf "doc-%03d.xml" i in
   let batch =
     let buf = Buffer.create (docs * 64) in
@@ -1522,23 +1380,6 @@ let bench_router ?(shards = 4) ?(docs = 256) ?(clients = 8) ?(updates = 100)
            payload)
     done;
     Buffer.contents buf
-  in
-  let connect port =
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
-    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 60.0;
-    Unix.setsockopt fd Unix.TCP_NODELAY true;
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    fd
-  in
-  let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let oneshot port ~meth ~target body =
-    let fd = connect port in
-    Fun.protect
-      ~finally:(fun () -> close_noerr fd)
-      (fun () ->
-        Http.write_request fd ~meth ~target body;
-        Http.read_response (Http.reader fd))
   in
   let wait_ready ?(timeout_s = 30.0) port =
     let deadline = Unix.gettimeofday () +. timeout_s in
@@ -1585,25 +1426,17 @@ let bench_router ?(shards = 4) ?(docs = 256) ?(clients = 8) ?(updates = 100)
     end;
     let errors = Atomic.make 0 in
     let client c () =
-      let fd = connect port in
-      let reader = Http.reader fd in
-      Fun.protect
-        ~finally:(fun () -> close_noerr fd)
-        (fun () ->
+      with_client port (fun send ->
           for i = 0 to updates - 1 do
             let d = doc_name (((c * updates) + i) mod docs) in
             let target =
               Printf.sprintf "/update?doc=%s&pre=2&start=%d&end=%d" d (i mod 4)
                 ((i mod 4) + 5)
             in
-            match
-              Http.write_request fd ~meth:"POST" ~target "";
-              (Http.read_response reader).Http.status
-            with
+            match (send ~meth:"POST" ~target "").Http.status with
             | 200 -> ()
             | _ -> Atomic.incr errors
-            | exception _ ->
-                Atomic.incr errors
+            | exception _ -> Atomic.incr errors
           done)
     in
     let t1 = Unix.gettimeofday () in
@@ -1635,7 +1468,7 @@ let bench_router ?(shards = 4) ?(docs = 256) ?(clients = 8) ?(updates = 100)
     let argv =
       [|
         exe; "--host"; "127.0.0.1"; "--port"; string_of_int port;
-        "--data-dir"; Filename.concat root "single"; "--fsync"; "always";
+        "--data-dir"; fresh_dir (); "--fsync"; "always";
       |]
     in
     let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -1661,7 +1494,7 @@ let bench_router ?(shards = 4) ?(docs = 256) ?(clients = 8) ?(updates = 100)
           let argv =
             [|
               exe; "--host"; "127.0.0.1"; "--port"; string_of_int sport;
-              "--data-dir"; Filename.concat root name; "--fsync"; "always";
+              "--data-dir"; fresh_dir (); "--fsync"; "always";
             |]
           in
           {
@@ -1704,36 +1537,20 @@ let bench_router ?(shards = 4) ?(docs = 256) ?(clients = 8) ?(updates = 100)
     (if enforce then "" else " [not enforced: domain budget < shard count]")
     (if enforce then "" else " [informational]")
     (if pass then "PASS" else "FAIL");
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n\
-        \  \"shards\": %d,\n\
-        \  \"docs\": %d,\n\
-        \  \"clients\": %d,\n\
-        \  \"updates_per_client\": %d,\n\
-        \  \"fsync\": \"always\",\n\
-        \  \"domain_budget\": %d,\n\
-        \  \"speedup_update\": %.2f,\n\
-        \  \"speedup_ingest\": %.2f,\n\
-        \  \"gate_enforced\": %b,\n\
-        \  \"pass\": %b,\n\
-        \  \"rows\": [\n"
-        shards docs clients updates (Pool.domain_budget ()) speedup_update
-        speedup_ingest enforce pass;
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    {\"topology\": \"%s\", \"ingest_docs_per_s\": %.1f, \
-             \"updates_per_s\": %.1f, \"errors\": %d}%s\n"
-            r.rt_label r.rt_ingest_dps r.rt_update_ups r.rt_errors
-            (if i = 1 then "" else ","))
-        [ single; routed ];
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json;
+  let row r =
+    Json.Obj
+      [ ("topology", Json.Str r.rt_label);
+        ("ingest_docs_per_s", num r.rt_ingest_dps);
+        ("updates_per_s", num r.rt_update_ups); ("errors", int r.rt_errors) ]
+  in
+  write_json json
+    [ ("shards", int shards); ("docs", int docs); ("clients", int clients);
+      ("updates_per_client", int updates); ("fsync", Json.Str "always");
+      ("domain_budget", int (Pool.domain_budget ()));
+      ("speedup_update", num speedup_update);
+      ("speedup_ingest", num speedup_ingest);
+      ("gate_enforced", Json.Bool enforce); ("pass", Json.Bool pass);
+      ("rows", Json.Arr [ row single; row routed ]) ];
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1766,23 +1583,7 @@ let read_after_update_bound = 2.0
 let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
     =
   section "Durability: WAL throughput, recovery time, snapshots";
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  let fresh_dir =
-    let root = Filename.temp_file "standoff-bench-persist" "" in
-    Sys.remove root;
-    Unix.mkdir root 0o755;
-    at_exit (fun () -> try rm_rf root with Sys_error _ | Unix.Unix_error _ -> ());
-    let n = ref 0 in
-    fun () ->
-      incr n;
-      Filename.concat root (Printf.sprintf "d%d" !n)
-  in
+  let fresh_dir = scratch_dirs "standoff-bench-persist" in
   (* Synthetic store: one document, ~10k disjoint word annotations —
      the shape of a shredded text corpus under annotation editing. *)
   let n_annot = 10_000 in
@@ -1974,42 +1775,34 @@ let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
       replays 0, read after update within %.1fx): %s\n"
      read_after_update_bound
      (if pass then "PASS" else "FAIL");
-   Option.iter
-     (fun file ->
-       let oc = open_out file in
-       Printf.fprintf oc
-         "{\n  \"annotations\": %d,\n  \"updates\": %d,\n\
-         \  \"snapshot\": {\"updates\": %d, \"write_ms\": %.3f, \"bytes\": \
-          %d, \"recover_ms\": %.3f, \"replayed\": %d, \"ok\": %b},\n\
-         \  \"read_after_update\": {\"query\": \"%s\", \"rounds\": %d, \
-          \"plain_ms\": %.4f, \"after_update_ms\": %.4f, \"ratio\": %.3f, \
-          \"bound\": %.1f, \"ok\": %b},\n\
-         \  \"pass\": %b,\n  \"throughput\": [\n"
-         n_annot updates snap_n (snap_t *. 1000.0) snap_bytes
-         (rec_t *. 1000.0) recovery.Durable.rec_replayed snap_ok
-         (Metrics.json_escape rau_query) rau_rounds rau_plain_ms rau_after_ms
-         rau_ratio read_after_update_bound rau_ok pass;
-       List.iteri
-         (fun i r ->
-           Printf.fprintf oc
-             "    {\"fsync\": \"%s\", \"updates\": %d, \"seconds\": %.6f, \
-              \"updates_per_sec\": %.1f}%s\n"
-             r.wt_policy r.wt_updates r.wt_seconds r.wt_ups
-             (if i = List.length wt_rows - 1 then "" else ","))
-         wt_rows;
-       Printf.fprintf oc "  ],\n  \"recovery\": [\n";
-       List.iteri
-         (fun i r ->
-           Printf.fprintf oc
-             "    {\"records\": %d, \"seconds\": %.6f, \"records_per_sec\": \
-              %.1f, \"ok\": %b}%s\n"
-             r.rc_records r.rc_seconds r.rc_rps r.rc_ok
-             (if i = List.length rc_rows - 1 then "" else ","))
-         rc_rows;
-       Printf.fprintf oc "  ]\n}\n";
-       close_out oc;
-       Printf.printf "wrote %s\n" file)
-     json;
+   let throughput r =
+     Json.Obj
+       [ ("fsync", Json.Str r.wt_policy); ("updates", int r.wt_updates);
+         ("seconds", num r.wt_seconds); ("updates_per_sec", num r.wt_ups) ]
+   in
+   let recovery_row r =
+     Json.Obj
+       [ ("records", int r.rc_records); ("seconds", num r.rc_seconds);
+         ("records_per_sec", num r.rc_rps); ("ok", Json.Bool r.rc_ok) ]
+   in
+   write_json json
+     [ ("annotations", int n_annot); ("updates", int updates);
+       ( "snapshot",
+         Json.Obj
+           [ ("updates", int snap_n); ("write_ms", num (snap_t *. 1000.0));
+             ("bytes", int snap_bytes); ("recover_ms", num (rec_t *. 1000.0));
+             ("replayed", int recovery.Durable.rec_replayed);
+             ("ok", Json.Bool snap_ok) ] );
+       ( "read_after_update",
+         Json.Obj
+           [ ("query", Json.Str rau_query); ("rounds", int rau_rounds);
+             ("plain_ms", num rau_plain_ms);
+             ("after_update_ms", num rau_after_ms); ("ratio", num rau_ratio);
+             ("bound", num read_after_update_bound); ("ok", Json.Bool rau_ok) ]
+       );
+       ("pass", Json.Bool pass);
+       ("throughput", Json.Arr (List.map throughput wt_rows));
+       ("recovery", Json.Arr (List.map recovery_row rc_rows)) ];
    if not pass then exit 1)
 
 (* ------------------------------------------------------------------ *)
@@ -2017,23 +1810,7 @@ let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
 
 let bench_ingest ?(docs = 40) ?json () =
   section "Bulk ingestion: one batched WAL record vs per-document loads";
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  let fresh_dir =
-    let root = Filename.temp_file "standoff-bench-ingest" "" in
-    Sys.remove root;
-    Unix.mkdir root 0o755;
-    at_exit (fun () -> try rm_rf root with Sys_error _ | Unix.Unix_error _ -> ());
-    let n = ref 0 in
-    fun () ->
-      incr n;
-      Filename.concat root (Printf.sprintf "d%d" !n)
-  in
+  let fresh_dir = scratch_dirs "standoff-bench-ingest" in
   (* Base document the probe query runs against.  It lives in the seed,
      so recovery rebuilds it without consulting the WAL; every ingest
      bumps the catalog version, so on the per-document path the probe
@@ -2165,22 +1942,17 @@ let bench_ingest ?(docs = 40) ?json () =
      recover): %s\n"
     speedup
     (if pass then "PASS" else "FAIL");
-  Option.iter
-    (fun file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n  \"docs\": %d,\n  \"words_per_doc\": %d,\n\
-        \  \"probe_annotations\": %d,\n\
-        \  \"individual\": {\"seconds\": %.6f, \"per_doc_ms\": %.4f, \
-         \"wal_records\": %d, \"recovered\": %b},\n\
-        \  \"bulk\": {\"seconds\": %.6f, \"per_doc_ms\": %.4f, \
-         \"wal_records\": %d, \"recovered\": %b},\n\
-        \  \"speedup\": %.2f,\n  \"pass\": %b\n}\n"
-        docs words_per_doc n_base t_ind (per_ind *. 1000.0) docs ind_ok t_bulk
-        (per_bulk *. 1000.0) 1 bulk_ok speedup pass;
-      close_out oc;
-      Printf.printf "wrote %s\n" file)
-    json;
+  let path seconds per_doc wal_records recovered =
+    Json.Obj
+      [ ("seconds", num seconds); ("per_doc_ms", num (per_doc *. 1000.0));
+        ("wal_records", int wal_records); ("recovered", Json.Bool recovered) ]
+  in
+  write_json json
+    [ ("docs", int docs); ("words_per_doc", int words_per_doc);
+      ("probe_annotations", int n_base);
+      ("individual", path t_ind per_ind docs ind_ok);
+      ("bulk", path t_bulk per_bulk 1 bulk_ok); ("speedup", num speedup);
+      ("pass", Json.Bool pass) ];
   if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -2292,349 +2064,183 @@ let micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Argument handling                                                   *)
+(* Command line                                                        *)
+
+open Cmdliner
+
+(* Every count is spelled as STANDOFF_JOBS is: decimal digits. *)
+let count_conv =
+  Arg.conv
+    ( (fun s ->
+        try Ok (Engine.Options.jobs_of_string s)
+        with Invalid_argument _ ->
+          Error (`Msg (Printf.sprintf "%S is not a count" s))),
+      Format.pp_print_int )
+
+let query_conv =
+  Arg.conv
+    ( (fun s ->
+        try Ok (Queries.find s)
+        with Not_found -> Error (`Msg ("unknown query " ^ s))),
+      fun fmt q -> Format.pp_print_string fmt q.Queries.id )
+
+let count long ~default ~doc =
+  Arg.(value & opt count_conv default & info [ long ] ~docv:"N" ~doc)
+  |> Term.map (max 1)
+
+let counts long ~default ~doc =
+  Arg.(
+    value & opt (list count_conv) default
+    & info [ long ] ~docv:"N1,N2,..." ~doc)
+  |> Term.map (List.map (max 1))
+
+let scale ~default =
+  Arg.(value & opt float default & info [ "scale" ] ~docv:"S"
+         ~doc:"XMark scale factor.")
+
+let scales ~default =
+  Arg.(value & opt (list float) default & info [ "scales" ] ~docv:"S1,S2,..."
+         ~doc:"XMark scale factors.")
+
+let repeats ~default ~min =
+  count "repeats" ~default
+    ~doc:(Printf.sprintf "Timed samples per point, at least %d." min)
+  |> Term.map (max min)
+
+let queries =
+  Arg.(
+    value
+    & opt (list query_conv) Queries.all
+    & info [ "queries" ] ~docv:"Q1,Q2,..."
+        ~doc:"Subset of the Figure 6 queries Q1, Q2, Q6 and Q7.")
+
+let csv =
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
+         ~doc:"Also write the points as CSV rows to FILE.")
+
+let json default =
+  Term.(
+    const (fun file off -> if off then None else file)
+    $ Arg.(value & opt (some string) default & info [ "json" ] ~docv:"FILE"
+             ~doc:"Write the results as JSON to FILE.")
+    $ Arg.(value & flag & info [ "no-json" ] ~doc:"Skip the JSON file."))
+
+(* The engines' parallelism: [STANDOFF_JOBS], else 0 (adaptive). *)
+let jobs =
+  Term.(
+    const (function
+      | Some j -> j
+      | None -> (Engine.Options.of_env ()).Engine.Options.jobs)
+    $ Arg.(
+        value
+        & opt (some count_conv) None
+        & info [ "jobs" ] ~docv:"N"
+            ~doc:
+              "Parallelism of every engine: 1 is sequential, 0 adaptive.  \
+               Defaults to $(b,STANDOFF_JOBS), else 0."))
 
 let default_scales = [ 0.002; 0.01; 0.02; 0.1; 0.2 ]
 
-(* Every command's default parallelism: [STANDOFF_JOBS], else adaptive. *)
-let env_jobs () = (Engine.Options.of_env ()).Engine.Options.jobs
+let all () =
+  let jobs = (Engine.Options.of_env ()).Engine.Options.jobs in
+  table_3_1 ();
+  figure_4 ();
+  figure_6 ~scales:default_scales ~timeout:10.0 ~queries:Queries.all ~jobs ();
+  staircase_vs_standoff ();
+  active_set_ablation ();
+  scaling ~jobs ();
+  planner ~jobs ();
+  micro ()
 
-let parse_figure6_args args =
-  let scales = ref default_scales in
-  let timeout = ref 10.0 in
-  let queries = ref Queries.all in
-  let csv = ref None in
-  let jobs = ref (env_jobs ()) in
-  let rec go = function
-    | [] -> ()
-    | "--scales" :: v :: rest ->
-        scales :=
-          List.map float_of_string (String.split_on_char ',' v);
-        go rest
-    | "--timeout" :: v :: rest ->
-        timeout := float_of_string v;
-        go rest
-    | "--queries" :: v :: rest ->
-        queries := List.map Queries.find (String.split_on_char ',' v);
-        go rest
-    | "--csv" :: v :: rest ->
-        csv := Some v;
-        go rest
-    | "--jobs" :: v :: rest ->
-        jobs := max 1 (int_of_string v);
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "figure-6: unknown argument %s" arg)
-  in
-  go args;
-  (!scales, !timeout, !queries, !csv, !jobs)
+let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
+let unit f = Term.(const f $ const ())
 
-let parse_parallel_scaling_args args =
-  let scale = ref 0.1 in
-  let jobs_list = ref [ 1; 2; 4; 8 ] in
-  let repeats = ref 5 in
-  let queries = ref Queries.all in
-  let csv = ref None in
-  let json = ref None in
-  let rec go = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-        scale := float_of_string v;
-        go rest
-    | "--jobs" :: v :: rest ->
-        jobs_list :=
-          List.map (fun s -> max 1 (int_of_string s))
-            (String.split_on_char ',' v);
-        go rest
-    | "--repeats" :: v :: rest ->
-        repeats := max 1 (int_of_string v);
-        go rest
-    | "--queries" :: v :: rest ->
-        queries := List.map Queries.find (String.split_on_char ',' v);
-        go rest
-    | "--csv" :: v :: rest ->
-        csv := Some v;
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | arg :: _ ->
-        failwith (Printf.sprintf "parallel-scaling: unknown argument %s" arg)
-  in
-  go args;
-  (!scale, !jobs_list, !repeats, !queries, !csv, !json)
-
-let parse_obs_overhead_args args =
-  let scale = ref 0.02 in
-  let repeats = ref 15 in
-  let queries = ref Queries.all in
-  let json = ref (Some "BENCH_obs.json") in
-  let rec go = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-        scale := float_of_string v;
-        go rest
-    | "--repeats" :: v :: rest ->
-        repeats := max 3 (int_of_string v);
-        go rest
-    | "--queries" :: v :: rest ->
-        queries := List.map Queries.find (String.split_on_char ',' v);
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | "--no-json" :: rest ->
-        json := None;
-        go rest
-    | arg :: _ ->
-        failwith (Printf.sprintf "obs-overhead: unknown argument %s" arg)
-  in
-  go args;
-  (!scale, !repeats, !queries, !json)
-
-let parse_cache_args args =
-  let scale = ref 0.02 in
-  let repeats = ref 5 in
-  let queries = ref Queries.all in
-  let json = ref (Some "BENCH_cache.json") in
-  let rec go = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-        scale := float_of_string v;
-        go rest
-    | "--repeats" :: v :: rest ->
-        repeats := max 1 (int_of_string v);
-        go rest
-    | "--queries" :: v :: rest ->
-        queries := List.map Queries.find (String.split_on_char ',' v);
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | "--no-json" :: rest ->
-        json := None;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "cache: unknown argument %s" arg)
-  in
-  go args;
-  (!scale, !repeats, !queries, !json)
-
-let parse_dataguide_args args =
-  let scales = ref [ 0.1; 0.2 ] in
-  let repeats = ref 5 in
-  let queries = ref Queries.all in
-  let json = ref (Some "BENCH_dataguide.json") in
-  let rec go = function
-    | [] -> ()
-    | "--scales" :: v :: rest ->
-        scales := List.map float_of_string (String.split_on_char ',' v);
-        go rest
-    | "--repeats" :: v :: rest ->
-        repeats := max 1 (int_of_string v);
-        go rest
-    | "--queries" :: v :: rest ->
-        queries := List.map Queries.find (String.split_on_char ',' v);
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | "--no-json" :: rest ->
-        json := None;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "dataguide: unknown argument %s" arg)
-  in
-  go args;
-  (!scales, !repeats, !queries, !json)
-
-let parse_serve_args args =
-  let scale = ref 0.02 in
-  let clients = ref 8 in
-  let requests = ref 40 in
-  let worker_counts = ref [ 1; 4; 8 ] in
-  let queries = ref Queries.all in
-  let json = ref (Some "BENCH_server.json") in
-  let rec go = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-        scale := float_of_string v;
-        go rest
-    | "--clients" :: v :: rest ->
-        clients := max 1 (int_of_string v);
-        go rest
-    | "--requests" :: v :: rest ->
-        requests := max 1 (int_of_string v);
-        go rest
-    | "--workers" :: v :: rest ->
-        worker_counts :=
-          List.map (fun s -> max 1 (int_of_string s))
-            (String.split_on_char ',' v);
-        go rest
-    | "--queries" :: v :: rest ->
-        queries := List.map Queries.find (String.split_on_char ',' v);
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | "--no-json" :: rest ->
-        json := None;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "serve: unknown argument %s" arg)
-  in
-  go args;
-  (!scale, !clients, !requests, !worker_counts, !queries, !json)
-
-let parse_persist_args args =
-  let updates = ref 5000 in
-  let sweep = ref [ 1000; 5000; 10_000 ] in
-  let json = ref (Some "BENCH_persist.json") in
-  let rec go = function
-    | [] -> ()
-    | "--updates" :: v :: rest ->
-        updates := max 1 (int_of_string v);
-        go rest
-    | "--sweep" :: v :: rest ->
-        sweep :=
-          List.map (fun s -> max 1 (int_of_string s))
-            (String.split_on_char ',' v);
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | "--no-json" :: rest ->
-        json := None;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "persist: unknown argument %s" arg)
-  in
-  go args;
-  (!updates, !sweep, !json)
-
-let parse_ingest_args args =
-  let docs = ref 40 in
-  let json = ref (Some "BENCH_ingest.json") in
-  let rec go = function
-    | [] -> ()
-    | "--docs" :: v :: rest ->
-        docs := max 1 (int_of_string v);
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | "--no-json" :: rest ->
-        json := None;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "ingest: unknown argument %s" arg)
-  in
-  go args;
-  (!docs, !json)
-
-let parse_router_args args =
-  let shards = ref 4 in
-  let docs = ref 256 in
-  let clients = ref 8 in
-  let updates = ref 100 in
-  let json = ref (Some "BENCH_router.json") in
-  let rec go = function
-    | [] -> ()
-    | "--shards" :: v :: rest ->
-        shards := max 1 (int_of_string v);
-        go rest
-    | "--docs" :: v :: rest ->
-        docs := max 1 (int_of_string v);
-        go rest
-    | "--clients" :: v :: rest ->
-        clients := max 1 (int_of_string v);
-        go rest
-    | "--updates" :: v :: rest ->
-        updates := max 1 (int_of_string v);
-        go rest
-    | "--json" :: v :: rest ->
-        json := Some v;
-        go rest
-    | "--no-json" :: rest ->
-        json := None;
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "router: unknown argument %s" arg)
-  in
-  go args;
-  (!shards, !docs, !clients, !updates, !json)
-
-let parse_scale_jobs_args ~cmd ~default_scale args =
-  let scale = ref default_scale in
-  let jobs = ref (env_jobs ()) in
-  let rec go = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-        scale := float_of_string v;
-        go rest
-    | "--jobs" :: v :: rest ->
-        jobs := max 1 (int_of_string v);
-        go rest
-    | arg :: _ -> failwith (Printf.sprintf "%s: unknown argument %s" cmd arg)
-  in
-  go args;
-  (!scale, !jobs)
+let commands =
+  [
+    cmd "all" "Every paper artifact: the default." (unit all);
+    cmd "table-3-1" "The section 3.1 StandOff-join example table." (unit table_3_1);
+    cmd "figure-4" "The Listing 1 execution trace." (unit figure_4);
+    cmd "figure-6" "The XMark sweep: four strategies, DNF past the budget."
+      Term.(
+        const (fun scales timeout queries csv jobs ->
+            figure_6 ?csv ~scales ~timeout ~queries ~jobs ())
+        $ scales ~default:default_scales
+        $ Arg.(value & opt float 10.0 & info [ "timeout" ] ~docv:"SECONDS"
+                 ~doc:"Per-point DNF budget.")
+        $ queries $ csv $ jobs);
+    cmd "staircase-vs-standoff"
+      "Section 4.6 claim: select-narrow vs the descendant staircase join."
+      (unit staircase_vs_standoff);
+    cmd "active-set" "Ablation: sorted-list vs lazy-heap active set."
+      (unit active_set_ablation);
+    cmd "scaling" "Merge-join throughput vs annotation count."
+      Term.(const (fun jobs -> scaling ~jobs ()) $ jobs);
+    cmd "planner" "Optimized plan vs direct lowering."
+      Term.(
+        const (fun scale jobs -> planner ~scale ~jobs ())
+        $ scale ~default:0.01 $ jobs);
+    cmd "parallel-scaling" "Jobs sweep: speedup curves."
+      Term.(
+        const (fun scale jobs_list repeats queries csv json ->
+            parallel_scaling ~scale ~jobs_list ~repeats ?csv ?json ~queries ())
+        $ scale ~default:0.1
+        $ counts "jobs" ~default:[ 1; 2; 4; 8 ] ~doc:"Jobs counts to sweep."
+        $ repeats ~default:5 ~min:1 $ queries $ csv $ json None);
+    cmd "obs-overhead" "Metrics-enabled vs disabled latency (2% gate)."
+      Term.(
+        const (fun scale repeats queries json ->
+            obs_overhead ~scale ~repeats ?json ~queries ())
+        $ scale ~default:0.02 $ repeats ~default:15 ~min:3 $ queries
+        $ json (Some "BENCH_obs.json"));
+    cmd "cache" "Result cache: cold vs warm, hit rate, update safety."
+      Term.(
+        const (fun scale repeats queries json ->
+            bench_cache ~scale ~repeats ?json ~queries ())
+        $ scale ~default:0.02 $ repeats ~default:5 ~min:1 $ queries
+        $ json (Some "BENCH_cache.json"));
+    cmd "dataguide" "DataGuide path index: guide-on vs guide-off."
+      Term.(
+        const (fun scales repeats queries json ->
+            bench_dataguide ~scales ~repeats ?json ~queries ())
+        $ scales ~default:[ 0.1; 0.2 ] $ repeats ~default:5 ~min:1 $ queries
+        $ json (Some "BENCH_dataguide.json"));
+    cmd "serve" "HTTP server latency and throughput, 503 probe."
+      Term.(
+        const (fun scale clients requests worker_counts queries json ->
+            bench_serve ~scale ~clients ~requests ~worker_counts ?json
+              ~queries ())
+        $ scale ~default:0.02
+        $ count "clients" ~default:8 ~doc:"Concurrent socket clients."
+        $ count "requests" ~default:40 ~doc:"Keep-alive requests per client."
+        $ counts "workers" ~default:[ 1; 4; 8 ] ~doc:"Worker counts to sweep."
+        $ queries $ json (Some "BENCH_server.json"));
+    cmd "persist" "WAL throughput, recovery, snapshots, read after update."
+      Term.(
+        const (fun updates sweep json -> bench_persist ~updates ~sweep ?json ())
+        $ count "updates" ~default:5000 ~doc:"Updates per throughput point."
+        $ counts "sweep" ~default:[ 1000; 5000; 10_000 ]
+            ~doc:"WAL lengths for the recovery sweep."
+        $ json (Some "BENCH_persist.json"));
+    cmd "ingest" "Bulk ingestion vs per-document loads (5x gate)."
+      Term.(
+        const (fun docs json -> bench_ingest ~docs ?json ())
+        $ count "docs" ~default:40 ~doc:"Documents to ingest."
+        $ json (Some "BENCH_ingest.json"));
+    cmd "router" "Shard router: one process vs N shards (2x gate)."
+      Term.(
+        const (fun shards docs clients updates json ->
+            bench_router ~shards ~docs ~clients ~updates ?json ())
+        $ count "shards" ~default:4 ~doc:"Shard processes behind the router."
+        $ count "docs" ~default:256 ~doc:"Documents to ingest."
+        $ count "clients" ~default:8 ~doc:"Concurrent update clients."
+        $ count "updates" ~default:100 ~doc:"Updates per client."
+        $ json (Some "BENCH_router.json"));
+    cmd "micro" "Bechamel micro-benchmarks." (unit micro);
+  ]
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "table-3-1" :: _ -> table_3_1 ()
-  | _ :: "figure-4" :: _ -> figure_4 ()
-  | _ :: "figure-6" :: rest ->
-      let scales, timeout, queries, csv, jobs = parse_figure6_args rest in
-      figure_6 ?csv ~scales ~timeout ~queries ~jobs ()
-  | _ :: "staircase-vs-standoff" :: _ -> staircase_vs_standoff ()
-  | _ :: "active-set" :: _ -> active_set_ablation ()
-  | _ :: "scaling" :: rest ->
-      let _, jobs = parse_scale_jobs_args ~cmd:"scaling" ~default_scale:0.0 rest in
-      scaling ~jobs ()
-  | _ :: "planner" :: rest ->
-      let scale, jobs =
-        parse_scale_jobs_args ~cmd:"planner" ~default_scale:0.01 rest
-      in
-      planner ~scale ~jobs ()
-  | _ :: "parallel-scaling" :: rest ->
-      let scale, jobs_list, repeats, queries, csv, json =
-        parse_parallel_scaling_args rest
-      in
-      parallel_scaling ~scale ~jobs_list ~repeats ?csv ?json ~queries ()
-  | _ :: "obs-overhead" :: rest ->
-      let scale, repeats, queries, json = parse_obs_overhead_args rest in
-      obs_overhead ~scale ~repeats ?json ~queries ()
-  | _ :: "cache" :: rest ->
-      let scale, repeats, queries, json = parse_cache_args rest in
-      bench_cache ~scale ~repeats ?json ~queries ()
-  | _ :: "dataguide" :: rest ->
-      let scales, repeats, queries, json = parse_dataguide_args rest in
-      bench_dataguide ~scales ~repeats ?json ~queries ()
-  | _ :: "serve" :: rest ->
-      let scale, clients, requests, worker_counts, queries, json =
-        parse_serve_args rest
-      in
-      bench_serve ~scale ~clients ~requests ~worker_counts ?json ~queries ()
-  | _ :: "persist" :: rest ->
-      let updates, sweep, json = parse_persist_args rest in
-      bench_persist ~updates ~sweep ?json ()
-  | _ :: "ingest" :: rest ->
-      let docs, json = parse_ingest_args rest in
-      bench_ingest ~docs ?json ()
-  | _ :: "router" :: rest ->
-      let shards, docs, clients, updates, json = parse_router_args rest in
-      bench_router ~shards ~docs ~clients ~updates ?json ()
-  | _ :: "micro" :: _ -> micro ()
-  | [ _ ] | _ :: "all" :: _ ->
-      table_3_1 ();
-      figure_4 ();
-      figure_6 ~scales:default_scales ~timeout:10.0 ~queries:Queries.all
-        ~jobs:(env_jobs ()) ();
-      staircase_vs_standoff ();
-      active_set_ablation ();
-      scaling ~jobs:(env_jobs ()) ();
-      planner ~jobs:(env_jobs ()) ();
-      micro ()
-  | _ :: cmd :: _ ->
-      Printf.eprintf
-        "unknown command %s (expected: table-3-1 | figure-4 | figure-6 | \
-         staircase-vs-standoff | active-set | scaling | planner | \
-         parallel-scaling | obs-overhead | cache | serve | persist | ingest | \
-         router | micro | all)\n"
-        cmd;
-      exit 1
-  | [] -> assert false
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"Regenerate the paper's evaluation and run the bench gates."
+  in
+  exit (Cmd.eval (Cmd.group ~default:(unit all) info commands))

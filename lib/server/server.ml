@@ -28,8 +28,9 @@ let m_in_flight =
     ~help:"Connections currently being served by a worker"
 
 (* ------------------------------------------------------------------ *)
-(* A writer-preferring readers-writer lock.  Queries take the shared
-   side; updates and node-constructing queries the exclusive one.
+(* A writer-preferring readers-writer lock.  Queries, node-constructing
+   ones included, take the shared side; updates, ingests and snapshots
+   the exclusive one.
    Writer preference keeps a stream of cheap cached queries from
    starving an update indefinitely. *)
 
@@ -633,11 +634,7 @@ let handle_explain t req =
     | _ -> raise (Http.Bad_request "missing query (?q= or POST body)")
   in
   let strategy = strategy_param req in
-  let optimize =
-    match Http.param req "optimize" with
-    | Some ("false" | "0" | "no") -> Some false
-    | _ -> None
-  in
+  let optimize = setting_param Engine.Options.bool_of_string req "optimize" in
   let dataguide = dataguide_param req in
   try
     Rw_lock.read t.lock (fun () ->

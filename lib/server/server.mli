@@ -44,7 +44,9 @@
       snapshot and reset the WAL, under the writer lock.  [409] when
       the server runs without a data directory.
     - [GET /explain?q=…] (or [POST /explain] with the query as body) —
-      the optimized physical plan, evaluated nothing.
+      the optimized physical plan, evaluated nothing; [?optimize=off]
+      (any {!Standoff_xquery.Engine.Options.bool_of_string} spelling)
+      shows the raw lowering instead, and a malformed value is [400].
     - [GET /metrics] — the process-wide
       {!Standoff_obs.Metrics.expose} Prometheus text.
     - [GET /slow] — the slow-query log as JSON.

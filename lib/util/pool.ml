@@ -65,14 +65,6 @@ let create ~jobs =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   { cap = jobs }
 
-(* Historically [shared] memoized one *pool* (worker set) per jobs
-   count, so a process touching jobs=4 then jobs=8 held two disjoint
-   worker sets forever.  Handles fixed that leak structurally: the
-   worker set is global and a handle is two words. *)
-let shared ~jobs =
-  if jobs < 1 then invalid_arg "Pool.shared: jobs must be >= 1";
-  { cap = jobs }
-
 let jobs t = t.cap
 
 (* ------------------------------------------------------------------ *)
@@ -478,5 +470,3 @@ let park () =
     Atomic.set sched.closing false;
     Mutex.unlock sched.sm
   end
-
-let teardown _t = park ()

@@ -46,13 +46,6 @@ val create : jobs:int -> t
 (** [jobs t] is the handle's parallelism cap. *)
 val jobs : t -> int
 
-(** [shared ~jobs] is {!create}: kept for callers written against the
-    historic per-jobs-count memoized pools.  All handles share the one
-    process-wide worker set, so a process using [jobs = 4] and
-    [jobs = 8] no longer holds two disjoint worker sets.
-    @raise Invalid_argument if [jobs < 1]. *)
-val shared : jobs:int -> t
-
 (** [domain_budget ()] is the process domain budget: the total number
     of domains (workers + the main domain + reserved external domains)
     execution is sized against. *)
@@ -129,7 +122,3 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
     during the teardown runs on its submitting domain alone, and
     workers respawn on the next submission afterwards.  Idempotent. *)
 val park : unit -> unit
-
-(** [teardown t] is {!park} — the handle only selects the historic
-    signature. *)
-val teardown : t -> unit

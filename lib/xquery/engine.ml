@@ -343,7 +343,7 @@ let shutdown _t = Pool.park ()
 (* All engines share the one process-wide scheduler; a handle is just
    a parallelism cap.  [None] when sequential, so jobs=1 never even
    consults it. *)
-let pool_for jobs = if jobs <= 1 then None else Some (Pool.shared ~jobs)
+let pool_for jobs = if jobs <= 1 then None else Some (Pool.create ~jobs)
 
 (* The adaptive jobs choice: threshold the prepared plan's cost
    estimate, then clamp to the parallelism the domain budget has left

@@ -248,7 +248,25 @@ let test_explain () =
       check_status "explain post" 200 r2;
       Alcotest.(check string) "same plan both ways" r.Http.r_body r2.Http.r_body;
       check_status "explain without query" 400
-        (oneshot p ~meth:"GET" ~target:"/explain" ""))
+        (oneshot p ~meth:"GET" ~target:"/explain" "");
+      (* ?optimize= takes the spellings of every other switch: off is
+         the raw lowering, and an unknown value is refused. *)
+      let raw spelling =
+        let r =
+          oneshot p ~meth:"POST" ~target:("/explain?optimize=" ^ spelling)
+            narrow_count
+        in
+        check_status ("optimize=" ^ spelling) 200 r;
+        r.Http.r_body
+      in
+      Alcotest.(check string) "optimize=off is optimize=false" (raw "false")
+        (raw "off");
+      Alcotest.(check bool) "optimize=off is not the optimized plan" false
+        (String.equal (raw "off") r.Http.r_body);
+      Alcotest.(check string) "optimize=on is the optimized plan" r.Http.r_body
+        (raw "on");
+      check_status "optimize=bogus" 400
+        (oneshot p ~meth:"POST" ~target:"/explain?optimize=bogus" narrow_count))
 
 let test_deadline_408_partial_trace () =
   (* timeout-ms=0 must fire at the first checkpoint and produce a 408
