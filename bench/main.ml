@@ -714,7 +714,8 @@ let parallel_scaling ?(scale = 0.1) ?(jobs_list = [ 1; 2; 4; 8 ]) ?(repeats = 5)
     ([ ("scale", num scale); ("jobs", Json.Arr (List.map int jobs_list));
        ("repeats", int repeats); ("all_identical", Json.Bool all_identical) ]
     @ Option.to_list (Option.map best_field best)
-    @ [ ("rows", Json.Arr (List.map row rows)) ])
+    @ [ ("rows", Json.Arr (List.map row rows)) ]);
+  if not all_identical then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: metrics armed vs disabled                   *)
@@ -844,7 +845,8 @@ let obs_overhead ?(scale = 0.02) ?(repeats = 15) ?json ~queries () =
   write_json json
     [ ("scale", num scale); ("repeats", int repeats);
       ("overhead_pct", num overhead); ("budget_pct", num 2.0);
-      ("pass", Json.Bool pass); ("rows", Json.Arr (List.map row rows)) ]
+      ("pass", Json.Bool pass); ("rows", Json.Arr (List.map row rows)) ];
+  if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Result cache: cold vs warm repeat latency, hit-rate sweep,          *)
@@ -986,7 +988,8 @@ let bench_cache ?(scale = 0.02) ?(repeats = 5) ?json ~queries () =
             ("hits", int sweep_hits); ("misses", int sweep_misses);
             ("hit_rate", num hit_rate) ] );
       ("update_safe", Json.Bool update_safe); ("pass", Json.Bool pass);
-      ("rows", Json.Arr (List.map row rows)) ]
+      ("rows", Json.Arr (List.map row rows)) ];
+  if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* DataGuide path index: guide-on vs guide-off on the Figure 6 set    *)
@@ -1138,7 +1141,8 @@ let bench_dataguide ?(scales = [ 0.1; 0.2 ]) ?(repeats = 5) ?json ~queries () =
       ( "q2_standoff_speedup_largest",
         Option.fold ~none:Json.Null ~some:num q2_speedup );
       ("pass", Json.Bool pass); ("builds", Json.Arr (List.map build builds));
-      ("rows", Json.Arr (List.map row rows)) ]
+      ("rows", Json.Arr (List.map row rows)) ];
+  if not pass then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Network service: concurrent socket clients against the HTTP server  *)

@@ -15,11 +15,11 @@
     entry is dropped (counted as an eviction) and the lookup reports a
     miss.  Callers use a monotonic counter that some authority bumps
     whenever the cached derivation could change — in this engine,
-    [Standoff.Catalog.invalidate] and [Standoff.Catalog.regions_changed]
-    (reached through every [Update.*] entry point) bump a per-document
-    generation and the catalogue-wide version, and the engine's result
-    cache stamps entries with that version.  Because the counter only grows, a stale entry can never
-    be served: either the stamp matches (nothing was invalidated since
+    [Standoff.Catalog.regions_changed] (reached through every
+    [Update.*] entry point) bumps a per-document generation and the
+    catalogue-wide version, and the engine's result cache stamps
+    entries with that version.  Because the counter only grows, a
+    stale entry can never be served: either the stamp matches (nothing was invalidated since
     the entry was stored) or the entry dies on its next lookup.
     Invalidation is therefore O(1) for the writer — bump the counter —
     and lazy for the cache; no key enumeration is ever needed.

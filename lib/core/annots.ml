@@ -175,10 +175,10 @@ let restrict_ids t ~candidates =
     candidates;
   Vec.to_array out
 
-let candidate_index_scan ?pool t ~candidates =
+let candidate_index_scan t ~candidates =
   match candidates with
   | None -> t.index
-  | Some ids -> Region_index.restrict ?pool t.index ~ids
+  | Some ids -> Region_index.restrict t.index ~ids
 
 let find_named t name =
   Mutex.protect t.by_name.lock (fun () -> Hashtbl.find_opt t.by_name.tbl name)

@@ -81,8 +81,7 @@ val candidate_ids : t -> name:string option -> int array
     intersecting on node id (§4.3).  The per-iteration strategies use
     this — "repeated full scans of the region index" is precisely why
     Basic StandOff MergeJoin does not finish XMark Q2 (§4.6). *)
-val candidate_index_scan :
-  ?pool:Standoff_util.Pool.t -> t -> candidates:int array option -> Region_index.t
+val candidate_index_scan : t -> candidates:int array option -> Region_index.t
 
 (** [move t ~pre region] patches [t] after annotation [pre]'s single
     region was set to [region] in the document: it rewrites [pre]'s area,

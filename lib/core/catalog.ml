@@ -13,7 +13,7 @@ type t = {
       (* Per-document generation counters, monotonic, never removed:
          they outlive the cached entries on purpose, so a cache keyed
          on (doc, generation) stays invalid across an
-         invalidate/rebuild cycle. *)
+         update/rebuild cycle. *)
   mutable version : int;
       (* Catalogue-wide version: the sum of all per-document bumps.
          Monotonic, so an equal reading before and after some interval
@@ -79,12 +79,6 @@ let bump_generation cat name =
   Hashtbl.replace cat.gens name (gen + 1);
   cat.version <- cat.version + 1;
   gen
-
-let invalidate cat doc =
-  let name = doc.Standoff_store.Doc.doc_name in
-  locked cat (fun () ->
-      Hashtbl.remove cat.table name;
-      ignore (bump_generation cat name))
 
 type region_change =
   | Moved of {

@@ -18,15 +18,6 @@ val create : unit -> t
     lock), so the catalogue may be shared across pool domains. *)
 val annots : t -> Config.t -> Standoff_store.Doc.t -> Annots.t
 
-(** [invalidate cat doc] drops cached entries for [doc] (all
-    configurations) and bumps both [doc]'s generation counter and the
-    catalogue-wide {!version}.  The bump is what makes
-    generation-stamped caches update-safe: a result cached before a
-    mutation carries an older version stamp and can never be served
-    again.  Region updates go through {!regions_changed}, which bumps
-    the same counters but keeps the derived indexes. *)
-val invalidate : t -> Standoff_store.Doc.t -> unit
-
 (** What a region-only update did to one document's regions.  The
     document's attribute strings are already rewritten when the change
     is reported. *)
@@ -40,15 +31,16 @@ type region_change =
           [region] ({!Update.set_region}) *)
   | Shifted  (** many regions moved ({!Update.shift_annotations}) *)
 
-(** [regions_changed cat doc change] is the region-only counterpart of
-    {!invalidate}: it bumps [doc]'s generation and the catalogue-wide
-    {!version} exactly as {!invalidate} does, so generation-stamped
-    caches expire the same way, but it carries [doc]'s derived indexes
-    forward where it can:
+(** [regions_changed cat doc change] reports a region-only update of
+    [doc] — every {!Update} entry point ends here.  It bumps
+    [doc]'s generation and the catalogue-wide {!version}, which is what
+    makes generation-stamped caches update-safe: a result cached before
+    the change carries an older stamp and can never be served again.
+    It carries [doc]'s derived indexes forward where it can:
     - for [Moved], the cached table of [config] is patched in place
       ({!Annots.move}: one row moves in the full index and in its
       name's index) and tables of other configurations are dropped;
-    - for [Shifted], every cached table is dropped, as by {!invalidate};
+    - for [Shifted], every cached table of [doc] is dropped;
     - either way the cached DataGuide, if it was current, is re-stamped
       with the new generation ({!Standoff_store.Dataguide.restamp}),
       because no element path changed.
@@ -65,8 +57,8 @@ val regions_changed : t -> Standoff_store.Doc.t -> region_change -> unit
     exactly once per batch. *)
 val bump : t -> unit
 
-(** [generation cat name] is the number of times the document called
-    [name] has been invalidated.  Monotonic; [0] for never-invalidated
+(** [generation cat name] is the number of updates reported for the
+    document called [name].  Monotonic; [0] for never-updated
     (including unknown) names, and the counter survives the cached
     entries — invalidation must outlive the rebuild. *)
 val generation : t -> string -> int

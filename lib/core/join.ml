@@ -267,7 +267,7 @@ let run_lifted op strategy annots ?pool ?(active_set = Active_set.Sorted_list)
         let need_ids = not (Op.is_select op) in
         match candidates with
         | Pres ids ->
-            ( Annots.candidate_index_scan ?pool annots ~candidates:(Some ids),
+            ( Annots.candidate_index_scan annots ~candidates:(Some ids),
               if need_ids then Annots.restrict_ids annots ~candidates:ids
               else [||] )
         | All | Named _ ->

@@ -1,4 +1,3 @@
-module Pool = Standoff_util.Pool
 module Radix = Standoff_util.Radix
 module Region = Standoff_interval.Region
 module Area = Standoff_interval.Area
@@ -112,11 +111,7 @@ let build annots =
   of_columns ~starts:idx.starts ~ends:idx.ends ~ids:idx.ids
     ~ranks:idx.region_ranks
 
-(* Below this many rows a parallel restriction costs more than it
-   saves. *)
-let parallel_threshold = 4096
-
-let restrict ?pool idx ~ids =
+let restrict idx ~ids =
   Metrics.incr m_restricts_total;
   let n_rows = Array.length idx.ids in
   let n_ids = Array.length ids in
@@ -125,58 +120,27 @@ let restrict ?pool idx ~ids =
     (* [idx.ids] is clustered on start position, not on id, so a
        two-pointer merge with the sorted [ids] is impossible; instead
        build a bitmap over the candidate ids once and sweep the rows
-       with O(1) membership tests. *)
+       twice with O(1) membership tests: count, then fill. *)
     let max_cand = ids.(n_ids - 1) in
     let member = Bytes.make (max_cand + 1) '\000' in
     Array.iter (fun id -> Bytes.unsafe_set member id '\001') ids;
     let mem id = id <= max_cand && Bytes.unsafe_get member id = '\001' in
-    let count_range lo hi =
-      let c = ref 0 in
-      for row = lo to hi - 1 do
-        if mem (Array.unsafe_get idx.ids row) then incr c
-      done;
-      !c
-    in
-    let fill_range dst ~dst_off lo hi =
-      let k = ref dst_off in
-      for row = lo to hi - 1 do
-        if mem (Array.unsafe_get idx.ids row) then begin
-          A1.unsafe_set dst.starts !k (A1.unsafe_get idx.starts row);
-          A1.unsafe_set dst.ends !k (A1.unsafe_get idx.ends row);
-          dst.ids.(!k) <- idx.ids.(row);
-          dst.region_ranks.(!k) <- idx.region_ranks.(row);
-          incr k
-        end
-      done
-    in
-    match pool with
-    | Some p when Pool.jobs p > 1 && n_rows >= parallel_threshold ->
-        (* Two partitioned sweeps: count survivors per chunk, then fill
-           each chunk's contiguous output slice — chunk order keeps the
-           start clustering. *)
-        let min_chunk = parallel_threshold / 4 in
-        let counts =
-          Pool.parallel_chunks p ~min_chunk ~n:n_rows
-            (fun ~chunk:_ ~lo ~hi -> (lo, hi, count_range lo hi))
-        in
-        let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 counts in
-        let dst = make total in
-        let offsets = Array.make (Array.length counts) 0 in
-        let acc = ref 0 in
-        Array.iteri
-          (fun i (_, _, c) ->
-            offsets.(i) <- !acc;
-            acc := !acc + c)
-          counts;
-        Pool.run_all p
-          (Array.init (Array.length counts) (fun i () ->
-               let lo, hi, _ = counts.(i) in
-               fill_range dst ~dst_off:offsets.(i) lo hi));
-        dst
-    | _ ->
-        let dst = make (count_range 0 n_rows) in
-        fill_range dst ~dst_off:0 0 n_rows;
-        dst
+    let count = ref 0 in
+    for row = 0 to n_rows - 1 do
+      if mem (Array.unsafe_get idx.ids row) then incr count
+    done;
+    let dst = make !count in
+    let k = ref 0 in
+    for row = 0 to n_rows - 1 do
+      if mem (Array.unsafe_get idx.ids row) then begin
+        A1.unsafe_set dst.starts !k (A1.unsafe_get idx.starts row);
+        A1.unsafe_set dst.ends !k (A1.unsafe_get idx.ends row);
+        dst.ids.(!k) <- idx.ids.(row);
+        dst.region_ranks.(!k) <- idx.region_ranks.(row);
+        incr k
+      end
+    done;
+    dst
   end
 
 (* First slot whose row does not sort below the key. *)

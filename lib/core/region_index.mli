@@ -45,13 +45,12 @@ val build : (int * Standoff_interval.Area.t) list -> t
 (** [row_count idx] is the number of region rows. *)
 val row_count : t -> int
 
-(** [restrict ?pool idx ~ids] performs the index intersection of §4.3:
+(** [restrict idx ~ids] performs the index intersection of §4.3:
     keeps only rows whose id occurs in the sorted array [ids],
     preserving the [start] clustering.  Membership tests use a bitmap
-    over the candidate ids (one sweep, O(1) per row); with a [pool] the
-    sweep is partitioned and chunk outputs land in contiguous slices,
-    so the result is identical to the sequential sweep. *)
-val restrict : ?pool:Standoff_util.Pool.t -> t -> ids:int array -> t
+    over the candidate ids (O(1) per row, one sweep to count the
+    survivors and one to copy them). *)
+val restrict : t -> ids:int array -> t
 
 (** [move_row idx ~id ~rank ~from ~to_] replaces the row
     [(from, id, rank)] by [(to_, id, rank)] in place, keeping the sweep

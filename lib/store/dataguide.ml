@@ -5,17 +5,9 @@
    resolves to its full candidate set in one walk over the (tiny)
    guide tree instead of one axis sweep per step.
 
-   Construction is a single pre-order pass.  The pass parallelises
-   over contiguous pre ranges exactly like the region-index build:
-   within a chunk [lo, hi), any element whose parent precedes the
-   chunk has that parent on [lo]'s ancestor chain (parent p < lo <= e
-   and e <= p + size(p) imply p properly contains lo), so seeding a
-   chunk-local guide with lo's ancestors makes every chunk
-   independent; chunk guides merge left-to-right, which keeps each
-   path's pre list sorted because chunk ranges ascend. *)
+   Construction is a single pre-order pass. *)
 
 module Vec = Standoff_util.Vec
-module Pool = Standoff_util.Pool
 module Timing = Standoff_util.Timing
 module Metrics = Standoff_obs.Metrics
 
@@ -45,8 +37,8 @@ let m_probe_hits =
   Metrics.counter "standoff_dataguide_probe_hits_total"
     ~help:"Path lookups that matched at least one element"
 
-(* Chunk-local build tree; converted to the immutable-array
-   [Doc.guide_node] form once all chunks are merged. *)
+(* Mutable build tree; converted to the immutable-array
+   [Doc.guide_node] form once the pass is done. *)
 type bnode = {
   b_name : int;
   b_pres : int Vec.t;
@@ -63,49 +55,28 @@ let child_of b name =
       Hashtbl.add b.b_children name c;
       c
 
-(* The guide node standing for element [pre]'s label path, entered
-   into [stack] at [pre]'s level.  [stack.(l)] holds the guide node of
-   the most recent element (or document) node at level [l]; since the
-   scan is in pre order, that node is exactly the parent of the next
-   level-[l+1] element. *)
-let enter_element (d : Doc.t) stack pre =
-  let l = d.Doc.level.(pre) in
-  if Array.length !stack <= l then begin
-    let grown = Array.make (max (l + 1) (2 * Array.length !stack)) !stack.(0) in
-    Array.blit !stack 0 grown 0 (Array.length !stack);
-    stack := grown
-  end;
-  let g = child_of !stack.(l - 1) d.Doc.name.(pre) in
-  !stack.(l) <- g;
-  g
-
-(* Build the guide of the pre range [lo, hi), seeded with lo's proper
-   ancestors so parents outside the chunk resolve locally. *)
-let build_chunk (d : Doc.t) ~lo ~hi =
+(* One pre-order pass.  [stack.(l)] holds the guide node of the most
+   recent element (or document) node at level [l]; since the scan is
+   in pre order, that node is exactly the parent of the next
+   level-[l+1] element, so each element's label path is one child
+   lookup away. *)
+let build_tree (d : Doc.t) =
   let root = bnode (-1) in
   let stack = ref (Array.make 16 root) in
-  let rec seed pre =
-    if pre > 0 then seed d.Doc.parent.(pre);
-    if pre > 0 && pre < lo && d.Doc.kind.(pre) = Doc.Element then
-      ignore (enter_element d stack pre)
-  in
-  if lo > 0 then seed d.Doc.parent.(lo);
-  for pre = lo to hi - 1 do
-    if d.Doc.kind.(pre) = Doc.Element then
-      Vec.push (enter_element d stack pre).b_pres pre
+  for pre = 0 to Doc.node_count d - 1 do
+    if d.Doc.kind.(pre) = Doc.Element then begin
+      let l = d.Doc.level.(pre) in
+      if Array.length !stack <= l then begin
+        let grown = Array.make (max (l + 1) (2 * Array.length !stack)) root in
+        Array.blit !stack 0 grown 0 (Array.length !stack);
+        stack := grown
+      end;
+      let g = child_of !stack.(l - 1) d.Doc.name.(pre) in
+      !stack.(l) <- g;
+      Vec.push g.b_pres pre
+    end
   done;
   root
-
-(* Left-to-right merge: append [src]'s pres (all greater than any pre
-   already in [dst], because chunk ranges ascend) and recurse on
-   children. *)
-let rec merge_into dst src =
-  for i = 0 to Vec.length src.b_pres - 1 do
-    Vec.push dst.b_pres (Vec.get src.b_pres i)
-  done;
-  Hashtbl.iter
-    (fun name c -> merge_into (child_of dst name) c)
-    src.b_children
 
 let rec freeze b =
   let node =
@@ -123,30 +94,15 @@ let rec freeze b =
 let rec count_paths g =
   Hashtbl.fold (fun _ c acc -> acc + count_paths c) g.Doc.g_children 1
 
-let build ?pool ~generation (d : Doc.t) =
-  let root, elapsed =
-    Timing.time (fun () ->
-        let n = Doc.node_count d in
-        let chunks =
-          match pool with
-          | Some p when Pool.jobs p > 1 ->
-              Pool.parallel_chunks p ~min_chunk:4096 ~n (fun ~chunk:_ ~lo ~hi ->
-                  build_chunk d ~lo ~hi)
-          | _ -> [| build_chunk d ~lo:0 ~hi:n |]
-        in
-        let acc = chunks.(0) in
-        for i = 1 to Array.length chunks - 1 do
-          merge_into acc chunks.(i)
-        done;
-        freeze acc)
-  in
+let build ~generation (d : Doc.t) =
+  let root, elapsed = Timing.time (fun () -> freeze (build_tree d)) in
   let paths = count_paths root - 1 in
   Metrics.incr m_builds;
   Metrics.observe m_build_seconds elapsed;
   Metrics.add m_paths paths;
   { Doc.guide_root = root; guide_paths = paths; guide_generation = generation }
 
-let get ?pool ~generation (d : Doc.t) =
+let get ~generation (d : Doc.t) =
   match Doc.dataguide_cache d with
   | Some g when g.Doc.guide_generation = generation -> g
   | _ ->
@@ -154,7 +110,7 @@ let get ?pool ~generation (d : Doc.t) =
           match Doc.dataguide_cache d with
           | Some g when g.Doc.guide_generation = generation -> g
           | _ ->
-              let g = build ?pool ~generation d in
+              let g = build ~generation d in
               Doc.publish_dataguide d g;
               g)
 

@@ -8,10 +8,9 @@
     the guide tree, instead of one axis sweep per step; the per-path
     counts drive the optimizer's cost model ({!Standoff_xquery}).
 
-    Guides build lazily on first probe, per document, under the
-    document's own index lock (double-checked publication, like
-    [Doc.elem_index]), in parallel over pre-range chunks when a pool
-    is supplied.  Staleness is governed by the caller-supplied
+    Guides build lazily on first probe, per document, in one
+    sequential pre-order pass under the document's own index lock
+    (double-checked publication, like [Doc.elem_index]).  Staleness is governed by the caller-supplied
     catalogue generation: {!get} rebuilds whenever the cached guide's
     generation differs from the document's current one, so updates
     invalidate guides exactly as they invalidate cached results.  An
@@ -25,17 +24,16 @@ type step = bool * string
     proper descendants named [n] at any depth.  These are exactly the
     semantics of [/n] and [//n] applied to downward name paths. *)
 
-(** [build ?pool ~generation d] constructs the guide in one pre-order
-    pass — chunked across [pool]'s domains when given — and stamps it
-    with [generation].  Exposed for benchmarks; query evaluation goes
-    through {!get}. *)
-val build : ?pool:Standoff_util.Pool.t -> generation:int -> Doc.t -> Doc.guide
+(** [build ~generation d] constructs the guide in one pre-order pass
+    and stamps it with [generation].  Exposed for benchmarks; query
+    evaluation goes through {!get}. *)
+val build : generation:int -> Doc.t -> Doc.guide
 
-(** [get ?pool ~generation d] is the cached guide when its stamp
-    matches [generation], else a fresh {!build} published under the
-    document's index lock.  Concurrent callers race benignly: exactly
-    one builds, the rest block and receive the published guide. *)
-val get : ?pool:Standoff_util.Pool.t -> generation:int -> Doc.t -> Doc.guide
+(** [get ~generation d] is the cached guide when its stamp matches
+    [generation], else a fresh {!build} published under the document's
+    index lock.  Concurrent callers race benignly: exactly one builds,
+    the rest block and receive the published guide. *)
+val get : generation:int -> Doc.t -> Doc.guide
 
 (** [restamp d ~from ~generation] re-stamps [d]'s cached guide with
     [generation] when it carries stamp [from], so the next {!get} at

@@ -1,19 +1,19 @@
-(* One process-wide work-stealing scheduler.  The whole process draws
-   from a single domain budget sized against
-   [Domain.recommended_domain_count ()]: at most [budget - 1] worker
-   domains ever exist, no matter how many engines, servers, or jobs
-   settings are in play.  A [t] is a lightweight *handle* whose [jobs]
-   is a per-batch max-parallelism cap, not a worker count — two
-   handles with different caps share the same workers.
+(* One process-wide scheduler.  The whole process draws from a single
+   domain budget sized against [Domain.recommended_domain_count ()]:
+   at most [budget - 1] worker domains ever exist, no matter how many
+   engines, servers, or jobs settings are in play.  A [t] is a
+   lightweight *handle* whose [jobs] is a per-batch max-parallelism
+   cap, not a worker count — two handles with different caps share
+   the same workers.
 
-   Each worker owns a deque: it pushes and pops batch runners at the
-   back (LIFO, cache-friendly for nested work) and other workers —
-   or a submitting domain waiting out its batch — steal from the
-   front.  A batch is an array of tasks plus an atomic claim counter;
-   "runners" placed in deques are just activation stubs that pull
-   tasks through the counter, so batch completion never depends on a
-   stub being executed: the submitting domain is itself a runner and
-   can always drain its batch alone.  That property is what makes the
+   A batch is an array of tasks plus an atomic claim counter.  A
+   parallel batch enters one list of open batches with [min cap n - 1]
+   helper slots (bounded by the live workers); an idle worker, or a
+   submitter waiting out its own batch, takes a slot and claims tasks
+   through the counter until none are left.  The batch leaves the list
+   when its slots or its unclaimed tasks run out.  Completion never
+   depends on a helper turning up: the submitting domain claims tasks
+   too and can drain its batch alone.  That property is what makes the
    scheduler deadlock-free under nesting, teardown, and a zero-worker
    budget alike.
 
@@ -37,10 +37,6 @@ let m_queue_wait =
   Metrics.histogram "standoff_pool_queue_wait_seconds"
     ~buckets:Metrics.duration_buckets
     ~help:"Time tasks spent queued before a domain picked them up"
-
-let m_steals_total =
-  Metrics.counter "standoff_pool_steals_total"
-    ~help:"Batch runners taken from another domain's deque"
 
 let m_cap_clamps_total =
   Metrics.counter "standoff_pool_cap_clamps_total"
@@ -76,6 +72,7 @@ type batch = {
   b_remaining : int Atomic.t;
   b_errors : exn option array;
   b_cap : int;  (** the effective cap tasks of this batch run under *)
+  mutable b_slots : int;  (** helper slots left; guarded by [sched.sm] *)
   b_m : Mutex.t;
   b_done : Condition.t;
   b_enqueued : float;  (** submit timestamp; 0.0 when metrics are off *)
@@ -91,60 +88,6 @@ let current_cap () =
   | c -> Some c
 
 (* ------------------------------------------------------------------ *)
-(* Per-worker deques                                                  *)
-
-module Deque = struct
-  (* A mutex-guarded ring: owner end is the back, thieves take the
-     front.  Contention is one short critical section per operation;
-     the arrays stay tiny (runners, not tasks, are queued). *)
-  type 'a s = {
-    m : Mutex.t;
-    mutable buf : 'a option array;
-    mutable head : int;
-    mutable len : int;
-  }
-
-  let create () =
-    { m = Mutex.create (); buf = Array.make 8 None; head = 0; len = 0 }
-
-  let grow d =
-    let n = Array.length d.buf in
-    let buf = Array.make (2 * n) None in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.((d.head + i) mod n)
-    done;
-    d.buf <- buf;
-    d.head <- 0
-
-  let push_back d x =
-    Mutex.lock d.m;
-    if d.len = Array.length d.buf then grow d;
-    d.buf.((d.head + d.len) mod Array.length d.buf) <- Some x;
-    d.len <- d.len + 1;
-    Mutex.unlock d.m
-
-  let take d ~front =
-    Mutex.lock d.m;
-    let r =
-      if d.len = 0 then None
-      else begin
-        let n = Array.length d.buf in
-        let i = if front then d.head else (d.head + d.len - 1) mod n in
-        let x = d.buf.(i) in
-        d.buf.(i) <- None;
-        if front then d.head <- (d.head + 1) mod n;
-        d.len <- d.len - 1;
-        x
-      end
-    in
-    Mutex.unlock d.m;
-    r
-
-  let pop_back d = take d ~front:false
-  let steal d = take d ~front:true
-end
-
-(* ------------------------------------------------------------------ *)
 (* The scheduler                                                      *)
 
 (* Live domains are capped at ~128 by the runtime; leave headroom for
@@ -153,17 +96,18 @@ let max_workers = 64
 
 type sched = {
   sm : Mutex.t;
-      (* guards [workers], [n_workers], [budget], [reserved], [epoch];
-         [closing] is atomic so drain loops can poll it lock-free *)
-  has_work : Condition.t;
-  mutable epoch : int;
-      (* bumped on every submission; sleepers re-scan when it moves *)
+      (* guards [workers], [n_workers], [budget], [reserved], [open_]
+         and every open batch's [b_slots]; [closing] is atomic so
+         drain loops can poll it lock-free *)
+  has_work : Condition.t;  (* signalled when a batch opens, and on park *)
   closing : bool Atomic.t;
   mutable workers : unit Domain.t list;
   mutable n_workers : int;
   mutable budget : int;
   mutable reserved : int;
-  deques : batch Deque.s array;
+  mutable open_ : batch list;
+      (* batches with a helper slot left, newest first, so a nested
+         batch is helped before the batch whose task is waiting on it *)
 }
 
 let env_budget () =
@@ -178,7 +122,6 @@ let sched =
   {
     sm = Mutex.create ();
     has_work = Condition.create ();
-    epoch = 0;
     closing = Atomic.make false;
     workers = [];
     n_workers = 0;
@@ -187,7 +130,7 @@ let sched =
       | Some n -> n
       | None -> max 1 (Domain.recommended_domain_count ()));
     reserved = 0;
-    deques = Array.init max_workers (fun _ -> Deque.create ());
+    open_ = [];
   }
 
 let domain_budget () =
@@ -264,50 +207,47 @@ let rec drive_batch ~stop_on_close b =
     end
   end
 
-(* Steal a runner from any deque, skipping [self]'s own (the owner end
-   of that one was already tried). *)
-let steal_any ~self =
-  let n = Array.length sched.deques in
-  let rec go k =
-    if k >= n then None
-    else if k = self then go (k + 1)
-    else
-      match Deque.steal sched.deques.(k) with
-      | Some b ->
-          Metrics.incr m_steals_total;
-          Some b
-      | None -> go (k + 1)
+(* Take a helper slot on the newest open batch with unclaimed tasks,
+   dropping exhausted batches on the way.  Called under [sm].  A batch
+   admits at most [min cap n - 1] helpers beside its submitter, each
+   running one of its tasks at a time, so no batch ever has more than
+   its cap in flight. *)
+let take_slot () =
+  let rec go = function
+    | [] -> ([], None)
+    | b :: rest when Atomic.get b.b_next >= Array.length b.b_tasks -> go rest
+    | b :: rest ->
+        b.b_slots <- b.b_slots - 1;
+        ((if b.b_slots = 0 then rest else b :: rest), Some b)
   in
-  go 0
+  let open_, taken = go sched.open_ in
+  sched.open_ <- open_;
+  taken
 
 let worker_loop i () =
   let busy = busy_gauge i in
   let rec find () =
     Mutex.lock sched.sm;
-    let e = sched.epoch in
-    Mutex.unlock sched.sm;
-    if Atomic.get sched.closing then ()
-    else
-      match
-        (match Deque.pop_back sched.deques.(i) with
+    let rec next () =
+      if Atomic.get sched.closing then None
+      else
+        match take_slot () with
         | Some b -> Some b
-        | None -> steal_any ~self:i)
-      with
-      | Some b ->
-          Metrics.gauge_set busy 1;
-          drive_batch ~stop_on_close:true b;
-          Metrics.gauge_set busy 0;
-          find ()
-      | None ->
-          Mutex.lock sched.sm;
-          while sched.epoch = e && not (Atomic.get sched.closing) do
-            Condition.wait sched.has_work sched.sm
-          done;
-          Mutex.unlock sched.sm;
-          if Atomic.get sched.closing then () else find ()
+        | None ->
+            Condition.wait sched.has_work sched.sm;
+            next ()
+    in
+    let b = next () in
+    Mutex.unlock sched.sm;
+    match b with
+    | None -> ()
+    | Some b ->
+        Metrics.gauge_set busy 1;
+        drive_batch ~stop_on_close:true b;
+        Metrics.gauge_set busy 0;
+        find ()
   in
-  find ();
-  Metrics.gauge_set busy 0
+  find ()
 
 (* Spawn workers up to the current target.  Called under [sm].  During
    a teardown ([closing]) nothing spawns: the submitting batch still
@@ -348,39 +288,39 @@ let run_all t tasks =
           b_remaining = Atomic.make n;
           b_errors = Array.make n None;
           b_cap = cap;
+          b_slots = 0;
           b_m = Mutex.create ();
           b_done = Condition.create ();
           b_enqueued = (if Metrics.enabled () then Unix.gettimeofday () else 0.0);
         }
       in
       Metrics.gauge_add m_queue_depth n;
-      (* Publish runner stubs: one per extra domain this batch may
-         occupy, bounded by live workers — with zero workers no stub
-         is queued and the submitter simply drains the batch alone. *)
+      (* Open the batch with one helper slot per extra domain it may
+         occupy, bounded by live workers — with zero workers it never
+         opens and the submitter simply drains it alone. *)
       Mutex.lock sched.sm;
       ensure_workers ();
-      let nw = sched.n_workers in
-      let stubs = min (min cap n - 1) nw in
-      if stubs > 0 then begin
-        (* Spread stubs from a rotating start so concurrent batches do
-           not all land on worker 0. *)
-        let start = sched.epoch mod max 1 nw in
-        for k = 0 to stubs - 1 do
-          Deque.push_back sched.deques.((start + k) mod nw) b
-        done;
-        sched.epoch <- sched.epoch + 1;
+      b.b_slots <- min (min cap n - 1) sched.n_workers;
+      let opened = b.b_slots > 0 in
+      if opened then begin
+        sched.open_ <- b :: sched.open_;
         Condition.broadcast sched.has_work
       end;
       Mutex.unlock sched.sm;
       (* The submitting domain is a runner too: it always participates
          and can finish the batch with no worker help at all. *)
       drive_batch ~stop_on_close:false b;
-      (* Tasks may still be running on workers.  Help other batches
-         while waiting (the work-conserving property nested batches
-         rely on), sleeping only when there is nothing to steal. *)
+      (* Every task is claimed, so the batch leaves the list now rather
+         than holding its tasks until some helper's scan drops it. *)
+      if opened then
+        Mutex.protect sched.sm (fun () ->
+            sched.open_ <- List.filter (fun b' -> b' != b) sched.open_);
+      (* Tasks may still be running on helpers.  Help other open
+         batches while waiting (the work-conserving property nested
+         batches rely on), sleeping only when none has a slot left. *)
       let rec wait () =
         if Atomic.get b.b_remaining > 0 then
-          match steal_any ~self:(-1) with
+          match Mutex.protect sched.sm take_slot with
           | Some b' ->
               drive_batch ~stop_on_close:false b';
               wait ()
@@ -431,10 +371,6 @@ let parallel_chunks t ?min_chunk ~n f =
       (function Some r -> r | None -> assert false (* run_all raised *))
       results
   end
-
-let map_reduce t ?min_chunk ~n ~map ~reduce init =
-  let pieces = parallel_chunks t ?min_chunk ~n (fun ~chunk:_ ~lo ~hi -> map ~lo ~hi) in
-  Array.fold_left reduce init pieces
 
 let map_array t f a =
   let n = Array.length a in

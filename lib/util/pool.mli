@@ -1,5 +1,4 @@
-(** The process-wide work-stealing scheduler for data-parallel
-    execution.
+(** The process-wide scheduler for data-parallel execution.
 
     One domain budget for the whole process, sized against
     [Domain.recommended_domain_count ()] (override with the
@@ -14,15 +13,19 @@
     making the sequential behaviour bit-identical to code that never
     heard of the scheduler.
 
-    Workers own deques and steal from each other when their own runs
-    dry; a domain waiting for its batch keeps helping (its own batch
-    first, then anything stealable), which is what makes nested
-    submission deadlock-free.  Caps inherit: a task running under a
-    batch capped at [c] that submits its own batch runs it at
-    [min c jobs'], so recursive sweeps cannot oversubscribe the budget
-    by multiplying caps.  Batch completion never depends on worker
-    availability — with a zero-worker budget the submitting domain
-    drains the batch alone.
+    A parallel batch joins one list of open batches with
+    [min cap n - 1] helper slots, bounded by the live workers.  Idle
+    workers take slots, and so does a domain waiting for its own batch
+    (which keeps helping other batches, newest first — what makes
+    nested submission deadlock-free); every domain driving a batch
+    claims its tasks through one atomic counter.  A batch leaves the
+    list when its slots or its unclaimed tasks run out, so no batch
+    ever has more than its cap of tasks in flight.  Caps inherit: a
+    task running under a batch capped at [c] that submits its own
+    batch runs it at [min c jobs'], so recursive sweeps cannot
+    oversubscribe the budget by multiplying caps.  Batch completion
+    never depends on worker availability — with a zero-worker budget
+    the submitting domain drains the batch alone.
 
     Exceptions raised by tasks are caught per task and re-raised on the
     submitting domain once the batch has drained, lowest task index
@@ -31,7 +34,7 @@
 
     Scheduler observability lives in {!Standoff_obs.Metrics}:
     [standoff_pool_tasks_total], [standoff_pool_queue_depth],
-    [standoff_pool_queue_wait_seconds], [standoff_pool_steals_total],
+    [standoff_pool_queue_wait_seconds],
     [standoff_pool_cap_clamps_total], [standoff_pool_workers], and
     per-worker [standoff_pool_worker_busy{worker="i"}] gauges. *)
 
@@ -100,18 +103,6 @@ val chunk_count : t -> ?min_chunk:int -> n:int -> unit -> int
     the call runs directly on the caller's domain. *)
 val parallel_chunks :
   t -> ?min_chunk:int -> n:int -> (chunk:int -> lo:int -> hi:int -> 'a) -> 'a array
-
-(** [map_reduce t ?min_chunk ~n ~map ~reduce init] maps chunks of
-    [0, n) in parallel and folds the chunk results left-to-right in
-    chunk order: [reduce (... (reduce init r0) ...) rk]. *)
-val map_reduce :
-  t ->
-  ?min_chunk:int ->
-  n:int ->
-  map:(lo:int -> hi:int -> 'a) ->
-  reduce:('b -> 'a -> 'b) ->
-  'b ->
-  'b
 
 (** [map_array t f a] applies [f] to every element of [a] (one task per
     element) and returns the results in input order. *)

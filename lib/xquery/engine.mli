@@ -29,9 +29,8 @@ type t
     byte-identical results for repeat runs, keyed on (plan fingerprint,
     context document, document count) and stamped with the
     catalogue's invalidation version — any [Update.*] (through
-    {!Standoff.Catalog.regions_changed}) or
-    {!Standoff.Catalog.invalidate} expires every earlier entry, so a
-    cached result can never survive an update.  Runs that construct
+    {!Standoff.Catalog.regions_changed}) expires every earlier entry,
+    so a cached result can never survive an update.  Runs that construct
     nodes are cached like any other: their bytes are exact, and their
     constructed items are run-local handles either way.
     [Cache_result] implies plan caching. *)
@@ -109,10 +108,11 @@ end
     wraps a collection.  The engine's settings are
     {!Options.override} of the other arguments over [options] (default
     {!Options.of_env}[ ()]); they never change afterwards.  See
-    {!Options.t} for what each setting does.  With [jobs] other than 1, runs submit to the process-wide
-    work-stealing scheduler ({!Standoff_util.Pool}) driving parallel
-    merge sweeps, index builds and per-document sharding; adaptive
-    runs ([jobs = 0]) scale up to
+    {!Options.t} for what each setting does.  With [jobs] other than
+    1, runs submit to the process-wide scheduler
+    ({!Standoff_util.Pool}): the loop-lifted merge sweep splits its
+    iterations into chunks, and a step over several documents runs one
+    shard per document; adaptive runs ([jobs = 0]) scale up to
     {!Standoff_util.Pool.max_parallelism}, so concurrent requests share
     the domain budget instead of each claiming a fixed slice.  Runs at
     least [slow_ms] slow are recorded in {!Standoff_obs.Slow_log}.

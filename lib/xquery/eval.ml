@@ -534,7 +534,7 @@ and eval_live env (plan : Plan.t) =
         | None ->
             let doc = Collection.doc env.coll doc_id in
             let generation = Catalog.generation env.catalog doc.Doc.doc_name in
-            let guide = Dataguide.get ?pool:env.pool ~generation doc in
+            let guide = Dataguide.get ~generation doc in
             let pres = Dataguide.lookup doc guide steps in
             Hashtbl.add per_doc doc_id pres;
             pres
@@ -1384,71 +1384,60 @@ and eval_builtin env name args =
    no-candidates form with the axis form, so only the explicit case
    lands here. *)
 and standoff_function env ?span ~strategy_choice op test ctx cand_table =
-  (* Restrict per document to the explicit candidate nodes. *)
-  let by_doc : (int, int Vec.t) Hashtbl.t = Hashtbl.create 4 in
   for r = 0 to Table.row_count cand_table - 1 do
     match Table.item_at cand_table r with
-    | Item.Node n ->
-        let v =
-          match Hashtbl.find_opt by_doc n.Collection.doc_id with
-          | Some v -> v
-          | None ->
-              let v = Vec.create () in
-              Hashtbl.add by_doc n.Collection.doc_id v;
-              v
-        in
-        Vec.push v n.Collection.pre
+    | Item.Node _ -> ()
     | item -> Err.raisef "%s: candidate is not a node" (Item.to_string item)
   done;
-  let sorted_by_doc = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun doc_id v ->
-      let ids = Vec.to_array v in
-      Array.sort compare ids;
-      Hashtbl.add sorted_by_doc doc_id ids)
-    by_doc;
-  (* Select ops: intersect with the candidate set.  Reject ops need
-     the join re-run against the candidate set, since rejecting is
-     relative to S2. *)
-  match op with
-  | Op.Select_narrow | Op.Select_wide ->
-      let unrestricted =
-        standoff_step env ?span ~strategy_choice ~pushdown:false op test ctx
+  (* Each iteration's own candidates, in document order; the select
+     join runs against every annotation and is in document order per
+     iteration like any step. *)
+  let cands = Table.distinct_doc_order cand_table in
+  let selected =
+    standoff_step env ?span ~strategy_choice ~pushdown:false (Op.select_of op)
+      test ctx
+  in
+  (* One merge per iteration: select ops keep the joined nodes that
+     are candidates of that iteration; reject ops keep the candidates
+     that are area-annotations and did not join, since
+     reject(S1, S2) = S2 minus select(S1, S2). *)
+  let keep_joined = Op.is_select op in
+  let iters = Vec.create () and items = Vec.create () in
+  let emit iter item =
+    Vec.push iters iter;
+    Vec.push items item
+  in
+  let is_annotation = function
+    | Item.Node n ->
+        let doc = Collection.doc env.coll n.Collection.doc_id in
+        Standoff.Annots.is_annotation
+          (annots_of env n.Collection.doc_id doc)
+          n.Collection.pre
+    | _ -> false
+  in
+  Array.iter
+    (fun iter ->
+      let c_lo, c_hi = Table.group_bounds cands iter
+      and s_lo, s_hi = Table.group_bounds selected iter in
+      let rec merge c s =
+        if c < c_hi then begin
+          let cand = Table.item_at cands c in
+          let order =
+            if s < s_hi then
+              Item.compare_doc_order cand (Table.item_at selected s)
+            else -1
+          in
+          if order > 0 then merge c (s + 1)
+          else begin
+            let joined = order = 0 in
+            if
+              if keep_joined then joined
+              else (not joined) && is_annotation cand
+            then emit iter cand;
+            merge (c + 1) (if joined then s + 1 else s)
+          end
+        end
       in
-      Table.filter
-        (fun item ->
-          match item with
-          | Item.Node n -> (
-              match Hashtbl.find_opt sorted_by_doc n.Collection.doc_id with
-              | Some ids -> Search.mem_sorted_int ids n.Collection.pre
-              | None -> false)
-          | _ -> false)
-        unrestricted
-  | Op.Reject_narrow | Op.Reject_wide ->
-      (* reject(S1, S2) = S2 minus select(S1, S2): compute the
-         matching semi-join and complement within S2, per
-         iteration. *)
-      let selected =
-        standoff_function env ?span ~strategy_choice (Op.select_of op) test ctx
-          cand_table
-      in
-      let rows = ref [] in
-      Array.iter
-        (fun iter ->
-          let matched = Table.sequence_of_iter selected iter in
-          List.iter
-            (fun item ->
-              (* Keep candidates that are area-annotations and did
-                 not match. *)
-              match item with
-              | Item.Node n ->
-                  let doc = Collection.doc env.coll n.Collection.doc_id in
-                  let annots = annots_of env n.Collection.doc_id doc in
-                  if
-                    Standoff.Annots.is_annotation annots n.Collection.pre
-                    && not (List.exists (Item.equal item) matched)
-                  then rows := (iter, item) :: !rows
-              | _ -> ())
-            (Table.sequence_of_iter cand_table iter))
-        env.loop;
-      Table.distinct_doc_order (Table.of_rows (List.rev !rows))
+      merge c_lo s_lo)
+    (Table.iters_present cands);
+  Table.make (Vec.to_array iters) (Vec.to_array items)

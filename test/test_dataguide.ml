@@ -7,8 +7,6 @@
 
 module Doc = Standoff_store.Doc
 module Dataguide = Standoff_store.Dataguide
-module Pool = Standoff_util.Pool
-module Catalog = Standoff.Catalog
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference: evaluate a downward name path straight off the
@@ -132,40 +130,6 @@ let test_sorted_dedup () =
     l
 
 (* ------------------------------------------------------------------ *)
-(* Parallel chunked construction agrees with the sequential build      *)
-
-let test_parallel_build () =
-  (* Big enough that an 8-way build really splits (min chunk 4096). *)
-  let xml =
-    "<site><regions>"
-    ^ String.concat ""
-        (List.init 6000 (fun i ->
-             Printf.sprintf "<item><name>n%d</name><payload/></item>" i))
-    ^ "</regions><people><person/></people></site>"
-  in
-  let d = Doc.parse ~name:"big.xml" xml in
-  let sequential = Dataguide.build ~generation:0 d in
-  let pool = Pool.create ~jobs:8 in
-  let parallel = Dataguide.build ~pool ~generation:0 d in
-  Alcotest.(check int)
-    "same path count"
-    (Dataguide.path_count sequential)
-    (Dataguide.path_count parallel);
-  List.iter
-    (fun steps ->
-      Alcotest.(check (list int))
-        "same pres"
-        (Array.to_list (Dataguide.lookup d sequential steps))
-        (Array.to_list (Dataguide.lookup d parallel steps)))
-    [
-      [ (false, "site"); (false, "regions"); (false, "item") ];
-      [ (true, "item"); (false, "name") ];
-      [ (true, "name") ];
-      [ (true, "payload") ];
-      [ (false, "site"); (true, "person") ];
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Generation-driven rebuild                                           *)
 
 let test_generation_rebuild () =
@@ -174,14 +138,9 @@ let test_generation_rebuild () =
   (* Same generation: the cached guide is served, physically. *)
   Alcotest.(check bool) "cached hit is physical" true
     (g0 == Dataguide.get ~generation:0 d);
-  (* A catalogue invalidation bumps the generation; the next probe must
-     rebuild rather than serve the stale stamp. *)
-  let cat = Catalog.create () in
-  let gen_before = Catalog.generation cat "gen.xml" in
-  Catalog.invalidate cat d;
-  let gen_after = Catalog.generation cat "gen.xml" in
-  Alcotest.(check bool) "invalidate bumps generation" true
-    (gen_after <> gen_before);
+  (* A changed generation (what every update bumps) must rebuild
+     rather than serve the stale stamp. *)
+  let gen_after = 1 in
   let g1 = Dataguide.get ~generation:gen_after d in
   Alcotest.(check bool) "stale guide not reused" true (not (g1 == g0));
   Alcotest.(check int) "rebuilt under new stamp" gen_after
@@ -236,8 +195,6 @@ let () =
             test_lookup_vs_naive;
           Alcotest.test_case "descendant results sorted and dedup'd" `Quick
             test_sorted_dedup;
-          Alcotest.test_case "parallel build agrees with sequential" `Quick
-            test_parallel_build;
           Alcotest.test_case "generation change forces rebuild" `Quick
             test_generation_rebuild;
           Alcotest.test_case "concurrent lazy build from 8 domains" `Quick

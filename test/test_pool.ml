@@ -1,8 +1,8 @@
-(* The process-wide work-stealing scheduler: one domain budget shared
-   by every handle.  Covers the regressions this design fixed — the
+(* The process-wide scheduler: one domain budget shared by every
+   handle.  Covers the regressions this design fixed — the
    teardown/submission race and the per-jobs-count worker-set leak —
-   plus cap inheritance for nested batches, budget reservation, and
-   exception propagation. *)
+   plus cap inheritance for nested batches, the cap as a bound on
+   tasks in flight, budget reservation, and exception propagation. *)
 
 module Pool = Standoff_util.Pool
 
@@ -33,26 +33,25 @@ let test_run_all_runs_each_task_once () =
             1 (Atomic.get a))
         hits)
 
-let test_map_reduce_matches_sequential () =
+let test_parallel_chunks_matches_sequential () =
   with_budget 4 (fun () ->
       let n = 10_000 in
       let expected = n * (n - 1) / 2 in
       List.iter
         (fun jobs ->
           let t = Pool.create ~jobs in
-          let sum =
-            Pool.map_reduce t ~n
-              ~map:(fun ~lo ~hi ->
+          let sums =
+            Pool.parallel_chunks t ~n (fun ~chunk:_ ~lo ~hi ->
                 let s = ref 0 in
                 for i = lo to hi - 1 do
                   s := !s + i
                 done;
                 !s)
-              ~reduce:( + ) 0
           in
           Alcotest.(check int)
             (Printf.sprintf "sum at jobs=%d" jobs)
-            expected sum)
+            expected
+            (Array.fold_left ( + ) 0 sums))
         [ 1; 2; 4; 8 ])
 
 let test_zero_worker_budget_completes () =
@@ -112,6 +111,85 @@ let test_cap_inheritance () =
         nested_obs;
       Alcotest.(check (option int)) "no cap outside any batch" None
         (Pool.current_cap ()))
+
+(* ------------------------------------------------------------------ *)
+(* The cap bounds concurrency, not just the reported cap               *)
+
+(* [tracked peaks ~label ~width ~cap body] is a batch of [width] tasks
+   that count how many of them run at once, registered in [peaks] with
+   the effective cap it must stay within. *)
+let tracked peaks ~label ~width ~cap body =
+  let in_flight = Atomic.make 0 and peak = Atomic.make 0 in
+  Mutex.protect (fst peaks) (fun () -> snd peaks := (label, cap, peak) :: !(snd peaks));
+  Array.init width (fun i () ->
+      let now = Atomic.fetch_and_add in_flight 1 + 1 in
+      let rec raise_peak () =
+        let p = Atomic.get peak in
+        if now > p && not (Atomic.compare_and_set peak p now) then raise_peak ()
+      in
+      raise_peak ();
+      Fun.protect ~finally:(fun () -> Atomic.decr in_flight) (fun () -> body i))
+
+let check_peaks peaks =
+  List.iter
+    (fun (label, cap, peak) ->
+      let p = Atomic.get peak in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d in flight <= cap %d" label p cap)
+        true
+        (p >= 1 && p <= cap))
+    !(snd peaks)
+
+let test_cap_bounds_concurrency () =
+  with_budget 8 (fun () ->
+      let peaks = (Mutex.create (), ref []) in
+      let nap _ = Unix.sleepf 0.001 in
+      (* Top-level batches. *)
+      List.iter
+        (fun jobs ->
+          Pool.run_all (Pool.create ~jobs)
+            (tracked peaks ~label:(Printf.sprintf "top jobs=%d" jobs) ~width:16
+               ~cap:jobs nap))
+        [ 2; 3; 4 ];
+      (* Nested batches: an inner jobs=8 handle clamps to the outer 3. *)
+      let inner = Pool.create ~jobs:8 in
+      Pool.run_all (Pool.create ~jobs:3)
+        (tracked peaks ~label:"outer jobs=3" ~width:6 ~cap:3 (fun i ->
+             Pool.run_all inner
+               (tracked peaks ~label:(Printf.sprintf "nested under %d" i)
+                  ~width:6 ~cap:3 nap)));
+      (* Submitters that help other batches while they wait: with one
+         worker (the rest of the budget reserved), two domains submit
+         batches of uneven tasks side by side, so one's wait overlaps
+         the other's open batch.  A task run on the other submitter's
+         domain is such a help. *)
+      let submitters = [| Atomic.make (-1); Atomic.make (-1) |] in
+      let helped = Atomic.make 0 in
+      let submit k =
+        Atomic.set submitters.(k) (Domain.self () :> int);
+        let t = Pool.create ~jobs:2 in
+        let r = ref 0 in
+        while !r < 10 || (Atomic.get helped = 0 && !r < 500) do
+          incr r;
+          Pool.run_all t
+            (tracked peaks ~label:(Printf.sprintf "submitter %d round %d" k !r)
+               ~width:4 ~cap:2 (fun i ->
+                 if (Domain.self () :> int) = Atomic.get submitters.(1 - k) then
+                   Atomic.incr helped;
+                 Unix.sleepf (if i = 0 then 0.004 else 0.001)))
+        done
+      in
+      Pool.park ();
+      Pool.reserve_domains 6;
+      Fun.protect
+        ~finally:(fun () -> Pool.release_domains 6)
+        (fun () ->
+          let other = Domain.spawn (fun () -> submit 1) in
+          submit 0;
+          Domain.join other);
+      Alcotest.(check bool) "a waiting submitter helped the other's batch" true
+        (Atomic.get helped > 0);
+      check_peaks peaks)
 
 (* ------------------------------------------------------------------ *)
 (* One worker set for the whole process (the shared-pool leak)         *)
@@ -203,15 +281,19 @@ let () =
         [
           Alcotest.test_case "each task runs once" `Quick
             test_run_all_runs_each_task_once;
-          Alcotest.test_case "map_reduce matches sequential" `Quick
-            test_map_reduce_matches_sequential;
+          Alcotest.test_case "parallel_chunks matches sequential" `Quick
+            test_parallel_chunks_matches_sequential;
           Alcotest.test_case "zero-worker budget completes" `Quick
             test_zero_worker_budget_completes;
           Alcotest.test_case "error propagation" `Quick test_error_propagation;
         ] );
       ( "caps",
-        [ Alcotest.test_case "nested batches inherit the cap" `Quick
-            test_cap_inheritance ] );
+        [
+          Alcotest.test_case "nested batches inherit the cap" `Quick
+            test_cap_inheritance;
+          Alcotest.test_case "the cap bounds tasks in flight" `Quick
+            test_cap_bounds_concurrency;
+        ] );
       ( "budget",
         [
           Alcotest.test_case "one worker set, bounded by budget" `Quick

@@ -391,6 +391,43 @@ let test_standoff_function_form () =
        "for $s in select-narrow(doc(\"figure1.xml\")//music[@artist = \"U2\"])\
         /self::shot return string($s/@id)")
 
+let test_standoff_function_form_per_iteration () =
+  (* Each iteration's candidate sequence restricts only that
+     iteration's result: the candidates of one must not leak into
+     another. *)
+  let coll = Collection.create () in
+  ignore
+    (Collection.load_string coll ~name:"t.xml"
+       "<r><a id=\"A\" start=\"0\" end=\"10\"/>\
+        <b id=\"B1\" start=\"1\" end=\"2\"/>\
+        <c id=\"C1\" start=\"3\" end=\"4\"/></r>");
+  let e = Engine.create coll in
+  List.iter
+    (fun strategy ->
+      let check name expected q =
+        Alcotest.(check string)
+          (Printf.sprintf "%s under %s" name (Config.strategy_to_string strategy))
+          expected
+          (Engine.run e ~strategy q).Engine.serialized
+      in
+      check "empty candidates in one iteration" "1 0"
+        "for $i in (1, 2) return count(select-narrow(doc(\"t.xml\")//a, \
+         if ($i = 1) then doc(\"t.xml\")//b else ()))";
+      List.iter
+        (fun op ->
+          check op "B1 C1"
+            (Printf.sprintf
+               "for $i in (1, 2) return string-join(for $x in %s(doc(\"t.xml\")//a, \
+                if ($i = 1) then doc(\"t.xml\")//b else doc(\"t.xml\")//c) \
+                return string($x/@id), \",\")"
+               op))
+        [ "select-narrow"; "select-wide" ];
+      check "reject-narrow per iteration" "C1 "
+        "for $i in (1, 2) return string-join(for $x in \
+         reject-narrow(if ($i = 1) then doc(\"t.xml\")//b else doc(\"t.xml\")//a, \
+         doc(\"t.xml\")//c) return string($x/@id), \",\")")
+    Config.all_strategies
+
 let test_standoff_option_renaming () =
   let coll = Collection.create () in
   ignore
@@ -711,6 +748,8 @@ let () =
           Alcotest.test_case "all strategies" `Quick
             test_standoff_axes_all_strategies;
           Alcotest.test_case "function form" `Quick test_standoff_function_form;
+          Alcotest.test_case "function form keeps per-iteration candidates"
+            `Quick test_standoff_function_form_per_iteration;
           Alcotest.test_case "option renaming" `Quick
             test_standoff_option_renaming;
           Alcotest.test_case "region elements" `Quick
