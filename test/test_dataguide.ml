@@ -130,6 +130,37 @@ let test_sorted_dedup () =
     l
 
 (* ------------------------------------------------------------------ *)
+(* Thousands of elements per label path: each path's pre vector must
+   grow many times without losing, reordering or misfiling a pre.      *)
+
+let test_large_build () =
+  let xml =
+    "<site><regions>"
+    ^ String.concat ""
+        (List.init 3000 (fun i ->
+             Printf.sprintf "<item><name>n%d</name><payload/></item>" i))
+    ^ "</regions><people><person/></people></site>"
+  in
+  let d = Doc.parse ~name:"big.xml" xml in
+  let g = Dataguide.build ~generation:0 d in
+  Alcotest.(check int) "path count" (naive_path_count d)
+    (Dataguide.path_count g);
+  List.iter
+    (fun steps ->
+      let expected = naive d steps in
+      Alcotest.(check (list int)) "lookup" expected
+        (Array.to_list (Dataguide.lookup d g steps));
+      Alcotest.(check int) "count" (List.length expected)
+        (Dataguide.count d g steps))
+    [
+      [ (false, "site"); (false, "regions"); (false, "item") ];
+      [ (true, "item"); (false, "name") ];
+      [ (true, "name") ];
+      [ (true, "payload") ];
+      [ (false, "site"); (true, "person") ];
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Generation-driven rebuild                                           *)
 
 let test_generation_rebuild () =
@@ -195,6 +226,8 @@ let () =
             test_lookup_vs_naive;
           Alcotest.test_case "descendant results sorted and dedup'd" `Quick
             test_sorted_dedup;
+          Alcotest.test_case "large document build vs naive reference" `Quick
+            test_large_build;
           Alcotest.test_case "generation change forces rebuild" `Quick
             test_generation_rebuild;
           Alcotest.test_case "concurrent lazy build from 8 domains" `Quick

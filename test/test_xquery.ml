@@ -748,14 +748,14 @@ let () =
           Alcotest.test_case "all strategies" `Quick
             test_standoff_axes_all_strategies;
           Alcotest.test_case "function form" `Quick test_standoff_function_form;
-          Alcotest.test_case "function form keeps per-iteration candidates"
-            `Quick test_standoff_function_form_per_iteration;
           Alcotest.test_case "option renaming" `Quick
             test_standoff_option_renaming;
           Alcotest.test_case "region elements" `Quick
             test_standoff_region_elements;
           Alcotest.test_case "figure 2 UDF" `Quick test_udf_figure2;
           Alcotest.test_case "figure 3 UDF" `Quick test_udf_figure3;
+          Alcotest.test_case "function form keeps per-iteration candidates"
+            `Quick test_standoff_function_form_per_iteration;
           Alcotest.test_case "extension builtins" `Quick
             test_standoff_builtins;
           Alcotest.test_case "blob snippets" `Quick test_standoff_snippet;
