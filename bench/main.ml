@@ -1606,7 +1606,7 @@ let bench_persist ?(updates = 5000) ?(sweep = [ 1000; 5000; 10_000 ]) ?json ()
   in
   let cfg = Config.default in
   (* One acknowledged update through the durable path: validate + apply
-     against the store, then log — exactly the server's write path. *)
+     against the store, then log — exactly the engine's write path. *)
   let apply_and_log dur cat d words k =
     let pre = words.(k mod Array.length words) in
     let region = Region.make_int (k * 7 mod 90_000) ((k * 7 mod 90_000) + 40) in
@@ -1867,15 +1867,16 @@ let bench_ingest ?(docs = 40) ?json () =
         (Printf.sprintf "ingest probe answered %S (expected %s)" got expected)
   in
   (* One timed run: open a durable store (fsync on every record, the
-     server's acknowledged-write policy), wire the engine's durability
-     hook, then load all documents — one Engine.ingest per document or
-     a single batched call — probing after each load. *)
+     server's acknowledged-write policy), create the engine over it,
+     then load all documents — one Engine.ingest per document or a
+     single batched call — probing after each load. *)
   let run ~batched dir =
     let inputs = convert_all () in
     let dur, _ = Durable.open_dir ~policy:Wal.Always ~seed dir in
     let coll = Durable.collection dur in
-    let eng = Engine.create ~jobs:1 ~cache:Engine.Cache_result coll in
-    Engine.set_on_update eng (Some (fun op -> ignore (Durable.log dur op)));
+    let eng =
+      Engine.create ~jobs:1 ~cache:Engine.Cache_result ~durable:dur coll
+    in
     (* Warm the base doc's region index and the probe plan off-clock. *)
     check_probe eng;
     let (), t =

@@ -221,7 +221,7 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
               dir;
           (Some d, Standoff.Durable.collection d)
     in
-    let engine = Engine.create ~options coll in
+    let engine = Engine.create ~options ?durable coll in
     Flags.report_slow_queries options;
     let module Pool = Standoff_util.Pool in
     let jobs_label =
@@ -245,21 +245,17 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
       (Collection.doc_count coll);
     (* Ready only after the banner, so a readiness probe that succeeds
        can rely on it being in the log. *)
-    Server.install_engine server ?durable engine;
+    Server.install_engine server engine;
     while not (Atomic.get stop_requested) do
       Thread.delay 0.1
     done;
     Printf.printf "standoff-server: shutting down (grace %gs)...\n%!" grace;
     Server.stop server;
-    (* Workers are gone: no writer can race the final compaction. *)
     (match durable with
-    | Some d ->
-        if Standoff.Durable.dirty d then
-          Printf.printf "standoff-server: writing shutdown snapshot\n%!";
-        Standoff.Durable.close
-          ~generation:(Standoff.Catalog.version (Engine.catalog engine))
-          d
-    | None -> ());
+    | Some d when Standoff.Durable.dirty d ->
+        Printf.printf "standoff-server: writing shutdown snapshot\n%!"
+    | _ -> ());
+    (* Writes that snapshot, closes the WAL and parks the pool. *)
     Engine.shutdown engine;
     Printf.printf "standoff-server: drained, bye\n%!";
     exit 0

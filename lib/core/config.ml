@@ -67,7 +67,12 @@ let strategy_of_string = function
   | "udf-cand" -> Udf_candidates
   | "basic" -> Basic_merge
   | "loop-lifted" -> Loop_lifted
-  | s -> invalid_arg (Printf.sprintf "Config.strategy_of_string: %S" s)
+  | s ->
+      invalid_arg
+        (Printf.sprintf
+           "unknown strategy %S (expected udf-nocand, udf-cand, basic or \
+            loop-lifted)"
+           s)
 
 let strategy_to_string = function
   | Udf_no_candidates -> "udf-nocand"

@@ -169,8 +169,6 @@ let open_dir ?(policy = Wal.Always) ?(snapshot_every = 0) ?(keep = 2) ?seed dir
     } )
 
 let collection t = t.coll
-let dir t = t.dir
-let fsync_policy t = t.policy
 
 let log t op =
   locked t (fun () ->
@@ -180,8 +178,8 @@ let log t op =
       lsn)
 
 (* Snapshot + WAL reset.  The caller must hold whatever writer
-   exclusion protects the collection (the server's write lock): the
-   collection is encoded here and must not move underneath us. *)
+   exclusion protects the collection (the engine's exclusive lock):
+   the collection is encoded here and must not move underneath us. *)
 let snapshot t ~generation =
   locked t (fun () ->
       if t.closed then invalid_arg "Durable.snapshot: store is closed";

@@ -9,7 +9,9 @@
     Ordering contract with callers: apply the update to the in-memory
     collection first, then {!log} it — so every WAL record is an
     operation that validated against this store, and replay cannot hit
-    an [Invalid_argument] that the live path did not. *)
+    an [Invalid_argument] that the live path did not.  The query engine
+    ([Standoff_xquery.Engine.create ~durable]) keeps it, under its
+    exclusive lock. *)
 
 exception Recovery_error of string
 (** The WAL and the base state disagree (record names an unknown
@@ -43,8 +45,6 @@ val open_dir :
     @raise Recovery_error when replay does not fit the base state. *)
 
 val collection : t -> Standoff_store.Collection.t
-val dir : t -> string
-val fsync_policy : t -> Standoff_store.Wal.fsync_policy
 
 val log : t -> Standoff_store.Wal.op -> int
 (** Appends one already-applied update to the WAL and returns its LSN.
@@ -54,8 +54,9 @@ val log : t -> Standoff_store.Wal.op -> int
 val snapshot : t -> generation:int -> string
 (** Writes a snapshot of the current collection, resets the WAL, and
     prunes old snapshot files; returns the new snapshot's path.
-    [generation] is the catalog version stamp.  The caller must hold
-    its writer lock: the collection is encoded in place. *)
+    [generation] is the catalog version stamp.  The collection is
+    encoded in place, so the engine calls it under its exclusive lock
+    ([Standoff_xquery.Engine.snapshot]). *)
 
 val maybe_snapshot : t -> generation:int -> string option
 (** Runs {!snapshot} iff [snapshot_every] updates have been logged

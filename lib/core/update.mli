@@ -24,8 +24,9 @@
 
     The patch mutates index arrays that queries read without a lock, so
     every update must run under write exclusion: no query on the
-    collection may run concurrently (the server's [Rw_lock.write], the
-    engine's update contract). *)
+    collection may run concurrently.  [Standoff_xquery.Engine]'s
+    update entry points provide it with the exclusive side of the
+    engine's readers–writer lock. *)
 
 (** [set_region cat config doc ~pre region] rewrites the [start]/[end]
     attributes of annotation [pre] under [config]'s names and patches

@@ -188,13 +188,15 @@ let count_response t code =
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 
+(* [?ready=] takes the engine's switch spellings, as every other
+   boolean parameter does; anything else is a 400. *)
 let wants_ready req =
   match Http.param req "ready" with
   | None -> false
   | Some v -> (
-      match String.lowercase_ascii (String.trim v) with
-      | "off" | "0" | "false" | "no" -> false
-      | _ -> true)
+      try Standoff_xquery.Engine.Options.bool_of_string v
+      with Invalid_argument _ ->
+        raise (Http.Bad_request (Printf.sprintf "malformed ready=%S" v)))
 
 (* Liveness (bare GET /healthz) answers 200 for as long as the process
    serves HTTP at all; readiness (?ready=1) is the signal a router or

@@ -103,6 +103,9 @@ val running : t -> bool
     - [routes]: the endpoints; [GET /healthz] is added in front of
       them.  [not_ready ()] is [None] when [/healthz?ready=1] should
       answer 200 ["ready"], [Some why] for a 503 saying [why].
+      [?ready=] takes any
+      {!Standoff_xquery.Engine.Options.bool_of_string} spelling (off
+      means the liveness answer); another value is a 400.
     - [gate]: consulted after the bearer gate and before dispatch; a
       [Some reply] answers the request in place of its route.
     - [admit fd]: the admission policy.  It takes ownership of an

@@ -12,7 +12,6 @@ module Serializer = Standoff_xml.Serializer
 module Convert = Standoff_convert.Convert
 module Config = Standoff.Config
 module Catalog = Standoff.Catalog
-module Durable = Standoff.Durable
 module Region = Standoff_interval.Region
 module Pool = Standoff_util.Pool
 
@@ -26,67 +25,6 @@ let m_queue_depth =
 let m_in_flight =
   Metrics.gauge "standoff_server_in_flight"
     ~help:"Connections currently being served by a worker"
-
-(* ------------------------------------------------------------------ *)
-(* A writer-preferring readers-writer lock.  Queries, node-constructing
-   ones included, take the shared side; updates, ingests and snapshots
-   the exclusive one.
-   Writer preference keeps a stream of cheap cached queries from
-   starving an update indefinitely. *)
-
-module Rw_lock = struct
-  type t = {
-    m : Mutex.t;
-    readable : Condition.t;
-    writable : Condition.t;
-    mutable readers : int;
-    mutable writing : bool;
-    mutable waiting_writers : int;
-  }
-
-  let create () =
-    {
-      m = Mutex.create ();
-      readable = Condition.create ();
-      writable = Condition.create ();
-      readers = 0;
-      writing = false;
-      waiting_writers = 0;
-    }
-
-  let read t f =
-    Mutex.lock t.m;
-    while t.writing || t.waiting_writers > 0 do
-      Condition.wait t.readable t.m
-    done;
-    t.readers <- t.readers + 1;
-    Mutex.unlock t.m;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock t.m;
-        t.readers <- t.readers - 1;
-        if t.readers = 0 then Condition.signal t.writable;
-        Mutex.unlock t.m)
-      f
-
-  let write t f =
-    Mutex.lock t.m;
-    t.waiting_writers <- t.waiting_writers + 1;
-    while t.writing || t.readers > 0 do
-      Condition.wait t.writable t.m
-    done;
-    t.waiting_writers <- t.waiting_writers - 1;
-    t.writing <- true;
-    Mutex.unlock t.m;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock t.m;
-        t.writing <- false;
-        Condition.broadcast t.readable;
-        Condition.signal t.writable;
-        Mutex.unlock t.m)
-      f
-end
 
 (* ------------------------------------------------------------------ *)
 (* The bounded admission queue.  [try_push] never blocks — a full
@@ -190,15 +128,11 @@ type t = {
       (* replaced once by [install_engine] on a deferred boot; the
          [ready] atomic set after it provides the synchronization, so
          no worker dereferences the placeholder past installation *)
-  mutable durable : Durable.t option;
-      (* durability coordinator; [None] means purely in-memory (no
-         --data-dir), in which case /admin/snapshot answers 409 *)
   ready : bool Atomic.t;
       (* readiness: false between [create_deferred] and
          [install_engine] — the WAL-replay window — during which
          engine-backed endpoints answer 503 and [/healthz?ready=1]
          reports "recovering" *)
-  lock : Rw_lock.t;
   listener : Listener.t;
   queue : Unix.file_descr Bqueue.t;
   mutable workers : unit Domain.t list;
@@ -211,7 +145,6 @@ type t = {
   next_request : int Atomic.t;
 }
 
-let engine t = t.eng
 let port t = Listener.port t.listener
 let workers t = t.cfg.workers
 let running t = Listener.running t.listener
@@ -228,9 +161,7 @@ let make ?(config = default_config) ~ready eng =
   {
     cfg = config;
     eng;
-    durable = None;
     ready = Atomic.make ready;
-    lock = Rw_lock.create ();
     listener =
       Listener.create ~name:"server" ~host:config.host ~port:config.port;
     queue = Bqueue.create config.queue_capacity;
@@ -241,21 +172,7 @@ let make ?(config = default_config) ~ready eng =
     next_request = Atomic.make 0;
   }
 
-(* Point the engine's durability hook at the WAL: every successful
-   in-place update flows through it, and under the Always policy the
-   record is on disk before the HTTP response is written — so an
-   acknowledged update survives any crash. *)
-let wire_durability eng durable =
-  match durable with
-  | Some d ->
-      Engine.set_on_update eng (Some (fun op -> ignore (Durable.log d op)))
-  | None -> ()
-
-let create ?config ?durable eng =
-  wire_durability eng durable;
-  let t = make ?config ~ready:true eng in
-  t.durable <- durable;
-  t
+let create ?config eng = make ?config ~ready:true eng
 
 (* Deferred boot: bind and serve before the store is recovered.  Every
    engine-backed endpoint answers 503 and [/healthz?ready=1] says
@@ -265,13 +182,11 @@ let create ?config ?durable eng =
 let create_deferred ?config () =
   make ?config ~ready:false (Engine.create (Collection.create ()))
 
-let install_engine t ?durable eng =
+let install_engine t eng =
   if Atomic.get t.ready then
     invalid_arg "Standoff_server.Server.install_engine: already installed";
-  wire_durability eng durable;
   t.eng <- eng;
-  t.durable <- durable;
-  (* The atomic store publishes the plain field writes above: a worker
+  (* The atomic store publishes the plain field write above: a worker
      observing [ready = true] sees the installed engine. *)
   Atomic.set t.ready true
 
@@ -283,41 +198,6 @@ let json_error = Listener.json_error
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
-
-(* An optional '-' then ASCII digits, the strictness
-   [Http.content_length] applies to its header: [int_of_string] would
-   also take "0x10", "1_0", "+5", "0b11" or "0u5".  No trimming either,
-   since a query string's '+' decodes to a space.  Once only decimal
-   digits are left, [of_string] fails exactly on overflow. *)
-let decimal_param of_string req name =
-  match Http.param req name with
-  | None -> None
-  | Some v -> (
-      let digits =
-        if String.starts_with ~prefix:"-" v then
-          String.sub v 1 (String.length v - 1)
-        else v
-      in
-      let decimal =
-        digits <> ""
-        && String.for_all (function '0' .. '9' -> true | _ -> false) digits
-      in
-      match if decimal then of_string v else None with
-      | Some n -> Some n
-      | None ->
-          raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
-
-let int_param = decimal_param int_of_string_opt
-let int64_param = decimal_param Int64.of_string_opt
-
-let float_param req name =
-  match Http.param req name with
-  | None -> None
-  | Some v -> (
-      match float_of_string_opt (String.trim v) with
-      | Some f -> Some f
-      | None ->
-          raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
 
 let require what = function
   | Some v -> v
@@ -335,6 +215,17 @@ let setting_param parse req name =
         raise (Http.Bad_request (Printf.sprintf "malformed %s=%S" name v)))
 
 let strategy_param req = setting_param Config.strategy_of_string req "strategy"
+
+(* [Engine.Options.decimal] does not trim: a query string's '+'
+   decodes to a space, and " 5" must stay a 400. *)
+let int_param = setting_param (Engine.Options.decimal int_of_string_opt "")
+let int64_param = setting_param (Engine.Options.decimal Int64.of_string_opt "")
+
+let float_param =
+  setting_param (fun v ->
+      match float_of_string_opt (String.trim v) with
+      | Some f -> f
+      | None -> invalid_arg v)
 
 (* [?dataguide=off] prepares this request without the DataGuide path
    index (no collapse rewrite, name-count statistics) — a pure
@@ -420,29 +311,22 @@ let handle_query t req =
           json_error ~request_id 500 "internal server error"
     in
     try
-      (* Prepare and run under the shared lock: preparing reads
-         collection statistics, and a run only reads the collection
-         (its constructed nodes live in its own arena). *)
       let prepared =
-        Rw_lock.read t.lock (fun () ->
-            Engine.prepare t.eng ?strategy ?dataguide ~trace req.Http.body)
+        Engine.prepare t.eng ?strategy ?dataguide ~trace req.Http.body
       in
       if stream then
         (* The run happens lazily inside the stream body, so evaluation
            errors raised before the first emitted byte still downgrade
            to ordinary buffered error replies via [on_error]; a failure
            after it aborts the chunk stream, which is the truncation
-           signal.  The lock is held across the emit loop: region reads
-           must not interleave with updates, exactly as on the buffered
-           path. *)
+           signal. *)
         let sf emit =
-          Rw_lock.read t.lock (fun () ->
-              ignore
-                (Engine.run_prepared t.eng ~deadline ?context_doc ~use_cache
-                   ?jobs ~emit ~trace prepared);
-              (* The buffered path appends one newline; keep the bytes
-                 identical. *)
-              emit "\n")
+          ignore
+            (Engine.run_prepared t.eng ~deadline ?context_doc ~use_cache ?jobs
+               ~emit ~trace prepared);
+          (* The buffered path appends one newline; keep the bytes
+             identical. *)
+          emit "\n"
         in
         {
           Listener.status = 200;
@@ -452,9 +336,8 @@ let handle_query t req =
         }
       else
         let result =
-          Rw_lock.read t.lock (fun () ->
-              Engine.run_prepared t.eng ~deadline ?context_doc ~use_cache
-                ?jobs ~trace prepared)
+          Engine.run_prepared t.eng ~deadline ?context_doc ~use_cache ?jobs
+            ~trace prepared
         in
         let cache_attr =
           match result.Engine.trace with
@@ -470,86 +353,69 @@ let handle_query t req =
         query_error exn
 
 (* The update endpoint: the region mutations of [Standoff.Update],
-   exposed over the wire.  Always exclusive: an in-place attribute
-   rewrite must never race an evaluation reading the same document. *)
+   exposed over the wire.  The engine runs each one exclusively and,
+   on a durable engine, has its WAL record on disk (per the fsync
+   policy) before it returns — so by the time the 200 below is built,
+   an [--fsync always] server has the update on disk.  The reply's
+   [generation] and [version] are read after that call: under
+   concurrent writers they may already include a later update. *)
 let handle_update t req =
   let request_id = fresh_request_id t in
   let doc_name = require "doc parameter" (Http.param req "doc") in
-  (* The annotation vocabulary defaults to start=/end= attributes; the
-     caller can rename via ?start-attr= / ?end-attr= / ?type-attr=. *)
-  let config =
-    List.fold_left
-      (fun cfg (param, opt) ->
-        match Http.param req param with
-        | Some value -> Config.set_option cfg ~name:opt ~value
-        | None -> cfg)
-      Config.default
-      [ ("start-attr", "start"); ("end-attr", "end"); ("type-attr", "type") ]
-  in
   let op = Option.value ~default:"set-region" (Http.param req "op") in
-  Rw_lock.write t.lock (fun () ->
-      match Collection.doc_id_of_name (Engine.collection t.eng) doc_name with
-      | None -> json_error ~request_id 404 ("document not found: " ^ doc_name)
-      | Some doc_id -> (
-          let doc = Collection.doc (Engine.collection t.eng) doc_id in
-          let cat = Engine.catalog t.eng in
-          try
-            (* The engine wrappers apply the update and, on success,
-               feed its WAL record to the durability hook — so by the
-               time we build the 200 below, an [--fsync always] server
-               has the record on disk. *)
-            let detail =
-              match op with
-              | "set-region" | "set" ->
-                  let pre = require "pre parameter" (int_param req "pre") in
-                  let start =
-                    require "start parameter" (int64_param req "start")
-                  in
-                  let end_ =
-                    require "end parameter" (int64_param req "end")
-                  in
-                  Engine.set_region t.eng config doc ~pre
-                    (Region.make start end_);
-                  Printf.sprintf "\"op\": \"set-region\", \"pre\": %d" pre
-              | "shift" ->
-                  let from =
-                    require "from parameter" (int64_param req "from")
-                  in
-                  let by = require "by parameter" (int64_param req "by") in
-                  let moved =
-                    Engine.shift_annotations t.eng config doc ~from ~by
-                  in
-                  Printf.sprintf "\"op\": \"shift\", \"moved\": %d" moved
-              | op ->
-                  raise (Http.Bad_request (Printf.sprintf "unknown op=%S" op))
-            in
-            (* Periodic compaction rides the update path: we already
-               hold the writer lock, which [Durable.snapshot] requires. *)
-            (match t.durable with
-            | Some d ->
-                ignore
-                  (Durable.maybe_snapshot d ~generation:(Catalog.version cat))
-            | None -> ());
-            json_reply 200
-              ~headers:[ ("X-Request-Id", request_id) ]
-              (Printf.sprintf
-                 "{\"ok\": true, %s, \"doc\": \"%s\", \"generation\": %d, \
-                  \"version\": %d, \"durable\": %b}\n"
-                 detail
-                 (Metrics.json_escape doc_name)
-                 (Catalog.generation cat doc_name)
-                 (Catalog.version cat)
-                 (t.durable <> None))
-          with Invalid_argument msg -> json_error ~request_id 400 msg))
+  let coll = Engine.collection t.eng in
+  match Collection.doc_id_of_name coll doc_name with
+  | None -> json_error ~request_id 404 ("document not found: " ^ doc_name)
+  | Some doc_id -> (
+      let doc = Collection.doc coll doc_id in
+      try
+        (* The annotation vocabulary defaults to start=/end= attributes;
+           the caller can rename via ?start-attr= / ?end-attr= /
+           ?type-attr= (a malformed name is a 400, below). *)
+        let config =
+          List.fold_left
+            (fun cfg (param, opt) ->
+              match Http.param req param with
+              | Some value -> Config.set_option cfg ~name:opt ~value
+              | None -> cfg)
+            Config.default
+            [ ("start-attr", "start"); ("end-attr", "end"); ("type-attr", "type") ]
+        in
+        let detail =
+          match op with
+          | "set-region" | "set" ->
+              let pre = require "pre parameter" (int_param req "pre") in
+              let start = require "start parameter" (int64_param req "start") in
+              let end_ = require "end parameter" (int64_param req "end") in
+              Engine.set_region t.eng config doc ~pre (Region.make start end_);
+              Printf.sprintf "\"op\": \"set-region\", \"pre\": %d" pre
+          | "shift" ->
+              let from = require "from parameter" (int64_param req "from") in
+              let by = require "by parameter" (int64_param req "by") in
+              let moved = Engine.shift_annotations t.eng config doc ~from ~by in
+              Printf.sprintf "\"op\": \"shift\", \"moved\": %d" moved
+          | op -> raise (Http.Bad_request (Printf.sprintf "unknown op=%S" op))
+        in
+        let cat = Engine.catalog t.eng in
+        json_reply 200
+          ~headers:[ ("X-Request-Id", request_id) ]
+          (Printf.sprintf
+             "{\"ok\": true, %s, \"doc\": \"%s\", \"generation\": %d, \
+              \"version\": %d, \"durable\": %b}\n"
+             detail
+             (Metrics.json_escape doc_name)
+             (Catalog.generation cat doc_name)
+             (Catalog.version cat) (Engine.durable t.eng))
+      with Invalid_argument msg -> json_error ~request_id 400 msg)
 
 (* Bulk ingestion: with [?name=], the whole body is one XML document
    of that name; without it, the body is a sequence of frames
    ({!Http.iter_frames}).  Each part is parsed, converted and shredded
-   as the scan reaches it — all before the write lock is taken, so
-   concurrent queries keep flowing while a batch is prepared.  The
-   batch then goes through [Engine.ingest] in one exclusive section:
-   one region-index and DataGuide build per document, one catalogue
-   version bump, one WAL record. *)
+   as the scan reaches it — all before [Engine.ingest] takes the write
+   lock, so concurrent queries keep flowing while a batch is prepared.
+   The engine then adds the batch in one exclusive section: one
+   region-index and DataGuide build per document, one catalogue version
+   bump, one WAL record. *)
 let handle_ingest t req =
   let request_id = fresh_request_id t in
   let convert =
@@ -579,52 +445,42 @@ let handle_ingest t req =
       json_error ~request_id 400
         (Printf.sprintf "parse error at line %d, col %d: %s" line col msg)
   | exception Invalid_argument msg -> json_error ~request_id 400 msg
-  | () ->
+  | () -> (
       let docs = List.rev !docs and blobs = List.rev !blobs in
-      Rw_lock.write t.lock (fun () ->
-          let cat = Engine.catalog t.eng in
-          try
-            let n = Engine.ingest t.eng docs blobs in
-            (match t.durable with
-            | Some d ->
-                ignore
-                  (Durable.maybe_snapshot d ~generation:(Catalog.version cat))
-            | None -> ());
-            json_reply 200
-              ~headers:[ ("X-Request-Id", request_id) ]
-              (Printf.sprintf
-                 "{\"ok\": true, \"ingested\": %d, \"docs\": [%s], \
-                  \"version\": %d, \"durable\": %b}\n"
-                 n
-                 (String.concat ", "
-                    (List.map
-                       (fun (d : Doc.t) ->
-                         Printf.sprintf "\"%s\""
-                           (Metrics.json_escape d.Doc.doc_name))
-                       docs))
-                 (Catalog.version cat)
-                 (t.durable <> None))
-          with Invalid_argument msg ->
-            (* Engine.ingest validates the whole batch before touching
-               anything, so a name conflict rejects it atomically. *)
-            json_error ~request_id 409 msg)
-
-(* Operator-triggered compaction: snapshot now, under the writer lock.
-   409 when the server runs without a data directory. *)
-let handle_snapshot t _req =
-  let request_id = fresh_request_id t in
-  match t.durable with
-  | None ->
-      json_error ~request_id 409 "server is running without --data-dir"
-  | Some d ->
-      Rw_lock.write t.lock (fun () ->
-          let generation = Catalog.version (Engine.catalog t.eng) in
-          let path = Durable.snapshot d ~generation in
+      match Engine.ingest t.eng docs blobs with
+      | n ->
           json_reply 200
             ~headers:[ ("X-Request-Id", request_id) ]
             (Printf.sprintf
-               "{\"ok\": true, \"snapshot\": \"%s\", \"generation\": %d}\n"
-               (Metrics.json_escape path) generation))
+               "{\"ok\": true, \"ingested\": %d, \"docs\": [%s], \
+                \"version\": %d, \"durable\": %b}\n"
+               n
+               (String.concat ", "
+                  (List.map
+                     (fun (d : Doc.t) ->
+                       Printf.sprintf "\"%s\""
+                         (Metrics.json_escape d.Doc.doc_name))
+                     docs))
+               (Catalog.version (Engine.catalog t.eng))
+               (Engine.durable t.eng))
+      | exception Invalid_argument msg ->
+          (* Engine.ingest validates the whole batch before touching
+             anything, so a name conflict rejects it atomically. *)
+          json_error ~request_id 409 msg)
+
+(* Operator-triggered compaction: the engine snapshots under its
+   writer lock.  409 when the server runs without a data directory. *)
+let handle_snapshot t _req =
+  let request_id = fresh_request_id t in
+  match Engine.snapshot t.eng with
+  | None -> json_error ~request_id 409 "server is running without --data-dir"
+  | Some path ->
+      json_reply 200
+        ~headers:[ ("X-Request-Id", request_id) ]
+        (Printf.sprintf
+           "{\"ok\": true, \"snapshot\": \"%s\", \"generation\": %d}\n"
+           (Metrics.json_escape path)
+           (Catalog.version (Engine.catalog t.eng)))
 
 let handle_explain t req =
   let text =
@@ -637,9 +493,8 @@ let handle_explain t req =
   let optimize = setting_param Engine.Options.bool_of_string req "optimize" in
   let dataguide = dataguide_param req in
   try
-    Rw_lock.read t.lock (fun () ->
-        text_reply 200
-          (Engine.explain t.eng ?strategy ?optimize ?dataguide text ^ "\n"))
+    text_reply 200
+      (Engine.explain t.eng ?strategy ?optimize ?dataguide text ^ "\n")
   with
   | Err.Error msg -> json_error 400 msg
   | Lexer.Syntax_error { line; col; msg } ->

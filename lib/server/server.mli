@@ -3,7 +3,9 @@
     domains and a bounded admission queue — no dependencies beyond the
     stdlib.  The socket side (accept, read, auth, dispatch, reply) is
     {!Listener}; this module supplies the routes, the readiness signal
-    and the admission policy.
+    and the admission policy.  It parses requests, calls the engine and
+    writes replies: the engine owns the readers–writer lock and the
+    durable store, so the server holds neither.
 
     Endpoints:
     - [POST /query] — XQuery text in the body; knobs as query
@@ -30,19 +32,27 @@
       [?doc=NAME&pre=N&start=S&end=E] rewrites one annotation's region;
       [?doc=NAME&op=shift&from=F&by=B] shifts annotations.  Integer
       parameters are an optional [-] then decimal digits that fit the
-      type; anything else is a 400.  Runs under the exclusive side of
-      the server's readers–writer lock and ends in
-      {!Standoff.Catalog.regions_changed}, which bumps the generation
-      and the catalogue version (so concurrent queries can never
-      observe a stale cached result) and patches the document's
-      region index and DataGuide forward under that lock.  When the
-      server was created with a durability coordinator, the update's
-      WAL record is on disk
-      (per the fsync policy) before the 200 is written, and every
-      [snapshot-every] updates a compacting snapshot is taken in-line.
-    - [POST /admin/snapshot] — operator-triggered compaction: write a
-      snapshot and reset the WAL, under the writer lock.  [409] when
-      the server runs without a data directory.
+      type; anything else is a 400.  Runs through
+      {!Standoff_xquery.Engine.set_region} /
+      {!Standoff_xquery.Engine.shift_annotations}: exclusive with every
+      query, ending in {!Standoff.Catalog.regions_changed}, which bumps
+      the generation and the catalogue version (so concurrent queries
+      can never observe a stale cached result) and patches the
+      document's region index and DataGuide forward.  On a durable
+      engine the update's WAL record is on disk (per the fsync policy)
+      before the 200 is written, and every [snapshot-every] updates a
+      compacting snapshot is taken in-line.  The reply's [generation]
+      and [version] are read once the engine call has returned: for
+      sequential updates they are that update's numbers; under
+      concurrent writers they may already include a later update, and
+      they never go backwards.
+    - [POST /ingest] — bulk load through
+      {!Standoff_xquery.Engine.ingest}; its reply's [version] is read
+      the same way.
+    - [POST /admin/snapshot] — operator-triggered compaction
+      ({!Standoff_xquery.Engine.snapshot}): write a snapshot and reset
+      the WAL.  [409] when the engine has no durable store (no data
+      directory).
     - [GET /explain?q=…] (or [POST /explain] with the query as body) —
       the optimized physical plan, evaluated nothing; [?optimize=off]
       (any {!Standoff_xquery.Engine.Options.bool_of_string} spelling)
@@ -51,7 +61,9 @@
       {!Standoff_obs.Metrics.expose} Prometheus text.
     - [GET /slow] — the slow-query log as JSON.
     - [GET /healthz] — liveness: 200 for as long as the process serves
-      HTTP at all.  [GET /healthz?ready=1] — readiness: 503
+      HTTP at all.  [GET /healthz?ready=1] (any
+      {!Standoff_xquery.Engine.Options.bool_of_string} spelling; a
+      malformed value is [400]) — readiness: 503
       ["recovering"] while the store is being replayed (deferred boot,
       see {!create_deferred}), 503 ["draining"] during graceful
       shutdown, 200 ["ready"] otherwise.
@@ -72,11 +84,12 @@
     ({!stop}: stop accepting, drain queued and in-flight requests up
     to a grace period, then force-close).
 
-    Queries run concurrently on worker domains under the shared side
-    of a readers–writer lock, node-constructing ones included: their
-    constructed nodes live in the run's own arena, so a query never
-    writes to the collection.  Updates and ingests take the exclusive
-    side, so they never race an evaluation. *)
+    Queries run concurrently on worker domains, under the shared side
+    of the engine's readers–writer lock, node-constructing ones
+    included: their constructed nodes live in the run's own arena, so
+    a query never writes to the collection.  Updates, ingests and
+    snapshots take the exclusive side, so they never race an
+    evaluation. *)
 
 (** The engine settings one [POST /query] carries as parameters
     ([strategy], [jobs], [cache], [dataguide], [stream]), each parsed
@@ -128,34 +141,28 @@ val default_config : config
 
 type t
 
-(** [create ?config ?durable engine] binds and listens (so {!port} is
-    known), but serves nothing until {!start}.  When [durable] is
-    given, the engine's update hook is pointed at
-    {!Standoff.Durable.log} — acknowledged updates are durable per the
-    coordinator's fsync policy — and [/admin/snapshot] plus periodic
-    compaction are enabled.  The engine's collection must be the one
-    the coordinator recovered.
+(** [create ?config engine] binds and listens (so {!port} is known),
+    but serves nothing until {!start}.  Updates are durable exactly
+    when [engine] was created over a durable store
+    ({!Standoff_xquery.Engine.create}[ ~durable]).
     @raise Unix.Unix_error when binding fails. *)
-val create :
-  ?config:config -> ?durable:Standoff.Durable.t -> Standoff_xquery.Engine.t -> t
+val create : ?config:config -> Standoff_xquery.Engine.t -> t
 
 (** [create_deferred ?config ()] binds and listens like {!create}, but
     over a placeholder engine and with readiness off: after {!start},
     [/healthz] answers 200 while every engine-backed endpoint answers
     [503 Retry-After] and [/healthz?ready=1] says ["recovering"].  The
-    caller performs store recovery (typically
-    {!Standoff.Durable.recover}, which may replay a long WAL) and then
+    caller performs store recovery (typically opening the durable
+    store, which may replay a long WAL) and then
     calls {!install_engine} — so a shard stays observable through
     recovery instead of refusing connections.
     @raise Unix.Unix_error when binding fails. *)
 val create_deferred : ?config:config -> unit -> t
 
-(** [install_engine t ?durable engine] publishes the recovered engine
-    and flips the server ready; pair of {!create_deferred}.  Wires the
-    durability hook exactly as {!create} does.
+(** [install_engine t engine] publishes the recovered engine and
+    flips the server ready; pair of {!create_deferred}.
     @raise Invalid_argument if an engine was already installed. *)
-val install_engine :
-  t -> ?durable:Standoff.Durable.t -> Standoff_xquery.Engine.t -> unit
+val install_engine : t -> Standoff_xquery.Engine.t -> unit
 
 (** Whether the server would answer [/healthz?ready=1] with 200: the
     engine is installed and no drain is in progress. *)
@@ -168,8 +175,6 @@ val port : t -> int
 (** The resolved worker-domain count — the configured one, or the
     auto-derived one when the configuration said [0]. *)
 val workers : t -> int
-
-val engine : t -> Standoff_xquery.Engine.t
 
 (** [start t] spawns the acceptor and the worker domains and returns.
     The workers are registered against the process domain budget

@@ -6,6 +6,8 @@ module Item = Standoff_relalg.Item
 module Table = Standoff_relalg.Table
 module Config = Standoff.Config
 module Catalog = Standoff.Catalog
+module Durable = Standoff.Durable
+module Wal = Standoff_store.Wal
 module Lru = Standoff_cache.Lru
 module Metrics = Standoff_obs.Metrics
 module Trace = Standoff_obs.Trace
@@ -50,7 +52,7 @@ module Options = struct
   (* An optional '-' then ASCII digits and nothing else, the strictness
      the HTTP layer applies to its integer parameters: [int_of_string]
      alone would also take "0x10", "1_0" or "+5". *)
-  let decimal what s =
+  let decimal of_string what s =
     let digits =
       if String.starts_with ~prefix:"-" s then
         String.sub s 1 (String.length s - 1)
@@ -60,14 +62,14 @@ module Options = struct
       if
         digits <> ""
         && String.for_all (function '0' .. '9' -> true | _ -> false) digits
-      then int_of_string_opt s
+      then of_string s
       else None
     in
     match n with
     | Some n -> n
     | None -> invalid_arg (Printf.sprintf "malformed %s %S" what s)
 
-  let jobs_of_string s = max 0 (decimal "jobs" s)
+  let jobs_of_string s = max 0 (decimal int_of_string_opt "jobs" s)
 
   let bool_of_string s =
     match String.lowercase_ascii (String.trim s) with
@@ -102,7 +104,7 @@ module Options = struct
     | _ -> invalid_arg (Printf.sprintf "malformed slow-query threshold %S" s)
 
   let cache_bytes_of_string s =
-    match decimal "cache size (MiB)" s with
+    match decimal int_of_string_opt "cache size (MiB)" s with
     | mb when mb >= 1 -> mb * 1024 * 1024
     | _ -> invalid_arg (Printf.sprintf "cache size %S must be at least 1 MiB" s)
 
@@ -141,6 +143,67 @@ module Options = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* A writer-preferring readers-writer lock.  Queries, node-constructing
+   ones included, take the shared side; updates, ingests and snapshots
+   the exclusive one.
+   Writer preference keeps a stream of cheap cached queries from
+   starving an update indefinitely. *)
+
+module Rw_lock = struct
+  type t = {
+    m : Mutex.t;
+    readable : Condition.t;
+    writable : Condition.t;
+    mutable readers : int;
+    mutable writing : bool;
+    mutable waiting_writers : int;
+  }
+
+  let create () =
+    {
+      m = Mutex.create ();
+      readable = Condition.create ();
+      writable = Condition.create ();
+      readers = 0;
+      writing = false;
+      waiting_writers = 0;
+    }
+
+  let read t f =
+    Mutex.lock t.m;
+    while t.writing || t.waiting_writers > 0 do
+      Condition.wait t.readable t.m
+    done;
+    t.readers <- t.readers + 1;
+    Mutex.unlock t.m;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock t.m;
+        t.readers <- t.readers - 1;
+        if t.readers = 0 then Condition.signal t.writable;
+        Mutex.unlock t.m)
+      f
+
+  let write t f =
+    Mutex.lock t.m;
+    t.waiting_writers <- t.waiting_writers + 1;
+    while t.writing || t.readers > 0 do
+      Condition.wait t.writable t.m
+    done;
+    t.waiting_writers <- t.waiting_writers - 1;
+    t.writing <- true;
+    Mutex.unlock t.m;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock t.m;
+        t.writing <- false;
+        Condition.broadcast t.readable;
+        Condition.signal t.writable;
+        Mutex.unlock t.m)
+      f
+end
+
+(* ------------------------------------------------------------------ *)
 (* Prepared queries: parse -> lower -> optimize, once.                *)
 
 type prepared = {
@@ -161,7 +224,6 @@ type prepared = {
 }
 
 let prepared_plan p = p.p_plan
-let prepared_config p = p.p_config
 
 (* Conservative: a call to a constructing user function from a
    non-constructing body still reports [true] (function bodies are
@@ -194,13 +256,20 @@ type t = {
   result_cache : (string, cached_result) Lru.t;
       (* keyed on (plan fingerprint, context, document count),
          stamped with the catalogue version at lookup time *)
-  mutable on_update : (Standoff_store.Wal.op -> unit) option;
-      (* durability hook: called after each successful in-place update
-         with its self-contained WAL record; the server points this at
-         [Durable.log] *)
+  durable : Durable.t option;
+      (* the store every successful update is logged to; [None] keeps
+         the engine purely in memory *)
+  lock : Rw_lock.t;
+      (* shared by queries, exclusive for updates, ingests and
+         snapshots: an update patches region-index arrays that a
+         running sweep reads *)
 }
 
-let create ?options ?strategy ?jobs ?slow_ms ?cache ?dataguide coll =
+let create ?options ?strategy ?jobs ?slow_ms ?cache ?dataguide ?durable coll =
+  (match durable with
+  | Some d when Durable.collection d != coll ->
+      invalid_arg "Engine.create: the collection is not the durable store's"
+  | _ -> ());
   let options =
     Options.override ?strategy ?jobs ?slow_ms ?cache ?dataguide
       (match options with Some o -> o | None -> Options.of_env ())
@@ -219,116 +288,137 @@ let create ?options ?strategy ?jobs ?slow_ms ?cache ?dataguide coll =
         ~weight:(fun r ->
           String.length r.cr_serialized + (64 * List.length r.cr_items) + 128)
         ();
-    on_update = None;
+    durable;
+    lock = Rw_lock.create ();
   }
 
 let collection t = t.coll
 let catalog t = t.cat
 let options t = t.options
+let durable t = t.durable <> None
 let plan_cache_stats t = Lru.stats t.plan_cache
 let result_cache_stats t = Lru.stats t.result_cache
-let set_on_update t f = t.on_update <- f
 
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
 
-(* Apply-then-log: the update validates against the live collection
-   first (raising [Invalid_argument] exactly as [Update.*] does), and
-   only a successful mutation reaches the hook — so a WAL replay can
-   never encounter a record the store once rejected.  The caller is
-   responsible for write exclusion, as with [Update.*] directly. *)
-
-let notify t op = match t.on_update with None -> () | Some f -> f op
+(* Apply, log, compact — one exclusive section.  [apply] validates
+   against the live collection first (raising [Invalid_argument]
+   exactly as [Update.*] does) and returns the WAL record of what it
+   changed, if anything; only a successful mutation is logged, so a WAL
+   replay can never meet a record the store once rejected.  Under the
+   Always fsync policy the record is on disk when this returns, so an
+   acknowledged update survives any crash.  Periodic compaction rides
+   along while the writer lock, which [Durable.snapshot] needs, is
+   held. *)
+let write t apply =
+  Rw_lock.write t.lock (fun () ->
+      let result, op = apply () in
+      (match (t.durable, op) with
+      | Some d, Some op ->
+          ignore (Durable.log d op);
+          ignore (Durable.maybe_snapshot d ~generation:(Catalog.version t.cat))
+      | _ -> ());
+      result)
 
 let set_region t config doc ~pre region =
-  Standoff.Update.set_region t.cat config doc ~pre region;
-  notify t
-    (Standoff_store.Wal.Set_region
-       {
-         doc = doc.Doc.doc_name;
-         start_attr = config.Config.start_name;
-         end_attr = config.Config.end_name;
-         ptype = config.Config.position_type;
-         pre;
-         start_pos = Standoff_interval.Region.start_pos region;
-         end_pos = Standoff_interval.Region.end_pos region;
-       })
+  write t (fun () ->
+      Standoff.Update.set_region t.cat config doc ~pre region;
+      ( (),
+        Some
+          (Wal.Set_region
+             {
+               doc = doc.Doc.doc_name;
+               start_attr = config.Config.start_name;
+               end_attr = config.Config.end_name;
+               ptype = config.Config.position_type;
+               pre;
+               start_pos = Standoff_interval.Region.start_pos region;
+               end_pos = Standoff_interval.Region.end_pos region;
+             }) ))
 
 let shift_annotations t config doc ~from ~by =
-  let moved = Standoff.Update.shift_annotations t.cat config doc ~from ~by in
-  if moved > 0 then
-    notify t
-      (Standoff_store.Wal.Shift
-         {
-           doc = doc.Doc.doc_name;
-           start_attr = config.Config.start_name;
-           end_attr = config.Config.end_name;
-           ptype = config.Config.position_type;
-           from;
-           by;
-         });
-  moved
+  write t (fun () ->
+      let moved = Standoff.Update.shift_annotations t.cat config doc ~from ~by in
+      ( moved,
+        if moved = 0 then None
+        else
+          Some
+            (Wal.Shift
+               {
+                 doc = doc.Doc.doc_name;
+                 start_attr = config.Config.start_name;
+                 end_attr = config.Config.end_name;
+                 ptype = config.Config.position_type;
+                 from;
+                 by;
+               }) ))
 
 let ingest t ?(config = Standoff.Config.default) docs blobs =
-  (* Two passes, like the in-place updates: validate the whole batch
-     against the live collection before mutating anything, so a
-     conflicting name in the middle of a batch rejects the batch
-     whole — no partial ingest ever reaches the store or the WAL. *)
-  let coll = t.coll in
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Doc.t) ->
-      let name = d.Doc.doc_name in
-      if Hashtbl.mem seen name then
-        invalid_arg
-          (Printf.sprintf "Engine.ingest: duplicate document %S in batch" name);
-      Hashtbl.add seen name ();
-      if Standoff_store.Collection.doc_id_of_name coll name <> None then
-        invalid_arg
-          (Printf.sprintf "Engine.ingest: document %S already exists" name))
-    docs;
-  let seen_blobs = Hashtbl.create 16 in
-  List.iter
-    (fun (name, _) ->
-      if Hashtbl.mem seen_blobs name then
-        invalid_arg
-          (Printf.sprintf "Engine.ingest: duplicate blob %S in batch" name);
-      Hashtbl.add seen_blobs name ();
-      if Standoff_store.Collection.blob coll name <> None then
-        invalid_arg (Printf.sprintf "Engine.ingest: blob %S already exists" name))
-    blobs;
-  List.iter (fun d -> ignore (Standoff_store.Collection.add coll d)) docs;
-  List.iter
-    (fun (name, contents) ->
-      Standoff_store.Collection.add_blob coll
-        (Standoff_store.Blob.of_string ~name contents))
-    blobs;
-  (* Warm the per-document structures while we still hold the batch:
-     the region index (through the catalogue, so later queries share
-     it) and the DataGuide, each built exactly once per document per
-     batch instead of on first query. *)
-  List.iter
-    (fun (d : Doc.t) ->
-      ignore (Standoff.Catalog.annots t.cat config d);
-      ignore
-        (Standoff_store.Dataguide.get
-           ~generation:(Standoff.Catalog.generation t.cat d.Doc.doc_name)
-           d))
-    docs;
-  (* One catalogue-wide version bump and one WAL record for the whole
-     batch: ingesting N documents costs one invalidation, not N. *)
-  Standoff.Catalog.bump t.cat;
-  notify t
-    (Standoff_store.Wal.Ingest
-       {
-         docs =
-           List.map
-             (fun (d : Doc.t) ->
-               (d.Doc.doc_name, Standoff_store.Persist.doc_to_string d))
-             docs;
-         blobs;
-       });
-  List.length docs
+  write t (fun () ->
+      (* Two passes, like the in-place updates: validate the whole batch
+         against the live collection before mutating anything, so a
+         conflicting name in the middle of a batch rejects the batch
+         whole — no partial ingest ever reaches the store or the WAL. *)
+      let coll = t.coll in
+      let all_new what exists names =
+        let seen = Hashtbl.create 16 in
+        List.iter
+          (fun name ->
+            if Hashtbl.mem seen name then
+              invalid_arg
+                (Printf.sprintf "Engine.ingest: duplicate %s %S in batch" what
+                   name);
+            Hashtbl.add seen name ();
+            if exists name then
+              invalid_arg
+                (Printf.sprintf "Engine.ingest: %s %S already exists" what name))
+          names
+      in
+      all_new "document"
+        (fun name -> Collection.doc_id_of_name coll name <> None)
+        (List.map (fun (d : Doc.t) -> d.Doc.doc_name) docs);
+      all_new "blob" (fun name -> Collection.blob coll name <> None)
+        (List.map fst blobs);
+      List.iter (fun d -> ignore (Collection.add coll d)) docs;
+      List.iter
+        (fun (name, contents) ->
+          Collection.add_blob coll
+            (Standoff_store.Blob.of_string ~name contents))
+        blobs;
+      (* Warm the per-document structures while we still hold the batch:
+         the region index (through the catalogue, so later queries share
+         it) and the DataGuide, each built exactly once per document per
+         batch instead of on first query. *)
+      List.iter
+        (fun (d : Doc.t) ->
+          ignore (Catalog.annots t.cat config d);
+          ignore
+            (Standoff_store.Dataguide.get
+               ~generation:(Catalog.generation t.cat d.Doc.doc_name)
+               d))
+        docs;
+      (* One catalogue-wide version bump and one WAL record for the whole
+         batch: ingesting N documents costs one invalidation, not N. *)
+      Catalog.bump t.cat;
+      ( List.length docs,
+        Some
+          (Wal.Ingest
+             {
+               docs =
+                 List.map
+                   (fun (d : Doc.t) ->
+                     (d.Doc.doc_name, Standoff_store.Persist.doc_to_string d))
+                   docs;
+               blobs;
+             }) ))
+
+let snapshot t =
+  Option.map
+    (fun d ->
+      Rw_lock.write t.lock (fun () ->
+          Durable.snapshot d ~generation:(Catalog.version t.cat)))
+    t.durable
 
 (* STANDOFF_TRACE=1 forces a trace collector onto every run that was
    not handed one explicitly (CI uses this to catch
@@ -338,7 +428,15 @@ let trace_forced () =
   | Some ("1" | "true" | "yes" | "on") -> true
   | _ -> false
 
-let shutdown _t = Pool.park ()
+(* The shutdown snapshot (written only when updates were logged since
+   the last one) makes the next boot replay nothing. *)
+let shutdown t =
+  Option.iter
+    (fun d ->
+      Rw_lock.write t.lock (fun () ->
+          Durable.close ~generation:(Catalog.version t.cat) d))
+    t.durable;
+  Pool.park ()
 
 (* All engines share the one process-wide scheduler; a handle is just
    a parallelism cap.  [None] when sequential, so jobs=1 never even
@@ -347,9 +445,10 @@ let pool_for jobs = if jobs <= 1 then None else Some (Pool.create ~jobs)
 
 (* The adaptive jobs choice: threshold the prepared plan's cost
    estimate, then clamp to the parallelism the domain budget has left
-   (server workers reserve their share).  The thresholds sit around
-   the region index's own parallel-restriction threshold (4096 rows) —
-   below it, parallel code paths would not even engage. *)
+   (server workers reserve their share).  The numbers are plan-cost
+   cut-offs (estimated rows touched, {!Optimize.estimate_cost}): below
+   4096 a run stays sequential, and each fourfold rise in cost doubles
+   the jobs, up to 8. *)
 let adaptive_jobs cost =
   let wanted =
     if cost < 4_096 then 1
@@ -373,8 +472,10 @@ type result = {
 }
 
 (* Prolog processing: fold the standoff-* options into a configuration,
-   register user functions, and collect global variables. *)
+   register user functions, and collect global variables.  A malformed
+   option value is a static error, like any other in the query text. *)
 let process_prolog (q : Ast.query) =
+  let static f = try f () with Invalid_argument msg -> Err.raisef "%s" msg in
   let functions = Hashtbl.create 8 in
   let config = ref Config.default in
   let strategy_override = ref None in
@@ -388,17 +489,17 @@ let process_prolog (q : Ast.query) =
             | Some i -> String.sub name (i + 1) (String.length name - i - 1)
             | None -> name
           in
+          let set name =
+            config := static (fun () -> Config.set_option !config ~name ~value)
+          in
           match name with
-          | "standoff-type" ->
-              config := Config.set_option !config ~name:"type" ~value
-          | "standoff-start" ->
-              config := Config.set_option !config ~name:"start" ~value
-          | "standoff-end" ->
-              config := Config.set_option !config ~name:"end" ~value
-          | "standoff-region" ->
-              config := Config.set_option !config ~name:"region" ~value
+          | "standoff-type" -> set "type"
+          | "standoff-start" -> set "start"
+          | "standoff-end" -> set "end"
+          | "standoff-region" -> set "region"
           | "standoff-strategy" ->
-              strategy_override := Some (Config.strategy_of_string value)
+              strategy_override :=
+                Some (static (fun () -> Config.strategy_of_string value))
           | _ -> () (* foreign options are ignored, as the spec requires *))
       | Ast.Decl_namespace _ -> ()
       | Ast.Decl_function fn ->
@@ -532,7 +633,11 @@ let prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text =
       in
       { p with p_fingerprint = fingerprint_of p })
 
-let prepare t ?strategy ?(optimize = true) ?dataguide ?trace query_text =
+(* Every public entry point below takes the lock once and calls these
+   unlocked internals: a nested shared acquisition queued behind a
+   waiting writer would deadlock. *)
+let prepare_unlocked t ?strategy ?(optimize = true) ?dataguide ?trace
+    query_text =
   let dataguide =
     Option.value dataguide ~default:t.options.Options.dataguide
   in
@@ -629,8 +734,12 @@ let emit_sliced emit s =
     i := !i + step
   done
 
-let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
-    ?rollback_constructed:_ ?(use_cache = true) ?jobs ?emit ?trace prepared =
+let prepare t ?strategy ?optimize ?dataguide ?trace query_text =
+  Rw_lock.read t.lock (fun () ->
+      prepare_unlocked t ?strategy ?optimize ?dataguide ?trace query_text)
+
+let run_prepared_unlocked t ?(deadline = Timing.no_deadline) ?context_doc
+    ?(use_cache = true) ?jobs ?emit ?trace prepared =
   (* [jobs] overrides the engine-wide parallelism for this one run (the
      HTTP server maps a per-request [?jobs=] knob onto it); the engine
      field is left alone so concurrent runs are unaffected.  With no
@@ -753,6 +862,14 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
             trace = Option.map Trace.root trace;
           })
 
+(* The shared lock is granted before [run_prepared_unlocked] starts
+   its clock, so [standoff_query_seconds] never counts lock wait. *)
+let run_prepared t ?deadline ?context_doc ?rollback_constructed:_ ?use_cache
+    ?jobs ?emit ?trace prepared =
+  Rw_lock.read t.lock (fun () ->
+      run_prepared_unlocked t ?deadline ?context_doc ?use_cache ?jobs ?emit
+        ?trace prepared)
+
 let run t ?strategy ?deadline ?context_doc ?rollback_constructed:_ ?trace
     query_text =
   let trace =
@@ -760,8 +877,9 @@ let run t ?strategy ?deadline ?context_doc ?rollback_constructed:_ ?trace
     | Some _ -> trace
     | None -> if trace_forced () then Some (Trace.create ()) else None
   in
-  let prepared = prepare t ?strategy ?trace query_text in
-  run_prepared t ?deadline ?context_doc ?trace prepared
+  Rw_lock.read t.lock (fun () ->
+      let prepared = prepare_unlocked t ?strategy ?trace query_text in
+      run_prepared_unlocked t ?deadline ?context_doc ?trace prepared)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN / EXPLAIN ANALYZE                                          *)
@@ -790,31 +908,12 @@ let analysis_of_trace root =
         a.Plan.a_calls <- a.Plan.a_calls + 1;
         let d = Trace.duration sp in
         if not (Float.is_nan d) then a.Plan.a_seconds <- a.Plan.a_seconds +. d;
-        let add get set key =
-          match Trace.int_attr sp key with
-          | Some n -> set a (get a + n)
-          | None -> ()
-        in
-        add
-          (fun a -> a.Plan.a_rows_out)
-          (fun a n -> a.Plan.a_rows_out <- n)
-          "rows_out";
-        add
-          (fun a -> a.Plan.a_rows_in)
-          (fun a n -> a.Plan.a_rows_in <- n)
-          "rows_in";
-        add
-          (fun a -> a.Plan.a_index_rows)
-          (fun a n -> a.Plan.a_index_rows <- n)
-          "index_rows";
-        add
-          (fun a -> a.Plan.a_chunks)
-          (fun a n -> a.Plan.a_chunks <- n)
-          "chunks";
-        add
-          (fun a -> a.Plan.a_guide_rows)
-          (fun a n -> a.Plan.a_guide_rows <- n)
-          "guide_rows";
+        let add key f = Option.iter f (Trace.int_attr sp key) in
+        add "rows_out" (fun n -> a.Plan.a_rows_out <- a.Plan.a_rows_out + n);
+        add "rows_in" (fun n -> a.Plan.a_rows_in <- a.Plan.a_rows_in + n);
+        add "index_rows" (fun n -> a.Plan.a_index_rows <- a.Plan.a_index_rows + n);
+        add "chunks" (fun n -> a.Plan.a_chunks <- a.Plan.a_chunks + n);
+        add "guide_rows" (fun n -> a.Plan.a_guide_rows <- a.Plan.a_guide_rows + n);
         match Trace.str_attr sp "strategy" with
         | Some s -> a.Plan.a_strategy <- Some (Config.strategy_of_string s)
         | None -> ()
@@ -825,12 +924,17 @@ let analysis_of_trace root =
 let explain_analyze t ?strategy ?dataguide ?(deadline = Timing.no_deadline)
     ?context_doc query_text =
   let trace = Trace.create () in
-  let prepared = prepare t ?strategy ?dataguide ~trace query_text in
-  (* [use_cache:false]: the whole point is to observe the evaluation,
-     so a result-cache hit (which evaluates nothing and would render
-     every operator "(not executed)") must be bypassed. *)
-  let _ =
-    run_prepared t ~deadline ?context_doc ~use_cache:false ~trace prepared
+  let prepared =
+    Rw_lock.read t.lock (fun () ->
+        let prepared = prepare_unlocked t ?strategy ?dataguide ~trace query_text in
+        (* [use_cache:false]: the whole point is to observe the
+           evaluation, so a result-cache hit (which evaluates nothing and
+           would render every operator "(not executed)") must be
+           bypassed. *)
+        ignore
+          (run_prepared_unlocked t ~deadline ?context_doc ~use_cache:false
+             ~trace prepared);
+        prepared)
   in
   let tbl = analysis_of_trace (Trace.root trace) in
   render_prepared

@@ -19,7 +19,19 @@
     collection: a constructing query is an ordinary reader.  The arena
     is dropped when the run ends, so a constructed node is consumed
     through [serialized]; its handle in [items] is local to the run
-    (see {!result}). *)
+    (see {!result}).
+
+    An engine is safe to share between domains: it owns a
+    writer-preferring readers–writer lock.  {!prepare},
+    {!run_prepared}, {!run}, {!explain} and {!explain_analyze} take its
+    shared side, once per call; {!set_region}, {!shift_annotations},
+    {!ingest}, {!snapshot} and {!shutdown} take its exclusive side, so
+    an update never races an evaluation reading the region arrays it
+    patches (see {!Standoff.Update}).  A run's clock starts once the
+    shared lock is granted, so [standoff_query_seconds] excludes lock
+    wait.  An engine created over a
+    {!Standoff.Durable} store logs every successful update to the
+    store's WAL inside that exclusive section. *)
 
 type t
 
@@ -85,8 +97,13 @@ module Options : sig
     t ->
     t
 
-  (** [jobs_of_string s]: decimal digits with an optional ['-'], no
-      surrounding blanks; a negative count means [0]. *)
+  (** [decimal of_string what s]: an optional ['-'] then decimal digits
+      and nothing else, converted by [of_string] (which fails only on
+      overflow); also the HTTP server's integer parameters.
+      @raise Invalid_argument naming [what] otherwise. *)
+  val decimal : (string -> 'a option) -> string -> string -> 'a
+
+  (** [jobs_of_string s]: a {!decimal} count; a negative one means [0]. *)
   val jobs_of_string : string -> int
 
   (** [bool_of_string s]: ["on" | "1" | "true" | "yes"] or
@@ -104,8 +121,8 @@ module Options : sig
   val slow_ms_of_string : string -> float
 end
 
-(** [create ?options ?strategy ?jobs ?slow_ms ?cache ?dataguide coll]
-    wraps a collection.  The engine's settings are
+(** [create ?options ?strategy ?jobs ?slow_ms ?cache ?dataguide
+    ?durable coll] wraps a collection.  The engine's settings are
     {!Options.override} of the other arguments over [options] (default
     {!Options.of_env}[ ()]); they never change afterwards.  See
     {!Options.t} for what each setting does.  With [jobs] other than
@@ -116,8 +133,13 @@ end
     {!Standoff_util.Pool.max_parallelism}, so concurrent requests share
     the domain budget instead of each claiming a fixed slice.  Runs at
     least [slow_ms] slow are recorded in {!Standoff_obs.Slow_log}.
+    With [durable], [coll] must be {!Standoff.Durable.collection}
+    [durable]: each successful update is logged (on disk under the
+    [Always] fsync policy) before the call returns, and the store's
+    [snapshot_every] compaction runs on the update path.
     @raise Invalid_argument when [options] is omitted and the
-    environment holds a malformed setting. *)
+    environment holds a malformed setting, or when [coll] is not
+    [durable]'s collection. *)
 val create :
   ?options:Options.t ->
   ?strategy:Standoff.Config.strategy ->
@@ -125,6 +147,7 @@ val create :
   ?slow_ms:float ->
   ?cache:cache_mode ->
   ?dataguide:bool ->
+  ?durable:Standoff.Durable.t ->
   Standoff_store.Collection.t ->
   t
 
@@ -140,12 +163,16 @@ val plan_cache_stats : t -> Standoff_cache.Lru.stats
 
 val result_cache_stats : t -> Standoff_cache.Lru.stats
 
-(** [shutdown _] parks the process-wide scheduler's worker domains
-    ({!Standoff_util.Pool.park}).  All engines share the one worker
-    set, so this affects them all — harmlessly: a run submitting
-    during the teardown completes on its own domain, and workers
-    respawn on the next parallel run.  Call it when going quiet
-    (domains are a bounded OS resource). *)
+(** [durable t] holds when [t] was created over a durable store. *)
+val durable : t -> bool
+
+(** [shutdown t] closes the durable store, if any, after a shutdown
+    snapshot when it is dirty (so the next boot replays nothing); no
+    update may follow.  It also parks the process-wide scheduler's
+    worker domains ({!Standoff_util.Pool.park}), which all engines
+    share — harmlessly: a run submitting during the teardown completes
+    on its own domain, and workers respawn on the next parallel run.
+    Call it when going quiet (domains are a bounded OS resource). *)
 val shutdown : t -> unit
 
 (** [collection t] is the underlying collection. *)
@@ -154,17 +181,12 @@ val collection : t -> Standoff_store.Collection.t
 (** [catalog t] is the annotation catalogue (region indexes). *)
 val catalog : t -> Standoff.Catalog.t
 
-(** [set_on_update t hook] installs (or clears) the durability hook:
-    it receives the self-contained WAL record of every successful
-    in-place update made through {!set_region} /
-    {!shift_annotations}.  The server points it at
-    [Standoff.Durable.log]. *)
-val set_on_update : t -> (Standoff_store.Wal.op -> unit) option -> unit
-
 (** [set_region t config doc ~pre region] is
-    {!Standoff.Update.set_region} on the engine's catalogue, followed —
-    only on success — by the durability hook.  The caller provides
-    write exclusion, exactly as with [Update.set_region]. *)
+    {!Standoff.Update.set_region} on the engine's catalogue under the
+    exclusive lock, followed — only on success — by its WAL record and
+    a due compaction on a durable engine.
+    @raise Invalid_argument as [Update.set_region] does, before
+    anything is changed or logged. *)
 val set_region :
   t ->
   Standoff.Config.t ->
@@ -191,16 +213,22 @@ val shift_annotations :
     mutated), then every document's region index (under [?config],
     default {!Standoff.Config.default}) and DataGuide are built once,
     the catalogue version is bumped {e once}, and the durability hook
-    receives {e one} batched {!Standoff_store.Wal.Ingest} record — so
-    ingesting N documents costs one invalidation and one WAL fsync,
-    not N.  Returns the number of documents added.  The caller
-    provides write exclusion, as with the other updates. *)
+    logs {e one} batched {!Standoff_store.Wal.Ingest} record on a
+    durable engine — so ingesting N documents costs one invalidation
+    and one WAL fsync, not N.  Returns the number of documents added.
+    Runs under the exclusive lock, as the other updates do. *)
 val ingest :
   t ->
   ?config:Standoff.Config.t ->
   Standoff_store.Doc.t list ->
   (string * string) list ->
   int
+
+(** [snapshot t] writes a compacting snapshot of a durable engine's
+    store under the exclusive lock, resets its WAL, and returns the
+    snapshot's path ({!Standoff.Durable.snapshot}, stamped with the
+    catalogue version); [None] when [t] has no store. *)
+val snapshot : t -> string option
 
 (** Everything a query run produces. *)
 type result = {
@@ -222,9 +250,6 @@ type prepared
 
 (** The optimized body plan (for tests and plan inspection). *)
 val prepared_plan : prepared -> Plan.t
-
-(** The configuration the prolog produced. *)
-val prepared_config : prepared -> Standoff.Config.t
 
 (** [prepared_constructs p] holds when evaluating [p] may build nodes
     in the run's arena (an element constructor occurs in the body, a

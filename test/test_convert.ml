@@ -12,6 +12,7 @@ module Collection = Standoff_store.Collection
 module Catalog = Standoff.Catalog
 module Engine = Standoff_xquery.Engine
 module Wal = Standoff_store.Wal
+module Durable = Standoff.Durable
 
 let canon dom = Serializer.to_string dom
 
@@ -304,12 +305,31 @@ let converted name xml =
   let conv = Convert.to_standoff (Parser.parse_string xml) in
   (Doc.of_dom ~name conv.Convert.doc, (name ^ ".blob", conv.Convert.blob))
 
+(* [f eng logged] over an engine whose durable store, in a scratch
+   directory, was seeded with [coll]; [logged ()] reads back every
+   record of the store's WAL. *)
+let with_durable_engine coll f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "standoff-convert-test-%d-%d" (Unix.getpid ())
+         (Random.bits ()))
+  in
+  let d, _ = Durable.open_dir ~seed:(fun () -> coll) dir in
+  let logged () =
+    List.map snd (Wal.replay (Filename.concat dir "wal.log")).Wal.r_ops
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Durable.close d;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f (Engine.create ~durable:d coll) logged)
+
 let test_engine_ingest () =
   let coll = Collection.create () in
   ignore (Collection.load_string coll ~name:"base.xml" "<a><b/></a>");
-  let eng = Engine.create coll in
-  let ops = ref [] in
-  Engine.set_on_update eng (Some (fun op -> ops := op :: !ops));
+  with_durable_engine coll @@ fun eng logged ->
   let d1, b1 = converted "d1.xml" "<p><w>alpha</w></p>" in
   let d2, b2 = converted "d2.xml" "<p><w>beta</w> and <w>gamma</w></p>" in
   let v0 = Catalog.version (Engine.catalog eng) in
@@ -317,7 +337,7 @@ let test_engine_ingest () =
   Alcotest.(check int) "two documents ingested" 2 n;
   Alcotest.(check int) "one version bump for the whole batch" (v0 + 1)
     (Catalog.version (Engine.catalog eng));
-  (match !ops with
+  (match logged () with
   | [ Wal.Ingest { docs; blobs } ] ->
       Alcotest.(check (list string)) "one batched WAL record, both docs"
         [ "d1.xml"; "d2.xml" ] (List.map fst docs);
@@ -332,9 +352,7 @@ let test_engine_ingest () =
 let test_engine_ingest_conflict_atomic () =
   let coll = Collection.create () in
   ignore (Collection.load_string coll ~name:"base.xml" "<a/>");
-  let eng = Engine.create coll in
-  let ops = ref 0 in
-  Engine.set_on_update eng (Some (fun _ -> incr ops));
+  with_durable_engine coll @@ fun eng logged ->
   let d1, b1 = converted "new.xml" "<p>x</p>" in
   let dup, bdup = converted "base.xml" "<p>y</p>" in
   (* a conflicting name anywhere in the batch rejects the whole batch
@@ -343,7 +361,7 @@ let test_engine_ingest_conflict_atomic () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "conflicting batch must raise");
   Alcotest.(check int) "nothing ingested" 1 (Collection.doc_count coll);
-  Alcotest.(check int) "nothing logged" 0 !ops;
+  Alcotest.(check int) "nothing logged" 0 (List.length (logged ()));
   (* in-batch duplicates reject too *)
   (match Engine.ingest eng [ d1; d1 ] [] with
   | exception Invalid_argument _ -> ()

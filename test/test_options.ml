@@ -235,6 +235,54 @@ let test_flags_over_env () =
       | Error `Term -> ()
       | _ -> Alcotest.fail "malformed STANDOFF_SLOW_MS accepted")
 
+(* A bad strategy is reported with the accepted spellings, not the
+   name of the parser: by the parser itself, and so by the shared
+   [-s]/[--strategy] flag.  The HTTP parameter keeps its own
+   [malformed strategy="…"] body. *)
+let test_bad_strategy_message () =
+  let contains needle hay =
+    let n = String.length needle and m = String.length hay in
+    let rec scan i = i + n <= m && (String.sub hay i n = needle || scan (i + 1)) in
+    scan 0
+  in
+  let names_spellings source msg =
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s message %S mentions %S" source msg needle)
+          true (contains needle msg))
+      [ "\"basic-merge\""; "udf-nocand"; "udf-cand"; "basic"; "loop-lifted" ];
+    Alcotest.(check bool)
+      (Printf.sprintf "%s message %S names no internal function" source msg)
+      false
+      (contains "strategy_of_string" msg)
+  in
+  (match Config.strategy_of_string "basic-merge" with
+  | _ -> Alcotest.fail "basic-merge accepted"
+  | exception Invalid_argument msg -> names_spellings "parser" msg);
+  let buf = Buffer.create 128 in
+  let err = Format.formatter_of_buffer buf in
+  (match
+     Cmdliner.Cmd.eval_value ~err ~help:null_formatter
+       ~argv:[| "t"; "-s"; "basic-merge" |]
+       (Cmdliner.Cmd.v (Cmdliner.Cmd.info "t") Flags.engine_options)
+   with
+  | Error `Parse -> ()
+  | _ -> Alcotest.fail "-s basic-merge accepted");
+  Format.pp_print_flush err ();
+  names_spellings "flag" (Buffer.contents buf);
+  let target = "/query?strategy=basic-merge" in
+  let path, query = Http.parse_target target in
+  match
+    Server.query_settings
+      { Http.meth = "POST"; target; path; query; version = "HTTP/1.1";
+        headers = []; body = "" }
+  with
+  | _ -> Alcotest.fail "?strategy=basic-merge accepted"
+  | exception Http.Bad_request msg ->
+      Alcotest.(check string) "HTTP body unchanged"
+        "malformed strategy=\"basic-merge\"" msg
+
 let () =
   Alcotest.run "options"
     [
@@ -251,5 +299,7 @@ let () =
             `Quick test_cross_source;
           Alcotest.test_case "flags override env; bad env fails" `Quick
             test_flags_over_env;
+          Alcotest.test_case "a bad strategy lists the accepted spellings"
+            `Quick test_bad_strategy_message;
         ] );
     ]

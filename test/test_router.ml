@@ -458,6 +458,10 @@ let hostile_requests =
       with_length "99999999999999999999" "",
       400,
       None );
+    ( "malformed readiness flag",
+      "GET /healthz?ready=bogus HTTP/1.1\r\n\r\n",
+      400,
+      None );
     ( "conflicting content-lengths",
       "GET /healthz HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nx",
       400,

@@ -16,6 +16,7 @@ module Trace = Standoff_obs.Trace
 module Http = Standoff_server.Http
 module Server = Standoff_server.Server
 module Pool = Standoff_util.Pool
+module Durable = Standoff.Durable
 
 (* ---------------- fixtures ---------------- *)
 
@@ -89,6 +90,11 @@ let raw_roundtrip port bytes =
 
 let check_status msg expected (resp : Http.response) =
   Alcotest.(check int) msg expected resp.Http.status
+
+let contains needle hay =
+  let n = String.length needle and m = String.length hay in
+  let rec scan i = i + n <= m && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
 
 (* ---------------- request parsing ---------------- *)
 
@@ -277,19 +283,33 @@ let test_deadline_408_partial_trace () =
           ~target:"/query?timeout-ms=0&cache=off" narrow_count
       in
       check_status "deadline" 408 r;
-      let contains needle hay =
-        let n = String.length needle and m = String.length hay in
-        let rec scan i =
-          i + n <= m && (String.sub hay i n = needle || scan (i + 1))
-        in
-        scan 0
-      in
       Alcotest.(check bool)
         "error named" true
         (contains "deadline exceeded" r.Http.r_body);
       Alcotest.(check bool)
         "trace attached" true
         (contains "\"trace\"" r.Http.r_body))
+
+(* A malformed [declare option standoff-*] value is a static error of
+   the query text: 400 on both endpoints that prepare a query. *)
+let test_malformed_prolog_option () =
+  with_server (fun srv ->
+      let p = Server.port srv in
+      List.iter
+        (fun (label, value, q) ->
+          List.iter
+            (fun target ->
+              let r = oneshot p ~meth:"POST" ~target q in
+              check_status (label ^ " on " ^ target) 400 r;
+              Alcotest.(check bool)
+                (label ^ " on " ^ target ^ " names the value")
+                true
+                (contains value r.Http.r_body))
+            [ "/query"; "/explain" ])
+        [
+          ("strategy", "bogus", "declare option standoff-strategy \"bogus\"; 1");
+          ("start", "1bad", "declare option standoff-start \"1bad\"; 1");
+        ])
 
 (* ---------------- streaming ---------------- *)
 
@@ -468,7 +488,10 @@ let test_update_then_query () =
       check_status "unknown document" 404
         (oneshot p ~meth:"POST" ~target:"/update?doc=ghost.xml&pre=1&start=0&end=1" "");
       check_status "missing params" 400
-        (oneshot p ~meth:"POST" ~target:"/update?doc=upd.xml" ""))
+        (oneshot p ~meth:"POST" ~target:"/update?doc=upd.xml" "");
+      check_status "malformed attribute name" 400
+        (oneshot p ~meth:"POST"
+           ~target:"/update?doc=upd.xml&start-attr=1bad&pre=2&start=0&end=1" ""))
 
 let test_constructing_query_cached () =
   (* A constructing query is an ordinary reader: under the result
@@ -503,13 +526,6 @@ let test_ingest_endpoint () =
   in
   with_server ~engine (fun srv ->
       let p = Server.port srv in
-      let contains needle hay =
-        let n = String.length needle and m = String.length hay in
-        let rec scan i =
-          i + n <= m && (String.sub hay i n = needle || scan (i + 1))
-        in
-        scan 0
-      in
       let frame name xml =
         Printf.sprintf "%s %d\n%s\n" name (String.length xml) xml
       in
@@ -653,6 +669,81 @@ let test_concurrent_mixed_jobs_identical () =
             (Atomic.get mismatches);
           Alcotest.(check bool) "pool workers within the shared budget" true
             (Pool.worker_count () <= Pool.domain_budget () - 1)))
+
+(* ---------------- durability ---------------- *)
+
+(* A server over a durable engine: updates are logged and acknowledged
+   as durable, compaction runs on the update path every
+   [snapshot_every] updates, /admin/snapshot compacts on demand, and
+   the data directory recovers the moved region.  An in-memory server
+   has nothing to snapshot. *)
+let test_durable_server () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "standoff-server-test-%d" (Unix.getpid ()))
+  in
+  let snapshots () =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:"snapshot-")
+  in
+  let d, _ = Durable.open_dir ~snapshot_every:2 ~seed:fresh_collection dir in
+  let engine =
+    Engine.create ~jobs:1 ~cache:Engine.Cache_off ~durable:d
+      (Durable.collection d)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      with_server ~engine (fun srv ->
+          let p = Server.port srv in
+          List.iteri
+            (fun i start ->
+              let n = i + 1 in
+              let r =
+                oneshot p ~meth:"POST"
+                  ~target:
+                    (Printf.sprintf "/update?doc=upd.xml&pre=2&start=%d&end=%d"
+                       start (start + 10))
+                  ""
+              in
+              check_status (Printf.sprintf "update %d" n) 200 r;
+              Alcotest.(check bool)
+                (Printf.sprintf "update %d acknowledged durable" n)
+                true
+                (contains "\"durable\": true" r.Http.r_body);
+              Alcotest.(check bool)
+                (Printf.sprintf "update %d at generation %d" n n)
+                true
+                (contains (Printf.sprintf "\"generation\": %d," n) r.Http.r_body))
+            [ 50; 51 ];
+          Alcotest.(check int) "compaction ran on the update path" 1
+            (List.length (snapshots ()));
+          Alcotest.(check bool) "compaction left nothing unsnapshotted" false
+            (Durable.dirty d);
+          check_status "admin snapshot" 200
+            (oneshot p ~meth:"POST" ~target:"/admin/snapshot" ""));
+      Engine.shutdown engine;
+      let d2, recovery = Durable.open_dir dir in
+      Fun.protect
+        ~finally:(fun () -> Durable.close d2)
+        (fun () ->
+          Alcotest.(check bool) "recovered from a snapshot" true
+            (recovery.Durable.rec_snapshot <> None);
+          let coll = Durable.collection d2 in
+          let doc =
+            Collection.doc coll
+              (Option.get (Collection.doc_id_of_name coll "upd.xml"))
+          in
+          Alcotest.(check (pair (option string) (option string)))
+            "moved region recovered"
+            (Some "51", Some "61")
+            (Doc.attribute doc 2 "start", Doc.attribute doc 2 "end")));
+  with_server (fun srv ->
+      check_status "in-memory server has no snapshot" 409
+        (oneshot (Server.port srv) ~meth:"POST" ~target:"/admin/snapshot" ""))
 
 (* ---------------- admission control ---------------- *)
 
@@ -916,6 +1007,8 @@ let () =
             test_stream_byte_identical;
           Alcotest.test_case "constructing query result-cached" `Quick
             test_constructing_query_cached;
+          Alcotest.test_case "malformed prolog option answers 400" `Quick
+            test_malformed_prolog_option;
         ] );
       ( "auth",
         [ Alcotest.test_case "bearer token gate" `Quick test_auth_token ] );
@@ -955,5 +1048,10 @@ let () =
         [
           Alcotest.test_case "deadline during serialization raises cleanly"
             `Quick test_deadline_during_serialization;
+        ] );
+      ( "durability",
+        [
+          Alcotest.test_case "durable engine behind the server" `Quick
+            test_durable_server;
         ] );
     ]

@@ -136,12 +136,11 @@ let probe_query =
 let run_probe ?strategy eng = (Engine.run eng ?strategy probe_query).Engine.serialized
 
 (* ------------------------------------------------------------------ *)
-(* The full stack, wired the way the server wires it                   *)
+(* The full stack: an engine over a durable store                     *)
 
 let open_stack ?policy ?snapshot_every dir =
   let d, recovery = Durable.open_dir ?policy ?snapshot_every ~seed dir in
-  let eng = Engine.create ~jobs:1 (Durable.collection d) in
-  Engine.set_on_update eng (Some (fun op -> ignore (Durable.log d op)));
+  let eng = Engine.create ~jobs:1 ~durable:d (Durable.collection d) in
   (d, eng, recovery)
 
 (* Submit [total] updates, with [failpoint] armed to fire during update
@@ -235,12 +234,12 @@ let test_continue_after_recovery () =
   let dir = fresh_dir () in
   let _d, eng, _ = open_stack dir in
   let _acked = submit_until_crash eng ~failpoint:"wal.mid_append" ~crash_on:3 ~total:6 in
-  let d2, eng2, recovery = open_stack dir in
+  let _d2, eng2, recovery = open_stack dir in
   Alcotest.(check int) "recovered 2" 2 recovery.Durable.rec_replayed;
   apply_via_engine eng2 3;
   apply_via_engine eng2 4;
   (* Clean shutdown: compacting snapshot. *)
-  Durable.close ~generation:(Catalog.version (Engine.catalog eng2)) d2;
+  Engine.shutdown eng2;
   let d3, eng3, recovery3 = open_stack dir in
   Alcotest.(check bool)
     "rebooted from a snapshot" true
@@ -567,8 +566,8 @@ let test_ingest_recovery () =
   Alcotest.(check string) "post-ingest update recovered"
     (fingerprint (reference [ 1 ]))
     (fingerprint coll);
-  ignore
-    (Durable.snapshot dur2 ~generation:(Catalog.version (Engine.catalog eng2)));
+  Alcotest.(check bool) "engine snapshot written" true
+    (Engine.snapshot eng2 <> None);
   Durable.close dur2;
   let dur3, eng3, recovery3 = open_stack dir in
   Alcotest.(check int) "snapshot absorbed the batch" 0
@@ -628,12 +627,8 @@ let test_policies_recover () =
    7 updates must leave at most (7 mod 3) + a snapshot behind. *)
 let test_snapshot_every () =
   let dir = fresh_dir () in
-  let d, eng, _ = open_stack ~snapshot_every:3 dir in
-  List.iter
-    (fun k ->
-      apply_via_engine eng k;
-      ignore (Durable.maybe_snapshot d ~generation:k))
-    (range 1 7);
+  let _d, eng, _ = open_stack ~snapshot_every:3 dir in
+  List.iter (fun k -> apply_via_engine eng k) (range 1 7);
   (* Abandon (crash): the snapshot already covers 6 of the 7. *)
   let d2, eng2, recovery = open_stack dir in
   Alcotest.(check bool) "snapshot present" true
