@@ -275,17 +275,20 @@ let figure_6_body ~record ~scales ~timeout ~queries ~jobs () =
         setup)
       scales
   in
+  (* Every finished point must serialize to the loop-lifted point's
+     bytes; the loop-lifted strategy runs last in each row group. *)
+  let mismatches = ref [] in
   let run_point setup strategy query =
-    let cell =
+    let cell, bytes =
       match
         Engine.run_with_timeout setup.Setup.engine ~strategy ~seconds:timeout
           (query.Queries.standoff setup.Setup.standoff_doc)
       with
-      | Timing.Finished (_, t) -> Time t
-      | Timing.Timed_out t -> Dnf t
+      | Timing.Finished (r, t) -> (Time t, Some r.Engine.serialized)
+      | Timing.Timed_out t -> (Dnf t, None)
     in
     record ~query ~strategy ~setup cell;
-    cell
+    (cell, bytes)
   in
   List.iter
     (fun query ->
@@ -299,18 +302,40 @@ let figure_6_body ~record ~scales ~timeout ~queries ~jobs () =
         setups;
       print_newline ();
       Printf.printf "%s\n" (String.make (38 + (12 * List.length setups)) '-');
+      let rows =
+        List.map
+          (fun (strategy, label) ->
+            Printf.printf "%-38s" label;
+            let points =
+              List.map
+                (fun setup ->
+                  let c, bytes = run_point setup strategy query in
+                  Printf.printf "%12s" (cell_to_string c);
+                  flush stdout;
+                  (setup, bytes))
+                setups
+            in
+            print_newline ();
+            (strategy, points))
+          strategies_for_figure6
+      in
+      let reference = List.assoc Config.Loop_lifted rows in
       List.iter
-        (fun (strategy, label) ->
-          Printf.printf "%-38s" label;
-          List.iter
-            (fun setup ->
-              let c = run_point setup strategy query in
-              Printf.printf "%12s" (cell_to_string c);
-              flush stdout)
-            setups;
-          print_newline ())
-        strategies_for_figure6)
-    queries
+        (fun (strategy, points) ->
+          List.iter2
+            (fun (setup, bytes) (_, ref_bytes) ->
+              match (bytes, ref_bytes) with
+              | Some b, Some r when b <> r ->
+                  mismatches :=
+                    Printf.sprintf "%s at scale %g: %s differs from loop-lifted"
+                      query.Queries.id setup.Setup.scale
+                      (Config.strategy_to_string strategy)
+                    :: !mismatches
+              | _ -> ())
+            points reference)
+        rows)
+    queries;
+  List.rev !mismatches
 
 let figure_6 ?csv ~scales ~timeout ~queries ~jobs () =
   let csv_oc = Option.map open_out csv in
@@ -331,6 +356,11 @@ let figure_6 ?csv ~scales ~timeout ~queries ~jobs () =
       Option.iter close_out_noerr csv_oc;
       Option.iter (Printf.printf "\nwrote %s\n") csv)
     (fun () -> figure_6_body ~record ~scales ~timeout ~queries ~jobs ())
+  |> function
+  | [] -> Printf.printf "\nagreement: every finished point matches loop-lifted\n"
+  | mismatches ->
+      List.iter (Printf.eprintf "figure-6 disagreement: %s\n") mismatches;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Experiment E4: select-narrow vs descendant Staircase Join           *)

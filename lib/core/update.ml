@@ -49,8 +49,19 @@ let shift_annotations cat config doc ~from ~by =
       let area = annots.Annots.areas.(slot) in
       let extent = Standoff_interval.Area.extent area in
       if Int64.compare (Region.start_pos extent) from >= 0 then begin
-        let start_ = Int64.add (Region.start_pos extent) by in
-        let end_ = Int64.add (Region.end_pos extent) by in
+        let add pos =
+          if
+            (Int64.compare by 0L > 0 && Int64.compare pos (Int64.sub Int64.max_int by) > 0)
+            || (Int64.compare by 0L < 0 && Int64.compare pos (Int64.sub Int64.min_int by) < 0)
+          then
+            invalid_arg
+              (Printf.sprintf
+                 "Update.shift_annotations: shifting position %Ld by %Ld overflows"
+                 pos by);
+          Int64.add pos by
+        in
+        let start_ = add (Region.start_pos extent) in
+        let end_ = add (Region.end_pos extent) in
         if Int64.compare start_ 0L < 0 then
           invalid_arg "Update.shift_annotations: region would become negative";
         let s_row, e_row = region_attr_rows config doc ~pre in

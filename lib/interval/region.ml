@@ -21,9 +21,6 @@ let contains r1 r2 =
   Int64.compare r1.start_ r2.start_ <= 0
   && Int64.compare r2.end_ r1.end_ <= 0
 
-let contains_pos r p =
-  Int64.compare r.start_ p <= 0 && Int64.compare p r.end_ <= 0
-
 let overlaps r1 r2 =
   Int64.compare r1.start_ r2.end_ <= 0
   && Int64.compare r1.end_ r2.start_ >= 0

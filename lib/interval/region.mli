@@ -34,8 +34,6 @@ val width : t -> int64
     [r1.start <= r2.start <= r2.end <= r1.end]. *)
 val contains : t -> t -> bool
 
-(** [contains_pos r p] holds when position [p] lies inside [r]. *)
-val contains_pos : t -> pos -> bool
 
 (** [overlaps r1 r2] holds when the regions share at least one
     position: [r1.start <= r2.end && r1.end >= r2.start].  Closed-

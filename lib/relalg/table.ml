@@ -1,5 +1,4 @@
 module Vec = Standoff_util.Vec
-module Search = Standoff_util.Search
 
 type t = {
   iters : int array;
@@ -51,18 +50,58 @@ let const ~loop items =
   done;
   { iters; items = out }
 
+type builder = {
+  b_iters : int Vec.t;
+  b_items : Item.t Vec.t;
+}
+
+let builder () = { b_iters = Vec.create (); b_items = Vec.create () }
+
+let push b iter item =
+  Vec.push b.b_iters iter;
+  Vec.push b.b_items item
+
+let build b = make (Vec.to_array b.b_iters) (Vec.to_array b.b_items)
+
 let row_count t = Array.length t.iters
 let iter_at t i = t.iters.(i)
 let item_at t i = t.items.(i)
 
-let group_bounds t iter =
-  let lo = Search.lower_bound_int t.iters iter in
-  let hi = Search.lower_bound_int t.iters (iter + 1) in
-  (lo, hi)
+(* A forward cursor over the iteration groups.  Seeks never move
+   back, so reading a table group by group along a sorted loop is one
+   pass over its [iters] column. *)
+type cursor = {
+  c_iters : int array;
+  mutable lo : int;
+  mutable hi : int;
+}
 
-let sequence_of_iter t iter =
-  let lo, hi = group_bounds t iter in
-  Array.to_list (Array.sub t.items lo (hi - lo))
+let cursor t = { c_iters = t.iters; lo = 0; hi = 0 }
+
+let seek c iter =
+  let iters = c.c_iters in
+  if not (c.lo < c.hi && Array.unsafe_get iters c.lo = iter) then begin
+    let n = Array.length iters in
+    let r = ref c.lo in
+    while !r < n && Array.unsafe_get iters !r < iter do
+      incr r
+    done;
+    c.lo <- !r;
+    while !r < n && Array.unsafe_get iters !r = iter do
+      incr r
+    done;
+    c.hi <- !r
+  end
+
+let group_list t c = Array.to_list (Array.sub t.items c.lo (c.hi - c.lo))
+
+let offsets t ~n =
+  let first = Array.make (n + 1) 0 in
+  Array.iter (fun it -> first.(it + 1) <- first.(it + 1) + 1) t.iters;
+  for i = 1 to n do
+    first.(i) <- first.(i) + first.(i - 1)
+  done;
+  first
 
 let to_sequence t =
   let n = row_count t in
@@ -112,7 +151,21 @@ let append2 t1 t2 =
 
 let concat ts = List.fold_left append2 empty ts
 
+(* Step results, and loops over them, are usually sorted already: one
+   comparison per row confirms it before any sorting is paid for. *)
+let in_distinct_doc_order t =
+  let n = row_count t in
+  let rec ok i =
+    i >= n
+    || (t.iters.(i - 1) <> t.iters.(i)
+        || Item.compare_doc_order t.items.(i - 1) t.items.(i) < 0)
+       && ok (i + 1)
+  in
+  ok 1
+
 let distinct_doc_order t =
+  if in_distinct_doc_order t then t
+  else begin
   let iters = Vec.create () and items = Vec.create () in
   let n = row_count t in
   let i = ref 0 in
@@ -134,17 +187,18 @@ let distinct_doc_order t =
     i := !j
   done;
   { iters = Vec.to_array iters; items = Vec.to_array items }
+  end
 
 let per_iter_aggregate ~loop t ~f =
-  let n = Array.length loop in
-  let iters = Array.copy loop in
-  let items = Array.make n (Item.Bool false) in
-  Array.iteri
-    (fun i iter ->
-      let lo, hi = group_bounds t iter in
-      items.(i) <- f (hi - lo))
-    loop;
-  { iters; items }
+  let c = cursor t in
+  let items =
+    Array.map
+      (fun iter ->
+        seek c iter;
+        f (c.hi - c.lo))
+      loop
+  in
+  { iters = Array.copy loop; items }
 
 let count ~loop t =
   per_iter_aggregate ~loop t ~f:(fun n -> Item.Int (Int64.of_int n))
@@ -174,17 +228,42 @@ let expand t =
     pos_table = { iters = Array.copy inner_loop; items = pos_items };
   }
 
+let expand_last t =
+  let n = row_count t in
+  let items = Array.make n (Item.Bool false) in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = ref (!lo + 1) in
+    while !hi < n && t.iters.(!hi) = t.iters.(!lo) do
+      incr hi
+    done;
+    let last = Item.Int (Int64.of_int (!hi - !lo)) in
+    Array.fill items !lo (!hi - !lo) last;
+    lo := !hi
+  done;
+  { iters = Array.init n Fun.id; items }
+
+(* Two passes along the cursor: size the result, then fill it. *)
 let lift t ~outer_of_inner =
-  let iters = Vec.create () and items = Vec.create () in
+  let c = cursor t in
+  let total = ref 0 in
+  Array.iter
+    (fun outer ->
+      seek c outer;
+      total := !total + (c.hi - c.lo))
+    outer_of_inner;
+  let iters = Array.make !total 0 and items = Array.make !total (Item.Bool false) in
+  let c = cursor t and k = ref 0 in
   Array.iteri
     (fun inner outer ->
-      let lo, hi = group_bounds t outer in
-      for r = lo to hi - 1 do
-        Vec.push iters inner;
-        Vec.push items t.items.(r)
+      seek c outer;
+      for r = c.lo to c.hi - 1 do
+        iters.(!k) <- inner;
+        items.(!k) <- t.items.(r);
+        incr k
       done)
     outer_of_inner;
-  { iters = Vec.to_array iters; items = Vec.to_array items }
+  { iters; items }
 
 let backmap t ~outer_of_inner =
   (* Inner iters are sorted and outer_of_inner is non-decreasing, so the

@@ -35,6 +35,15 @@ val of_rows : (int * Item.t) list -> t
     lifting. *)
 val const : loop:int array -> Item.t list -> t
 
+(** [builder ()] collects rows for a new table; [push b iter item]
+    appends one (iters must not decrease) and [build b] checks and
+    returns the table. *)
+type builder
+
+val builder : unit -> builder
+val push : builder -> int -> Item.t -> unit
+val build : builder -> t
+
 (** {1 Observation} *)
 
 (** [row_count t] is the number of rows. *)
@@ -45,13 +54,33 @@ val iter_at : t -> int -> int
 
 val item_at : t -> int -> Item.t
 
-(** [sequence_of_iter t iter] is the item sequence of iteration [iter]
-    (binary search + slice; empty if the iteration has no rows). *)
-val sequence_of_iter : t -> int -> Item.t list
+(** {1 Group cursors}
 
-(** [group_bounds t iter] is the row span [(lo, hi)] (half-open) of
-    [iter]'s sequence. *)
-val group_bounds : t -> int -> int * int
+    Operators read a table group by group along the sorted loop
+    relation.  A cursor does that in one forward pass over the [iters]
+    column: no search and no list per iteration. *)
+
+type cursor = private {
+  c_iters : int array;
+  mutable lo : int;  (** first row of the current group *)
+  mutable hi : int;  (** one past its last row; [lo = hi] when empty *)
+}
+
+(** [cursor t] starts before [t]'s first group. *)
+val cursor : t -> cursor
+
+(** [seek c iter] moves [c] to iteration [iter]'s group, rows
+    [c.lo .. c.hi - 1].  Successive seeks must not decrease [iter];
+    an iteration with no rows gives an empty span. *)
+val seek : cursor -> int -> unit
+
+(** [group_list t c] is the items of [c]'s current group of [t]. *)
+val group_list : t -> cursor -> Item.t list
+
+(** [offsets t ~n] gives random access to a table over the inner loop
+    [0 .. n-1]: iteration [i]'s rows are [first.(i) .. first.(i+1) - 1]
+    of the result [first]. *)
+val offsets : t -> n:int -> int array
 
 (** [to_sequence t] is the single sequence of a table known to live in
     a one-iteration loop; checks that only one distinct iter occurs.
@@ -80,7 +109,8 @@ val concat : t list -> t
 
 (** [distinct_doc_order t] sorts each iteration's sequence in document
     order and removes duplicates — the postprocessing every XPath (and
-    StandOff) step requires.  All items must be nodes. *)
+    StandOff) step requires.  All items must be nodes.  A table already
+    in that order is returned as it is, after one comparison per row. *)
 val distinct_doc_order : t -> t
 
 (** [count ~loop t] is, per iteration of [loop], the number of rows —
@@ -105,10 +135,15 @@ type expansion = {
 (** [expand t] builds the for-loop expansion of binding sequence [t]. *)
 val expand : t -> expansion
 
+(** [expand_last t] is the [last()] table of [expand t]'s inner loop:
+    inner iteration [i] holds the size of the group row [i] of [t]
+    belongs to. *)
+val expand_last : t -> t
+
 (** [lift t ~outer_of_inner] re-distributes a table over the inner
     loop: inner iteration [i] receives the sequence that [t] assigns
-    to [outer_of_inner.(i)].  Linear merge; requires [outer_of_inner]
-    non-decreasing (which {!expand} guarantees). *)
+    to [outer_of_inner.(i)].  One cursor pass; requires
+    [outer_of_inner] non-decreasing (which {!expand} guarantees). *)
 val lift : t -> outer_of_inner:int array -> t
 
 (** [backmap t ~outer_of_inner] renames inner iters back to outer

@@ -126,8 +126,6 @@ val chunk_writer : ?threshold:int -> Unix.file_descr -> chunk_writer
     HTTP chunk once it reaches the threshold. *)
 val chunk : chunk_writer -> string -> unit
 
-(** [chunk_flush w] forces the buffered bytes out as one chunk. *)
-val chunk_flush : chunk_writer -> unit
 
 (** [chunk_end w] flushes and writes the last-chunk terminator. *)
 val chunk_end : chunk_writer -> unit
@@ -191,8 +189,6 @@ type response_head = {
 
 val read_response_head : reader -> response_head
 
-(** Whether the head announced [Transfer-Encoding: chunked]. *)
-val head_is_chunked : response_head -> bool
 
 (** [iter_response_body ?max_body r head emit] streams the body that
     follows [head] to [emit] in blocks bounded by the reader's buffer

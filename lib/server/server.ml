@@ -426,6 +426,7 @@ let handle_ingest t req =
   in
   let docs = ref [] and blobs = ref [] in
   let add_part name payload =
+    if name = "" then raise (Http.Bad_request "empty document name");
     match convert with
     | `None -> docs := Doc.parse ~name payload :: !docs
     | `Standoff ->

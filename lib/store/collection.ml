@@ -106,7 +106,6 @@ let doc_id_of_name coll name =
 
 let blob coll name = locked coll (fun () -> Hashtbl.find_opt coll.blobs name)
 let doc_count coll = locked coll (fun () -> Vec.length coll.docs)
-let root_node _coll id = { doc_id = id; pre = 0 }
 
 let load_string coll ~name s = add coll (Doc.parse ~name s)
 

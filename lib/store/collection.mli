@@ -68,10 +68,6 @@ val blob : t -> string -> Blob.t option
     arena documents do not count. *)
 val doc_count : t -> int
 
-(** [root_node coll id] is the handle of document [id]'s document
-    node. *)
-val root_node : t -> int -> node
-
 (** [load_string coll ~name s] parses, shreds and registers a document
     in one step, returning its id. *)
 val load_string : t -> name:string -> string -> int

@@ -54,77 +54,135 @@ type t = {
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-let of_dom ~name:doc_name (dom : Dom.document) =
-  let names = Name_pool.create () in
-  let kind = Vec.create () in
-  let size = Vec.create () in
-  let level = Vec.create () in
-  let parent = Vec.create () in
-  let name = Vec.create () in
-  let value = Vec.create () in
-  let attr_owner = Vec.create () in
-  let attr_name = Vec.create () in
-  let attr_value = Vec.create () in
-  let alloc k lvl par nm v =
-    let pre = Vec.length kind in
-    Vec.push kind k;
-    Vec.push size 0;
-    Vec.push level lvl;
-    Vec.push parent par;
-    Vec.push name nm;
-    Vec.push value v;
-    pre
+(* Documents are built in pre order, column by column: a node is
+   appended when it opens, and an element's size is known when it
+   closes.  [open_] holds the pres of the open elements, the document
+   node at the bottom; its depth is the next node's level. *)
+type builder = {
+  b_names : Name_pool.t;
+  b_lock : Mutex.t;
+  b_kind : kind Vec.t;
+  b_size : int Vec.t;
+  b_level : int Vec.t;
+  b_parent : int Vec.t;
+  b_name : int Vec.t;
+  b_value : string Vec.t;
+  b_attr_owner : int Vec.t;
+  b_attr_name : int Vec.t;
+  b_attr_value : string Vec.t;
+  open_ : int Vec.t;
+}
+
+let alloc b k nm v =
+  let pre = Vec.length b.b_kind in
+  let depth = Vec.length b.open_ in
+  Vec.push b.b_kind k;
+  Vec.push b.b_size 0;
+  Vec.push b.b_level depth;
+  Vec.push b.b_parent (if depth = 0 then -1 else Vec.last b.open_);
+  Vec.push b.b_name nm;
+  Vec.push b.b_value v;
+  pre
+
+let start b = Vec.push b.open_ (alloc b Document (-1) "")
+
+let builder () =
+  let b =
+    {
+      b_names = Name_pool.create ();
+      b_lock = Mutex.create ();
+      b_kind = Vec.create ();
+      b_size = Vec.create ();
+      b_level = Vec.create ();
+      b_parent = Vec.create ();
+      b_name = Vec.create ();
+      b_value = Vec.create ();
+      b_attr_owner = Vec.create ();
+      b_attr_name = Vec.create ();
+      b_attr_value = Vec.create ();
+      open_ = Vec.create ();
+    }
   in
-  let rec shred_node lvl par = function
-    | Dom.Text s -> ignore (alloc Text lvl par (-1) s)
-    | Dom.Comment s -> ignore (alloc Comment lvl par (-1) s)
-    | Dom.Pi (target, data) ->
-        ignore (alloc Pi lvl par (Name_pool.intern names target) data)
-    | Dom.Element el ->
-        let pre = alloc Element lvl par (Name_pool.intern names el.tag) "" in
-        List.iter
-          (fun { Dom.attr_name = an; attr_value = av } ->
-            Vec.push attr_owner pre;
-            Vec.push attr_name (Name_pool.intern names an);
-            Vec.push attr_value av)
-          el.attrs;
-        List.iter (shred_node (lvl + 1) pre) el.children;
-        Vec.set size pre (Vec.length kind - pre - 1)
-  in
-  let doc_pre = alloc Document 0 (-1) (-1) "" in
-  (* Prolog/epilog comments and PIs become children of the document
-     node, surrounding the root element, like in the XDM. *)
-  List.iter (shred_node 1 doc_pre) dom.Dom.prolog;
-  shred_node 1 doc_pre (Dom.Element dom.Dom.root);
-  List.iter (shred_node 1 doc_pre) dom.Dom.epilog;
-  Vec.set size doc_pre (Vec.length kind - 1);
-  let n = Vec.length kind in
-  let attr_owner = Vec.to_array attr_owner in
+  start b;
+  b
+
+let open_element b tag =
+  Vec.push b.open_ (alloc b Element (Name_pool.intern b.b_names tag) "")
+
+let add_attribute b name value =
+  Vec.push b.b_attr_owner (Vec.last b.open_);
+  Vec.push b.b_attr_name (Name_pool.intern b.b_names name);
+  Vec.push b.b_attr_value value
+
+let add_text b s = ignore (alloc b Text (-1) s)
+
+let close b pre = Vec.set b.b_size pre (Vec.length b.b_kind - pre - 1)
+let close_element b = close b (Vec.pop b.open_)
+
+(* The builder starts over after each document; the documents it
+   finishes share its name pool and index lock. *)
+let finish b ~name:doc_name =
+  close b 0;
+  let n = Vec.length b.b_kind in
+  let attr_owner = Vec.to_array b.b_attr_owner in
   let attr_first = Array.make (n + 1) 0 in
-  (* attr_owner is produced in increasing order of owner pre, so a
-     single counting pass yields the per-node slices. *)
+  (* Attributes are added right after their owner opens, so the owner
+     column is increasing and one counting pass yields the per-node
+     slices. *)
   Array.iter (fun owner -> attr_first.(owner + 1) <- attr_first.(owner + 1) + 1) attr_owner;
   for i = 1 to n do
     attr_first.(i) <- attr_first.(i) + attr_first.(i - 1)
   done;
-  {
-    doc_name;
-    doc_uid = fresh_uid ();
-    kind = Vec.to_array kind;
-    size = Vec.to_array size;
-    level = Vec.to_array level;
-    parent = Vec.to_array parent;
-    name = Vec.to_array name;
-    value = Vec.to_array value;
-    attr_owner;
-    attr_name = Vec.to_array attr_name;
-    attr_value = Vec.to_array attr_value;
-    attr_first;
-    names;
-    index_lock = Mutex.create ();
-    elem_index = None;
-    dataguide = None;
-  }
+  let d =
+    {
+      doc_name;
+      doc_uid = fresh_uid ();
+      kind = Vec.to_array b.b_kind;
+      size = Vec.to_array b.b_size;
+      level = Vec.to_array b.b_level;
+      parent = Vec.to_array b.b_parent;
+      name = Vec.to_array b.b_name;
+      value = Vec.to_array b.b_value;
+      attr_owner;
+      attr_name = Vec.to_array b.b_attr_name;
+      attr_value = Vec.to_array b.b_attr_value;
+      attr_first;
+      names = b.b_names;
+      index_lock = b.b_lock;
+      elem_index = None;
+      dataguide = None;
+    }
+  in
+  Vec.clear b.b_kind;
+  List.iter Vec.clear
+    [ b.b_size; b.b_level; b.b_parent; b.b_name; b.b_attr_owner; b.b_attr_name;
+      b.open_ ];
+  Vec.clear b.b_value;
+  Vec.clear b.b_attr_value;
+  start b;
+  d
+
+let of_dom ~name:doc_name (dom : Dom.document) =
+  let b = builder () in
+  let rec shred_node = function
+    | Dom.Text s -> add_text b s
+    | Dom.Comment s -> ignore (alloc b Comment (-1) s)
+    | Dom.Pi (target, data) ->
+        ignore (alloc b Pi (Name_pool.intern b.b_names target) data)
+    | Dom.Element el ->
+        open_element b el.tag;
+        List.iter
+          (fun { Dom.attr_name; attr_value } -> add_attribute b attr_name attr_value)
+          el.attrs;
+        List.iter shred_node el.children;
+        close_element b
+  in
+  (* Prolog/epilog comments and PIs become children of the document
+     node, surrounding the root element, like in the XDM. *)
+  List.iter shred_node dom.Dom.prolog;
+  shred_node (Dom.Element dom.Dom.root);
+  List.iter shred_node dom.Dom.epilog;
+  finish b ~name:doc_name
 
 let parse ~name s = of_dom ~name (Standoff_xml.Parser.parse_string s)
 
@@ -205,14 +263,14 @@ let name_of d pre =
   let id = d.name.(pre) in
   if id < 0 then None else Some (Name_pool.name d.names id)
 
-let value_of d pre = d.value.(pre)
+let name_id d s = Option.value ~default:(-1) (Name_pool.find d.names s)
+let name_of_id d id = Name_pool.name d.names id
 
 let parent_of d pre =
   let p = d.parent.(pre) in
   if p < 0 then None else Some p
 
 let subtree_size d pre = d.size.(pre)
-let level_of d pre = d.level.(pre)
 
 let is_ancestor d a b = a < b && b <= a + d.size.(a)
 
@@ -336,6 +394,26 @@ let rec to_dom d pre =
       let kids = List.map (to_dom d) (children d pre) in
       Dom.Element
         { Dom.tag = Name_pool.name d.names d.name.(pre); attrs; children = kids }
+
+let copy_node b d pre =
+  let pre = if d.kind.(pre) = Document then root d else pre in
+  let base = Vec.length b.b_kind in
+  let shift = Vec.length b.open_ - d.level.(pre) in
+  let intern id = Name_pool.intern b.b_names (Name_pool.name d.names id) in
+  for p = pre to pre + d.size.(pre) do
+    Vec.push b.b_kind d.kind.(p);
+    Vec.push b.b_size d.size.(p);
+    Vec.push b.b_level (d.level.(p) + shift);
+    Vec.push b.b_parent
+      (if p = pre then Vec.last b.open_ else d.parent.(p) - pre + base);
+    Vec.push b.b_name (if d.name.(p) < 0 then -1 else intern d.name.(p));
+    Vec.push b.b_value d.value.(p);
+    for i = d.attr_first.(p) to d.attr_first.(p + 1) - 1 do
+      Vec.push b.b_attr_owner (p - pre + base);
+      Vec.push b.b_attr_name (intern d.attr_name.(i));
+      Vec.push b.b_attr_value d.attr_value.(i)
+    done
+  done
 
 let pp_node fmt (d, pre) =
   match d.kind.(pre) with

@@ -69,6 +69,43 @@ type t = private {
   mutable dataguide : guide option;
 }
 
+(** {2 Building}
+
+    A document is written in pre order into a {!builder}: element
+    constructors build theirs straight from the evaluator's columns,
+    and {!of_dom} shreds a parsed tree the same way. *)
+
+type builder
+
+(** [builder ()] holds just the document node. *)
+val builder : unit -> builder
+
+(** [open_element b tag] appends an element and makes it the parent of
+    what follows until {!close_element}. *)
+val open_element : builder -> string -> unit
+
+(** [add_attribute b name value] gives the element opened last an
+    attribute.  Add them before the element's first child. *)
+val add_attribute : builder -> string -> string -> unit
+
+(** [add_text b s] appends a text node. *)
+val add_text : builder -> string -> unit
+
+(** [copy_node b d pre] appends a deep copy of [d]'s node [pre] with
+    its attributes; a document node copies its root element. *)
+val copy_node : builder -> t -> int -> unit
+
+(** [close_element b] closes the element opened last. *)
+val close_element : builder -> unit
+
+(** [finish b ~name] is the document built so far; open elements
+    other than the document node must be closed first.  [b] then
+    starts a new document.  Documents finished from one builder share
+    its name pool and index lock, so a family of small documents (one
+    per constructor iteration) pays for those once; use one builder
+    per domain. *)
+val finish : builder -> name:string -> t
+
 (** [of_dom ~name dom] shreds a DOM document. *)
 val of_dom : name:string -> Standoff_xml.Dom.document -> t
 
@@ -110,9 +147,13 @@ val kind_of : t -> int -> kind
     comments and the document node; PI targets are names). *)
 val name_of : t -> int -> string option
 
-(** [value_of d pre] is the node's own string payload (text content for
-    text nodes, data for comments/PIs, [""] otherwise). *)
-val value_of : t -> int -> string
+(** [name_id d s] is [s]'s interned id in [d] ([d.name],
+    [d.attr_name]), or [-1] when no node or attribute of [d] is called
+    [s]. *)
+val name_id : t -> string -> int
+
+(** [name_of_id d id] is the name interned as [id] in [d]. *)
+val name_of_id : t -> int -> string
 
 (** [parent_of d pre] is the parent pre, or [None] for the document
     node. *)
@@ -120,9 +161,6 @@ val parent_of : t -> int -> int option
 
 (** [subtree_size d pre] is the number of proper descendants. *)
 val subtree_size : t -> int -> int
-
-(** [level_of d pre] is the depth ([0] for the document node). *)
-val level_of : t -> int -> int
 
 (** [is_ancestor d a b] holds when [a] is a proper ancestor of [b]
     (constant time via the pre/size window). *)

@@ -74,11 +74,6 @@ type op =
       blobs : (string * string) list;  (* name, contents *)
     }
 
-let op_doc = function
-  | Set_region { doc; _ } | Shift { doc; _ } -> doc
-  | Ingest { docs = (name, _) :: _; _ } -> name
-  | Ingest { docs = []; _ } -> ""
-
 let encode_op w op =
   let open Codec.Writer in
   match op with

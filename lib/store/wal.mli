@@ -39,9 +39,6 @@ type op =
           bulk-load path logs (and fsyncs) once per batch, not once
           per document. *)
 
-val op_doc : op -> string
-(** Document name the operation targets (the first document of a
-    batch; [""] for an empty batch). *)
 
 type fsync_policy =
   | Always  (** fsync after every append: acked implies durable *)

@@ -14,10 +14,6 @@ let upper_bound ~cmp a x =
   done;
   !lo
 
-let mem_sorted ~cmp a x =
-  let i = lower_bound ~cmp a x in
-  i < Array.length a && cmp a.(i) x = 0
-
 let lower_bound_int a x =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do

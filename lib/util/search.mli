@@ -14,8 +14,6 @@ val lower_bound : cmp:('a -> 'b -> int) -> 'a array -> 'b -> int
     [cmp a.(i) x > 0]. *)
 val upper_bound : cmp:('a -> 'b -> int) -> 'a array -> 'b -> int
 
-(** [mem_sorted ~cmp a x] tests membership in a sorted array. *)
-val mem_sorted : cmp:('a -> 'b -> int) -> 'a array -> 'b -> bool
 
 (** [lower_bound_int a x] is [lower_bound] specialised to sorted [int]
     arrays with the natural order (avoids closure allocation on the hot

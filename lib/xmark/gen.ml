@@ -298,4 +298,3 @@ let generate { scale; seed } =
          el "closed_auctions" closeds;
        ])
 
-let approximate_size_bytes scale = int_of_float (110_000_000.0 *. scale)

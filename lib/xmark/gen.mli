@@ -31,7 +31,3 @@ val counts_for : float -> counts
 (** [generate params] builds the document. *)
 val generate : params -> Standoff_xml.Dom.document
 
-(** [approximate_size_bytes scale] estimates the serialized size, used
-    by the benchmark harness to label series like the paper's
-    "11MB … 1100MB". *)
-val approximate_size_bytes : float -> int

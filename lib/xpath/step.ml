@@ -48,22 +48,31 @@ let partition_by_doc (context : Table.t) ~keep_attribute_owner =
    in document order, so row rank within the group {e is} the XPath
    position. *)
 let positional (t : Table.t) k =
-  if k < 1 then Table.of_rows []
-  else begin
-    let rows = ref [] in
-    let n = Table.row_count t in
-    let r = ref 0 in
-    while !r < n do
-      let iter = Table.iter_at t !r in
-      let lo = !r in
-      while !r < n && Table.iter_at t !r = iter do
-        incr r
-      done;
-      if lo + k - 1 < !r then
-        rows := (iter, Table.item_at t (lo + k - 1)) :: !rows
+  let b = Table.builder () in
+  let n = Table.row_count t in
+  let r = ref 0 in
+  while !r < n do
+    let iter = Table.iter_at t !r in
+    let lo = !r in
+    while !r < n && Table.iter_at t !r = iter do
+      incr r
     done;
-    Table.of_rows (List.rev !rows)
-  end
+    if k >= 1 && lo + k - 1 < !r then Table.push b iter (Table.item_at t (lo + k - 1))
+  done;
+  Table.build b
+
+(* Context rows come grouped by document: look each document, and the
+   interned id of attribute [name] in it, up once per run of rows. *)
+let doc_lookup coll ~name =
+  let last = ref None in
+  fun doc_id ->
+    match !last with
+    | Some ((id, _, _) as hit) when id = doc_id -> hit
+    | _ ->
+        let d = Collection.doc coll doc_id in
+        let hit = (doc_id, d, Doc.name_id d name) in
+        last := Some hit;
+        hit
 
 let axis_step coll axis ?position ~test (context : Table.t) =
   let keep_attribute_owner = axis = Axes.Parent in
@@ -87,21 +96,55 @@ let axis_step coll axis ?position ~test (context : Table.t) =
   let out = Table.concat tables in
   match position with None -> out | Some k -> positional out k
 
+(* One pass over the context's rows and each element's attribute
+   slice.  A name test compares interned ids. *)
 let attribute_step coll ~test (context : Table.t) =
-  let rows = ref [] in
-  for r = Table.row_count context - 1 downto 0 do
-    let iter = Table.iter_at context r in
+  let b = Table.builder () in
+  let all, name =
+    match test with
+    | Node_test.Any | Node_test.Kind_node -> (true, "")
+    | Node_test.Name a -> (false, a)
+    | _ -> (false, "")
+  in
+  let lookup = doc_lookup coll ~name in
+  if all || name <> "" then
+    for r = 0 to Table.row_count context - 1 do
+      match Table.item_at context r with
+      | Item.Node n ->
+          (* Only elements own attribute rows; other slices are empty. *)
+          let _, d, name_id = lookup n.Collection.doc_id in
+          let pre = n.Collection.pre in
+          for i = d.Doc.attr_first.(pre) to d.Doc.attr_first.(pre + 1) - 1 do
+            let nid = d.Doc.attr_name.(i) in
+            if all || nid = name_id then
+              Table.push b (Table.iter_at context r)
+                (Item.Attribute (n, Doc.name_of_id d nid, d.Doc.attr_value.(i)))
+          done
+      | Item.Attribute _ | Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _
+        ->
+          ()
+    done;
+  Table.distinct_doc_order (Table.build b)
+
+let attribute_filter coll ~attr ~value (context : Table.t) =
+  let b = Table.builder () in
+  let lookup = doc_lookup coll ~name:attr in
+  for r = 0 to Table.row_count context - 1 do
     match Table.item_at context r with
-    | Item.Node n ->
-        let doc = Collection.doc coll n.Collection.doc_id in
-        if Doc.kind_of doc n.Collection.pre = Doc.Element then
-          List.iter
-            (fun (name, value) ->
-              if Node_test.matches_attribute test name then
-                rows := (iter, Item.Attribute (n, name, value)) :: !rows)
-            (Doc.attributes doc n.Collection.pre)
+    | Item.Node n as item ->
+        let _, d, name_id = lookup n.Collection.doc_id in
+        let pre = n.Collection.pre in
+        let hi = d.Doc.attr_first.(pre + 1) in
+        let rec scan i =
+          i < hi
+          && ((d.Doc.attr_name.(i) = name_id
+              && String.equal d.Doc.attr_value.(i) value)
+             || scan (i + 1))
+        in
+        if scan d.Doc.attr_first.(pre) then
+          Table.push b (Table.iter_at context r) item
     | Item.Attribute _ | Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _
       ->
         ()
   done;
-  Table.distinct_doc_order (Table.of_rows !rows)
+  Table.build b

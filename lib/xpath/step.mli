@@ -35,3 +35,14 @@ val attribute_step :
   test:Node_test.t ->
   Standoff_relalg.Table.t ->
   Standoff_relalg.Table.t
+
+(** [attribute_filter coll ~attr ~value context] is the fused
+    predicate [context[@attr = "value"]]: it keeps the element rows
+    that carry an attribute [attr] whose value is the string [value],
+    in their order.  Other rows go, as under the unfused predicate. *)
+val attribute_filter :
+  Standoff_store.Collection.t ->
+  attr:string ->
+  value:string ->
+  Standoff_relalg.Table.t ->
+  Standoff_relalg.Table.t

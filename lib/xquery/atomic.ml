@@ -183,14 +183,18 @@ let negate a =
   | A_float f -> A_float (-.f)
   | _ -> assert false
 
+let effective_boolean_value_item = function
+  | Item.Node _ | Item.Attribute _ -> true
+  | Item.Bool b -> b
+  | Item.Int i -> i <> 0L
+  | Item.Float f -> not (f = 0.0 || Float.is_nan f)
+  | Item.Str s -> String.length s > 0
+
 let effective_boolean_value coll items =
   match items with
   | [] -> false
+  | [ item ] -> effective_boolean_value_item item
   | (Item.Node _ | Item.Attribute _) :: _ -> true
-  | [ Item.Bool b ] -> b
-  | [ Item.Int i ] -> i <> 0L
-  | [ Item.Float f ] -> not (f = 0.0 || Float.is_nan f)
-  | [ Item.Str s ] -> String.length s > 0
   | items ->
       Err.raisef
         "effective boolean value undefined for a %d-item atomic sequence (%s)"

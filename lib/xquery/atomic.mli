@@ -67,6 +67,10 @@ val negate : t -> t
 val effective_boolean_value :
   Standoff_store.Collection.t -> Standoff_relalg.Item.t list -> bool
 
+(** [effective_boolean_value_item item] is the effective boolean value
+    of the one-item sequence [item]. *)
+val effective_boolean_value_item : Standoff_relalg.Item.t -> bool
+
 (** [to_number a] coerces to a float ({!A_int} passes through losslessly
     when re-embedded).
     @raise Err.Error when not castable. *)

@@ -1,5 +1,12 @@
+(* The loop-lifted evaluator.  Every operator reads its operand tables
+   in one forward pass along the sorted loop relation, through a
+   {!Table.cursor} per operand: no per-iteration search and no
+   per-iteration list.  A literal operand of a comparison or an
+   arithmetic operator is atomized once and used as a constant, and an
+   element constructor writes each new document straight into a
+   {!Doc.builder}, copying node content column by column. *)
+
 module Vec = Standoff_util.Vec
-module Search = Standoff_util.Search
 module Timing = Standoff_util.Timing
 module Pool = Standoff_util.Pool
 module Dom = Standoff_xml.Dom
@@ -126,15 +133,15 @@ let enter_loop env (exp : Table.expansion) ~free =
   }
 
 let restrict_table t ~keep =
-  let iters = Vec.create () and items = Vec.create () in
-  for r = 0 to Table.row_count t - 1 do
-    let it = Table.iter_at t r in
-    if Search.mem_sorted_int keep it then begin
-      Vec.push iters it;
-      Vec.push items (Table.item_at t r)
-    end
-  done;
-  Table.make (Vec.to_array iters) (Vec.to_array items)
+  let b = Table.builder () and c = Table.cursor t in
+  Array.iter
+    (fun iter ->
+      Table.seek c iter;
+      for r = c.Table.lo to c.Table.hi - 1 do
+        Table.push b iter (Table.item_at t r)
+      done)
+    keep;
+  Table.build b
 
 let restrict_env env ~keep =
   {
@@ -155,19 +162,30 @@ let restrict_env env ~keep =
 (* ------------------------------------------------------------------ *)
 (* Per-iteration helpers                                              *)
 
-(* Apply [f iter items] for each iteration of the loop, where [items]
-   is that iteration's sequence in [t]. *)
-let per_iter env t ~f =
-  Array.iter (fun iter -> f iter (Table.sequence_of_iter t iter)) env.loop
+(* [c]'s current group of [t] as at most one item. *)
+let singleton what t (c : Table.cursor) =
+  match c.Table.hi - c.Table.lo with
+  | 0 -> None
+  | 1 -> Some (Table.item_at t c.Table.lo)
+  | _ -> Err.raisef "%s expects at most one item per iteration" what
+
+(* The effective boolean value of [c]'s current group of [t]. *)
+let ebv_group env t (c : Table.cursor) =
+  match c.Table.hi - c.Table.lo with
+  | 0 -> false
+  | 1 -> Atomic.effective_boolean_value_item (Table.item_at t c.Table.lo)
+  | _ -> (
+      match Table.item_at t c.Table.lo with
+      | Item.Node _ | Item.Attribute _ -> true
+      | _ -> Atomic.effective_boolean_value env.coll (Table.group_list t c))
 
 let ebv_mask env t =
-  let mask = Array.make (Array.length env.loop) false in
-  Array.iteri
-    (fun i iter ->
-      mask.(i) <-
-        Atomic.effective_boolean_value env.coll (Table.sequence_of_iter t iter))
-    env.loop;
-  mask
+  let c = Table.cursor t in
+  Array.map
+    (fun iter ->
+      Table.seek c iter;
+      ebv_group env t c)
+    env.loop
 
 let loop_where env mask value =
   let keep = Vec.create () in
@@ -178,11 +196,16 @@ let bool_table env mask =
   Table.make (Array.copy env.loop)
     (Array.map (fun b -> Item.Bool b) mask)
 
-let singleton_of what items =
-  match items with
-  | [] -> None
-  | [ x ] -> Some x
-  | _ -> Err.raisef "%s expects at most one item per iteration" what
+(* A comparison or arithmetic operand: a literal, atomized once, or a
+   table atomized row by row, read along the loop. *)
+type operand =
+  | Const of Atomic.t
+  | Column of Atomic.t array * Table.cursor
+
+let atomic_of_literal = function
+  | Ast.Lit_int i -> Atomic.A_int i
+  | Ast.Lit_float f -> Atomic.A_float f
+  | Ast.Lit_string s -> Atomic.A_str s
 
 (* ------------------------------------------------------------------ *)
 (* StandOff joins                                                     *)
@@ -333,66 +356,82 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
 (* ------------------------------------------------------------------ *)
 (* Element construction                                               *)
 
-let rec dom_of_items env items =
-  (* Adjacent atomic values merge into one text node separated by
-     spaces; nodes are deep-copied. *)
-  let out = ref [] in
+(* An evaluated constructor part: fixed text, or a table read along
+   the loop with its own cursor. *)
+type part = Fixed of string | Rows of Table.t * Table.cursor
+
+let seek_part iter = function
+  | Fixed _ -> ()
+  | Rows (_, c) -> Table.seek c iter
+
+(* One new element per iteration, written straight into a document
+   builder.  Attribute items in the content belong to the element, so
+   they are added before its children; adjacent atomic values merge
+   into one text node separated by spaces; nodes are deep-copied. *)
+let construct_element env b ~tag ~attrs ~content iter =
+  List.iter (fun (_, parts) -> List.iter (seek_part iter) parts) attrs;
+  List.iter (seek_part iter) content;
+  let string_of_item item =
+    Atomic.atomic_to_string (Atomic.atomize env.coll item)
+  in
+  Doc.open_element b tag;
+  List.iter
+    (fun (name, parts) ->
+      let value =
+        String.concat ""
+          (List.map
+             (function
+               | Fixed s -> s
+               | Rows (t, c) ->
+                   String.concat " "
+                     (List.init (c.Table.hi - c.Table.lo) (fun k ->
+                          string_of_item (Table.item_at t (c.Table.lo + k)))))
+             parts)
+      in
+      Doc.add_attribute b name value)
+    attrs;
+  List.iter
+    (function
+      | Fixed _ -> ()
+      | Rows (t, c) ->
+          for r = c.Table.lo to c.Table.hi - 1 do
+            match Table.item_at t r with
+            | Item.Attribute (_, name, value) -> Doc.add_attribute b name value
+            | _ -> ()
+          done)
+    content;
   let pending = Buffer.create 16 in
   let pending_nonempty = ref false in
   let flush () =
     if !pending_nonempty then begin
-      out := Dom.Text (Buffer.contents pending) :: !out;
+      Doc.add_text b (Buffer.contents pending);
       Buffer.clear pending;
       pending_nonempty := false
     end
   in
-  let attrs = ref [] in
   List.iter
-    (fun item ->
-      match item with
-      | Item.Node n ->
-          flush ();
-          let doc = Collection.doc env.coll n.Collection.doc_id in
-          out := Doc.to_dom doc n.Collection.pre :: !out
-      | Item.Attribute (_, name, value) -> attrs := (name, value) :: !attrs
-      | Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _ ->
-          if !pending_nonempty then Buffer.add_char pending ' ';
-          Buffer.add_string pending
-            (Atomic.atomic_to_string (Atomic.atomize env.coll item));
-          pending_nonempty := true)
-    items;
-  flush ();
-  (List.rev !attrs, List.rev !out)
-
-and construct_element env ~tag ~attr_tables ~content_tables iter =
-  let attr_value parts =
-    String.concat ""
-      (List.map
-         (function
-           | `Fixed s -> s
-           | `Table t ->
-               Table.sequence_of_iter t iter
-               |> List.map (fun item ->
-                      Atomic.atomic_to_string (Atomic.atomize env.coll item))
-               |> String.concat " ")
-         parts)
-  in
-  let attrs = List.map (fun (name, parts) -> (name, attr_value parts)) attr_tables in
-  let content_attrs = ref [] in
-  let children =
-    List.concat_map
-      (function
-        | `Fixed s -> if Dom.is_ws_only s then [] else [ Dom.Text s ]
-        | `Table t ->
-            let extra, nodes = dom_of_items env (Table.sequence_of_iter t iter) in
-            content_attrs := !content_attrs @ extra;
-            nodes)
-      content_tables
-  in
-  let el = Dom.element ~attrs:(attrs @ !content_attrs) tag children in
+    (function
+      | Fixed s -> if not (Dom.is_ws_only s) then Doc.add_text b s
+      | Rows (t, c) ->
+          for r = c.Table.lo to c.Table.hi - 1 do
+            match Table.item_at t r with
+            | Item.Node n ->
+                flush ();
+                Doc.copy_node b
+                  (Collection.doc env.coll n.Collection.doc_id)
+                  n.Collection.pre
+            | Item.Attribute _ -> ()
+            | (Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _) as item ->
+                if !pending_nonempty then Buffer.add_char pending ' ';
+                Buffer.add_string pending (string_of_item item);
+                pending_nonempty := true
+          done;
+          flush ())
+    content;
+  Doc.close_element b;
   (* The new document goes to the run's arena, never to the shared
      collection; it has no name anyone can look up. *)
-  let doc = Doc.of_dom ~name:"#constructed" (Dom.document el) in
+  let doc = Doc.finish b ~name:"#constructed" in
   let doc_id = Collection.add_constructed env.coll doc in
   Item.Node { Collection.doc_id; pre = 1 }
 
@@ -482,9 +521,13 @@ and eval_live env (plan : Plan.t) =
       let inner_mask = ebv_mask env' sat in
       (* Fold the inner verdicts back onto the outer loop. *)
       let verdict = Array.map (fun _ -> universal) env.loop in
+      let i = ref 0 in
       Array.iteri
         (fun inner outer ->
-          let i = Search.lower_bound_int env.loop outer in
+          while env.loop.(!i) < outer do
+            incr i
+          done;
+          let i = !i in
           if universal then
             verdict.(i) <- verdict.(i) && inner_mask.(inner)
           else verdict.(i) <- verdict.(i) || inner_mask.(inner))
@@ -500,15 +543,17 @@ and eval_live env (plan : Plan.t) =
   | Plan.Binop (op, a, b) -> eval_binop env op a b
   | Plan.Unary_minus e ->
       let t = eval env e in
-      let rows = ref [] in
-      per_iter env t ~f:(fun iter items ->
-          match singleton_of "unary minus" items with
+      let b = Table.builder () and c = Table.cursor t in
+      Array.iter
+        (fun iter ->
+          Table.seek c iter;
+          match singleton "unary minus" t c with
           | None -> ()
           | Some item ->
-              rows :=
-                (iter, Atomic.to_item (Atomic.negate (Atomic.atomize env.coll item)))
-                :: !rows);
-      Table.of_rows (List.rev !rows)
+              Table.push b iter
+                (Atomic.to_item (Atomic.negate (Atomic.atomize env.coll item))))
+        env.loop;
+      Table.build b
   | Plan.Axis_step { input; axis; test; position } -> (
       let ctx = eval env input in
       record_rows_in env ctx;
@@ -582,18 +627,15 @@ and eval_live env (plan : Plan.t) =
       | None -> joined
       | Some k -> Step.positional joined k)
   | Plan.Filter { input; predicate } -> eval_filter env input predicate
+  | Plan.Attr_filter { input; attr; value } ->
+      let t = eval env input in
+      record_rows_in env t;
+      Step.attribute_filter env.coll ~attr ~value t
   | Plan.Path_map { input; body } ->
       let t = eval env input in
       let exp = Table.expand t in
       let free = Plan.free_vars body in
       let env' = enter_loop env exp ~free in
-      let last_items =
-        Array.map
-          (fun outer ->
-            let lo, hi = Table.group_bounds t outer in
-            Item.Int (Int64.of_int (hi - lo)))
-          exp.Table.outer_of_inner
-      in
       let env' =
         {
           env' with
@@ -602,8 +644,7 @@ and eval_live env (plan : Plan.t) =
               {
                 f_item = exp.Table.var_table;
                 f_pos = exp.Table.pos_table;
-                f_last =
-                  Table.make (Array.copy exp.Table.inner_loop) last_items;
+                f_last = Table.expand_last t;
               };
         }
       in
@@ -619,18 +660,16 @@ and eval_live env (plan : Plan.t) =
   | Plan.Call { name; args } -> eval_call env name args
   | Plan.Elem_ctor { tag; attrs; content } ->
       let eval_part = function
-        | Plan.Fixed s -> `Fixed s
-        | Plan.Enclosed e -> `Table (eval env e)
+        | Plan.Fixed s -> Fixed s
+        | Plan.Enclosed e ->
+            let t = eval env e in
+            Rows (t, Table.cursor t)
       in
-      let attr_tables =
-        List.map (fun (n, parts) -> (n, List.map eval_part parts)) attrs
-      in
-      let content_tables = List.map eval_part content in
+      let attrs = List.map (fun (n, parts) -> (n, List.map eval_part parts)) attrs in
+      let content = List.map eval_part content in
+      let b = Doc.builder () in
       let items =
-        Array.map
-          (fun iter ->
-            construct_element env ~tag ~attr_tables ~content_tables iter)
-          env.loop
+        Array.map (fun iter -> construct_element env b ~tag ~attrs ~content iter) env.loop
       in
       Table.make (Array.copy env.loop) items
 
@@ -647,11 +686,11 @@ and reorder_for env' (exp : Table.expansion) out order_by =
       (fun spec ->
         let t = eval env' spec.Plan.key in
         let column = Array.make n None in
+        let c = Table.cursor t in
         Array.iter
           (fun inner ->
-            match
-              singleton_of "order by key" (Table.sequence_of_iter t inner)
-            with
+            Table.seek c inner;
+            match singleton "order by key" t c with
             | None -> ()
             | Some item ->
                 column.(inner) <- Some (Atomic.atomize env'.coll item))
@@ -680,16 +719,17 @@ and reorder_for env' (exp : Table.expansion) out order_by =
       by_keys keys
   in
   Array.sort compare_inner perm;
-  let iters = Vec.create () and items = Vec.create () in
+  (* [perm] visits the inner iterations out of order: read [out]
+     through its group offsets. *)
+  let first = Table.offsets out ~n in
+  let b = Table.builder () in
   Array.iter
     (fun inner ->
-      let lo, hi = Table.group_bounds out inner in
-      for r = lo to hi - 1 do
-        Vec.push iters exp.Table.outer_of_inner.(inner);
-        Vec.push items (Table.item_at out r)
+      for r = first.(inner) to first.(inner + 1) - 1 do
+        Table.push b exp.Table.outer_of_inner.(inner) (Table.item_at out r)
       done)
     perm;
-  Table.make (Vec.to_array iters) (Vec.to_array items)
+  Table.build b
 
 (* ---------------- binary operators ---------------- *)
 
@@ -710,22 +750,39 @@ and eval_binop env op a b =
         | Ast.Op_gt -> Atomic.Cgt
         | _ -> Atomic.Cge
       in
-      let t1 = eval env a and t2 = eval env b in
-      let mask = Array.make (Array.length env.loop) false in
-      Array.iteri
-        (fun i iter ->
-          let s1 =
-            List.map (Atomic.atomize env.coll) (Table.sequence_of_iter t1 iter)
-          in
-          let s2 =
-            List.map (Atomic.atomize env.coll) (Table.sequence_of_iter t2 iter)
-          in
-          (* General comparison: existential over both sequences. *)
-          mask.(i) <-
-            List.exists
-              (fun x -> List.exists (fun y -> Atomic.compare_atomics cmp x y) s2)
-              s1)
-        env.loop;
+      let o1 = operand env a and o2 = operand env b in
+      let test = Atomic.compare_atomics cmp in
+      (* General comparison: existential over both sequences, left
+         operand outermost. *)
+      let any (c : Table.cursor) f =
+        let rec go r = r < c.Table.hi && (f r || go (r + 1)) in
+        go c.Table.lo
+      in
+      let mask =
+        match (o1, o2) with
+        | Const x, Const y ->
+            let v = test x y in
+            Array.map (fun _ -> v) env.loop
+        | Column (xs, c), Const y ->
+            Array.map
+              (fun iter ->
+                Table.seek c iter;
+                any c (fun r -> test xs.(r) y))
+              env.loop
+        | Const x, Column (ys, c) ->
+            Array.map
+              (fun iter ->
+                Table.seek c iter;
+                any c (fun r -> test x ys.(r)))
+              env.loop
+        | Column (xs, c1), Column (ys, c2) ->
+            Array.map
+              (fun iter ->
+                Table.seek c1 iter;
+                Table.seek c2 iter;
+                any c1 (fun r -> any c2 (fun k -> test xs.(r) ys.(k))))
+              env.loop
+      in
       bool_table env mask
   | Ast.Op_add | Ast.Op_sub | Ast.Op_mul | Ast.Op_div | Ast.Op_idiv
   | Ast.Op_mod ->
@@ -738,49 +795,54 @@ and eval_binop env op a b =
         | Ast.Op_idiv -> Atomic.Idiv
         | _ -> Atomic.Mod
       in
-      let t1 = eval env a and t2 = eval env b in
-      let rows = ref [] in
+      let o1 = operand env a and o2 = operand env b in
+      let value iter = function
+        | Const x -> Some x
+        | Column (xs, c) -> (
+            Table.seek c iter;
+            match c.Table.hi - c.Table.lo with
+            | 0 -> None
+            | 1 -> Some xs.(c.Table.lo)
+            | _ -> Err.raisef "arithmetic expects at most one item per iteration")
+      in
+      let b = Table.builder () in
       Array.iter
         (fun iter ->
-          let s1 = Table.sequence_of_iter t1 iter in
-          let s2 = Table.sequence_of_iter t2 iter in
-          match
-            (singleton_of "arithmetic" s1, singleton_of "arithmetic" s2)
-          with
+          let y = value iter o2 in
+          match (value iter o1, y) with
           | Some x, Some y ->
-              let v =
-                Atomic.arithmetic arith (Atomic.atomize env.coll x)
-                  (Atomic.atomize env.coll y)
-              in
-              rows := (iter, Atomic.to_item v) :: !rows
+              Table.push b iter (Atomic.to_item (Atomic.arithmetic arith x y))
           | _ -> () (* empty operand -> empty result *))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build b
   | Ast.Op_to ->
       let t1 = eval env a and t2 = eval env b in
-      let rows = ref [] in
+      let c1 = Table.cursor t1 and c2 = Table.cursor t2 in
+      let b = Table.builder () in
       Array.iter
         (fun iter ->
-          let bound what t =
-            match singleton_of "range" (Table.sequence_of_iter t iter) with
+          let bound what t c =
+            Table.seek c iter;
+            match singleton "range" t c with
             | None -> None
             | Some item -> (
                 match Atomic.to_number (Atomic.atomize env.coll item) with
                 | Atomic.A_int i -> Some i
                 | _ -> Err.raisef "range %s must be an integer" what)
           in
-          match (bound "start" t1, bound "end" t2) with
+          let hi = bound "end" t2 c2 in
+          match (bound "start" t1 c1, hi) with
           | Some lo, Some hi ->
               if Int64.sub hi lo > 10_000_000L then
                 Err.raisef "range %Ld to %Ld is too large" lo hi;
               let i = ref lo in
               while Int64.compare !i hi <= 0 do
-                rows := (iter, Item.Int !i) :: !rows;
+                Table.push b iter (Item.Int !i);
                 i := Int64.add !i 1L
               done
           | _ -> ())
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build b
   | Ast.Op_union ->
       let t = Table.append2 (eval env a) (eval env b) in
       (try Table.distinct_doc_order t
@@ -789,19 +851,35 @@ and eval_binop env op a b =
   | Ast.Op_intersect | Ast.Op_except ->
       let t1 = eval env a and t2 = eval env b in
       let keep_if_in_t2 = op = Ast.Op_intersect in
-      let rows = ref [] in
+      let c1 = Table.cursor t1 and c2 = Table.cursor t2 in
+      let b = Table.builder () in
       Array.iter
         (fun iter ->
-          let rhs = Table.sequence_of_iter t2 iter in
-          List.iter
-            (fun item ->
-              if not (Item.is_node item) then
-                Err.raisef "set operation operands must be node sequences";
-              let present = List.exists (Item.equal item) rhs in
-              if present = keep_if_in_t2 then rows := (iter, item) :: !rows)
-            (Table.sequence_of_iter t1 iter))
+          Table.seek c1 iter;
+          Table.seek c2 iter;
+          for r = c1.Table.lo to c1.Table.hi - 1 do
+            let item = Table.item_at t1 r in
+            if not (Item.is_node item) then
+              Err.raisef "set operation operands must be node sequences";
+            let rec present k =
+              k < c2.Table.hi && (Item.equal item (Table.item_at t2 k) || present (k + 1))
+            in
+            if present c2.Table.lo = keep_if_in_t2 then Table.push b iter item
+          done)
         env.loop;
-      Table.distinct_doc_order (Table.of_rows (List.rev !rows))
+      Table.distinct_doc_order (Table.build b)
+
+(* A comparison or arithmetic operand: a literal is atomized once, any
+   other plan is evaluated and atomized row by row. *)
+and operand env (p : Plan.t) =
+  match p.Plan.desc with
+  | Plan.Literal l -> Const (atomic_of_literal l)
+  | _ ->
+      let t = eval env p in
+      Column
+        ( Array.init (Table.row_count t) (fun r ->
+              Atomic.atomize env.coll (Table.item_at t r)),
+          Table.cursor t )
 
 (* ---------------- predicates ---------------- *)
 
@@ -813,44 +891,36 @@ and eval_filter env input predicate =
   let env' = enter_loop env exp ~free in
   (* Focus: the filtered item, its position, and the size of its
      iteration's sequence. *)
-  let last_items =
-    Array.map
-      (fun outer ->
-        let lo, hi = Table.group_bounds t outer in
-        Item.Int (Int64.of_int (hi - lo)))
-      exp.Table.outer_of_inner
-  in
   let focus =
     Some
       {
         f_item = exp.Table.var_table;
         f_pos = exp.Table.pos_table;
-        f_last = Table.make (Array.copy exp.Table.inner_loop) last_items;
+        f_last = Table.expand_last t;
       }
   in
   let env' = { env' with focus } in
   let p = eval env' predicate in
-  let keep = Vec.create () in
+  let b = Table.builder () and c = Table.cursor p in
   Array.iteri
     (fun inner outer ->
-      let verdict =
-        match Table.sequence_of_iter p inner with
-        | [ Item.Int n ] ->
-            (* Positional predicate. *)
-            (match Table.item_at exp.Table.pos_table inner with
-            | Item.Int pos -> Int64.equal pos n
-            | _ -> assert false)
-        | [ Item.Float f ] ->
-            (match Table.item_at exp.Table.pos_table inner with
-            | Item.Int pos -> Float.equal (Int64.to_float pos) f
-            | _ -> assert false)
-        | items -> Atomic.effective_boolean_value env.coll items
+      Table.seek c inner;
+      let position () =
+        match Table.item_at exp.Table.pos_table inner with
+        | Item.Int pos -> pos
+        | _ -> assert false
       in
-      if verdict then
-        Vec.push keep (outer, Table.item_at exp.Table.var_table inner))
+      let verdict =
+        if c.Table.hi - c.Table.lo <> 1 then ebv_group env p c
+        else
+          match Table.item_at p c.Table.lo with
+          | Item.Int n -> Int64.equal (position ()) n (* positional predicate *)
+          | Item.Float f -> Float.equal (Int64.to_float (position ())) f
+          | item -> Atomic.effective_boolean_value_item item
+      in
+      if verdict then Table.push b outer (Table.item_at exp.Table.var_table inner))
     exp.Table.outer_of_inner;
-  let rows = Vec.to_array keep in
-  Table.make (Array.map fst rows) (Array.map snd rows)
+  Table.build b
 
 (* ---------------- function calls ---------------- *)
 
@@ -900,12 +970,24 @@ and eval_builtin env name args =
   let argc = List.length args in
   let arg n = List.nth args n in
   let eval1 () = eval env (arg 0) in
-  let per_iter_strings t =
-    (* Each iteration's sequence as an optional string (singleton). *)
+  (* An argument table read along the loop, one iteration at a time:
+     [single what t] gives each iteration's item (at most one), [group t]
+     its whole sequence, [per_iter_strings t] the item's string value. *)
+  let single what t =
+    let c = Table.cursor t in
     fun iter ->
-      match singleton_of name (Table.sequence_of_iter t iter) with
-      | None -> None
-      | Some item -> Some (Atomic.string_value env.coll item)
+      Table.seek c iter;
+      singleton what t c
+  in
+  let group t =
+    let c = Table.cursor t in
+    fun iter ->
+      Table.seek c iter;
+      Table.group_list t c
+  in
+  let per_iter_strings t =
+    let get = single name t in
+    fun iter -> Option.map (Atomic.string_value env.coll) (get iter)
   in
   match (name, argc) with
   | "#ddo", 1 -> (
@@ -965,12 +1047,12 @@ and eval_builtin env name args =
             f.f_item
       | None -> Err.raisef "string(): no context")
   | "string", 1 ->
-      let t = eval1 () in
+      let get = single "string" (eval1 ()) in
       let rows = ref [] in
       Array.iter
         (fun iter ->
           let s =
-            match singleton_of "string" (Table.sequence_of_iter t iter) with
+            match get iter with
             | None -> ""
             | Some item -> Atomic.string_value env.coll item
           in
@@ -987,12 +1069,12 @@ and eval_builtin env name args =
           Atomic.to_item (Atomic.to_number (Atomic.atomize env.coll item)))
         (eval1 ())
   | ("name" | "local-name"), 1 ->
-      let t = eval1 () in
+      let get = single name (eval1 ()) in
       let rows = ref [] in
       Array.iter
         (fun iter ->
           let s =
-            match singleton_of name (Table.sequence_of_iter t iter) with
+            match get iter with
             | None -> ""
             | Some (Item.Node n) ->
                 let doc = Collection.doc env.coll n.Collection.doc_id in
@@ -1004,14 +1086,14 @@ and eval_builtin env name args =
         env.loop;
       Table.of_rows (List.rev !rows)
   | "concat", _ when argc >= 2 ->
-      let tables = List.map (eval env) args in
+      let tables = List.map (fun a -> single "concat" (eval env a)) args in
       let rows = ref [] in
       Array.iter
         (fun iter ->
           let parts =
             List.map
-              (fun t ->
-                match singleton_of "concat" (Table.sequence_of_iter t iter) with
+              (fun get ->
+                match get iter with
                 | None -> ""
                 | Some item -> Atomic.string_value env.coll item)
               tables
@@ -1021,20 +1103,16 @@ and eval_builtin env name args =
       Table.of_rows (List.rev !rows)
   | "string-join", 2 ->
       let t = eval1 () and sep_t = eval env (arg 1) in
+      let items = group t and sep_of = single "string-join" sep_t in
       let rows = ref [] in
       Array.iter
         (fun iter ->
           let sep =
-            match
-              singleton_of "string-join" (Table.sequence_of_iter sep_t iter)
-            with
+            match sep_of iter with
             | None -> ""
             | Some item -> Atomic.string_value env.coll item
           in
-          let parts =
-            List.map (Atomic.string_value env.coll)
-              (Table.sequence_of_iter t iter)
-          in
+          let parts = List.map (Atomic.string_value env.coll) (items iter) in
           rows := (iter, Item.Str (String.concat sep parts)) :: !rows)
         env.loop;
       Table.of_rows (List.rev !rows)
@@ -1074,8 +1152,10 @@ and eval_builtin env name args =
       let t = eval1 () and start_t = eval env (arg 1) in
       let len_t = if argc = 3 then Some (eval env (arg 2)) else None in
       let g = per_iter_strings t in
-      let num t iter =
-        match singleton_of "substring" (Table.sequence_of_iter t iter) with
+      let start_of = single "substring" start_t in
+      let len_of = Option.map (single "substring") len_t in
+      let num get iter =
+        match get iter with
         | None -> Err.raisef "substring: missing argument"
         | Some item -> (
             match Atomic.to_number (Atomic.atomize env.coll item) with
@@ -1087,11 +1167,11 @@ and eval_builtin env name args =
       Array.iter
         (fun iter ->
           let s = Option.value ~default:"" (g iter) in
-          let start = max 1 (num start_t iter) in
+          let start = max 1 (num start_of iter) in
           let len =
-            match len_t with
+            match len_of with
             | None -> String.length s - start + 1
-            | Some t -> num t iter
+            | Some get -> num get iter
           in
           let lo = start - 1 in
           let len = max 0 (min len (String.length s - lo)) in
@@ -1100,14 +1180,14 @@ and eval_builtin env name args =
         env.loop;
       Table.of_rows (List.rev !rows)
   | ("sum" | "min" | "max" | "avg"), 1 ->
-      let t = eval1 () in
+      let items = group (eval1 ()) in
       let rows = ref [] in
       Array.iter
         (fun iter ->
           let nums =
             List.map
               (fun item -> Atomic.to_number (Atomic.atomize env.coll item))
-              (Table.sequence_of_iter t iter)
+              (items iter)
           in
           let float_of = function
             | Atomic.A_int i -> Int64.to_float i
@@ -1203,20 +1283,22 @@ and eval_builtin env name args =
         env.loop;
       Table.of_rows (List.rev !rows)
   | "reverse", 1 ->
-      let t = eval1 () in
+      let items = group (eval1 ()) in
       let rows = ref [] in
       Array.iter
         (fun iter ->
           List.iter
             (fun item -> rows := (iter, item) :: !rows)
-            (List.rev (Table.sequence_of_iter t iter)))
+            (List.rev (items iter)))
         env.loop;
       Table.of_rows (List.rev !rows)
   | "subsequence", (2 | 3) ->
       let t = eval1 () and start_t = eval env (arg 1) in
       let len_t = if argc = 3 then Some (eval env (arg 2)) else None in
-      let num t iter =
-        match singleton_of "subsequence" (Table.sequence_of_iter t iter) with
+      let items_of = group t and start_of = single "subsequence" start_t in
+      let len_of = Option.map (single "subsequence") len_t in
+      let num get iter =
+        match get iter with
         | None -> Err.raisef "subsequence: missing argument"
         | Some item -> (
             match Atomic.to_number (Atomic.atomize env.coll item) with
@@ -1227,10 +1309,10 @@ and eval_builtin env name args =
       let rows = ref [] in
       Array.iter
         (fun iter ->
-          let items = Table.sequence_of_iter t iter in
-          let start = num start_t iter in
+          let items = items_of iter in
+          let start = num start_of iter in
           let len =
-            match len_t with None -> List.length items | Some t -> num t iter
+            match len_of with None -> List.length items | Some get -> num get iter
           in
           List.iteri
             (fun i item ->
@@ -1242,12 +1324,11 @@ and eval_builtin env name args =
       Table.of_rows (List.rev !rows)
   | "index-of", 2 ->
       let t = eval1 () and needle_t = eval env (arg 1) in
+      let items = group t and needle_of = single "index-of" needle_t in
       let rows = ref [] in
       Array.iter
         (fun iter ->
-          match
-            singleton_of "index-of" (Table.sequence_of_iter needle_t iter)
-          with
+          match needle_of iter with
           | None -> ()
           | Some needle ->
               let nv = Atomic.atomize env.coll needle in
@@ -1261,11 +1342,11 @@ and eval_builtin env name args =
                   in
                   if ok then
                     rows := (iter, Item.Int (Int64.of_int (i + 1))) :: !rows)
-                (Table.sequence_of_iter t iter))
+                (items iter))
         env.loop;
       Table.of_rows (List.rev !rows)
   | "distinct-values", 1 ->
-      let t = eval1 () in
+      let items = group (eval1 ()) in
       let rows = ref [] in
       Array.iter
         (fun iter ->
@@ -1278,17 +1359,17 @@ and eval_builtin env name args =
                 Hashtbl.add seen key ();
                 rows := (iter, Atomic.to_item a) :: !rows
               end)
-            (Table.sequence_of_iter t iter))
+            (items iter))
         env.loop;
       Table.of_rows (List.rev !rows)
   | ("standoff-start" | "standoff-end"), 1 ->
       (* Region accessors: the extent bounds of a node's area under the
          current standoff configuration. *)
-      let t = eval1 () in
+      let get = single name (eval1 ()) in
       let rows = ref [] in
       Array.iter
         (fun iter ->
-          match singleton_of name (Table.sequence_of_iter t iter) with
+          match get iter with
           | None -> ()
           | Some item -> (
               match area_of_item env item with
@@ -1307,13 +1388,11 @@ and eval_builtin env name args =
       (* The paper's §3.1 predicates between two area-annotations,
          honouring non-contiguous areas. *)
       let t1 = eval1 () and t2 = eval env (arg 1) in
+      let get1 = single name t1 and get2 = single name t2 in
       let mask =
         Array.map
           (fun iter ->
-            match
-              ( singleton_of name (Table.sequence_of_iter t1 iter),
-                singleton_of name (Table.sequence_of_iter t2 iter) )
-            with
+            match (get1 iter, get2 iter) with
             | Some a, Some b -> (
                 match (area_of_item env a, area_of_item env b) with
                 | Some (_, area_a), Some (_, area_b) ->
@@ -1329,13 +1408,11 @@ and eval_builtin env name args =
       (* The exact Allen relation between the two annotations' extents
          (per Allen 1983; the 13 relations of §3). *)
       let t1 = eval1 () and t2 = eval env (arg 1) in
+      let get1 = single name t1 and get2 = single name t2 in
       let rows = ref [] in
       Array.iter
         (fun iter ->
-          match
-            ( singleton_of name (Table.sequence_of_iter t1 iter),
-              singleton_of name (Table.sequence_of_iter t2 iter) )
-          with
+          match (get1 iter, get2 iter) with
           | Some a, Some b -> (
               match (area_of_item env a, area_of_item env b) with
               | Some (_, area_a), Some (_, area_b) ->
@@ -1355,13 +1432,11 @@ and eval_builtin env name args =
       (* The BLOB content under a node's area: the regions are read in
          order and concatenated (re-assembling non-contiguous areas). *)
       let t = eval1 () and blob_t = eval env (arg 1) in
+      let get = single name t and blob_of = single name blob_t in
       let rows = ref [] in
       Array.iter
         (fun iter ->
-          match
-            ( singleton_of name (Table.sequence_of_iter t iter),
-              singleton_of name (Table.sequence_of_iter blob_t iter) )
-          with
+          match (get iter, blob_of iter) with
           | Some item, Some blob_name -> (
               match area_of_item env item with
               | None -> ()
@@ -1415,10 +1490,12 @@ and standoff_function env ?span ~strategy_choice op test ctx cand_table =
           n.Collection.pre
     | _ -> false
   in
+  let cc = Table.cursor cands and sc = Table.cursor selected in
   Array.iter
     (fun iter ->
-      let c_lo, c_hi = Table.group_bounds cands iter
-      and s_lo, s_hi = Table.group_bounds selected iter in
+      Table.seek cc iter;
+      Table.seek sc iter;
+      let c_hi = cc.Table.hi and s_hi = sc.Table.hi in
       let rec merge c s =
         if c < c_hi then begin
           let cand = Table.item_at cands c in
@@ -1438,6 +1515,6 @@ and standoff_function env ?span ~strategy_choice op test ctx cand_table =
           end
         end
       in
-      merge c_lo s_lo)
+      merge cc.Table.lo sc.Table.lo)
     (Table.iters_present cands);
   Table.make (Vec.to_array iters) (Vec.to_array items)

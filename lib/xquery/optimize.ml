@@ -8,8 +8,10 @@
 
    - step/filter fusion: a literal positional predicate on an axis
      step or StandOff join becomes the operator's fused [position]
-     ([$b/select-narrow::bidder[1]] executes as one step), and a
-     [self::name] predicate on an unnamed step becomes its name test;
+     ([$b/select-narrow::bidder[1]] executes as one step), a
+     [self::name] predicate on an unnamed step becomes its name test,
+     and an [[@a = "lit"]] predicate becomes one [Attr_filter] pass
+     over the rows' attribute slices;
 
    - node-test pushdown (paper §4.3): a name test on a StandOff join
      restricts the candidate region index before the merge sweep
@@ -177,6 +179,25 @@ let self_name_test (p : Plan.t) =
       Some n
   | _ -> None
 
+(* [@a = "lit"] (either way round) as a predicate: one attribute
+   compared with a string, which is string equality on the untyped
+   attribute value. *)
+let attr_equality (p : Plan.t) =
+  let attr (q : Plan.t) =
+    match q.Plan.desc with
+    | Plan.Attribute_step
+        { input = { Plan.desc = Plan.Context_item; _ }; test = Node_test.Name a }
+      ->
+        Some a
+    | _ -> None
+  in
+  match p.Plan.desc with
+  | Plan.Binop (Ast.Op_eq, q, { Plan.desc = Plan.Literal (Ast.Lit_string v); _ })
+  | Plan.Binop (Ast.Op_eq, { Plan.desc = Plan.Literal (Ast.Lit_string v); _ }, q)
+    ->
+      Option.map (fun a -> (a, v)) (attr q)
+  | _ -> None
+
 let unnamed_test = function
   | Node_test.Any | Node_test.Kind_node | Node_test.Kind_element None -> true
   | _ -> false
@@ -272,6 +293,7 @@ let optimize ?pin_strategy ?(stats = no_stats) ?(dataguide = false) plan =
              })
     | Plan.Filter { input; predicate } ->
         mk (Plan.Filter { input = go input; predicate = go predicate })
+    | Plan.Attr_filter a -> mk (Plan.Attr_filter { a with input = go a.input })
     | Plan.Path_map { input; body } ->
         mk (Plan.Path_map { input = go input; body = go body })
     | Plan.Call { name; args } ->
@@ -358,6 +380,10 @@ let optimize ?pin_strategy ?(stats = no_stats) ?(dataguide = false) plan =
                   j with
                   test = Node_test.Name (Option.get (self_name_test predicate));
                 }))
+    | Plan.Filter { input; predicate }
+      when Option.is_some (attr_equality predicate) ->
+        let attr, value = Option.get (attr_equality predicate) in
+        Plan.make (Plan.Attr_filter { input; attr; value })
     (* -------- path collapse (strong DataGuide) -------- *)
     (* A child or descendant name step whose input chain bottoms out
        in a document-node source folds into one [Path_lookup]; the
@@ -464,6 +490,7 @@ let estimate_cost ~stats plan =
     | Plan.Filter { input; predicate } ->
         go input;
         go predicate
+    | Plan.Attr_filter { input; _ } -> go input
     | Plan.Path_map { input; body } ->
         go input;
         go body

@@ -17,9 +17,6 @@ type stats = {
           final step's name count otherwise *)
 }
 
-(** Statistics that report zero everywhere; pushdown then always
-    fires (restricting a candidate index can only shrink it). *)
-val no_stats : stats
 
 (** [collection_stats ?dataguide coll catalog config] derives lazy
     statistics from the collection's cached {!Standoff.Annots} tables.

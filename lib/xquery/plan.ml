@@ -76,6 +76,7 @@ and desc =
               steps, answered in one DataGuide probe per document *)
     }
   | Filter of { input : t; predicate : t }
+  | Attr_filter of { input : t; attr : string; value : string }
   | Path_map of { input : t; body : t }
   | Call of { name : string; args : t list }
   | Elem_ctor of {
@@ -235,7 +236,8 @@ let free_vars plan =
     | Unary_minus e
     | Axis_step { input = e; _ }
     | Attribute_step { input = e; _ }
-    | Path_lookup { input = e; _ } ->
+    | Path_lookup { input = e; _ }
+    | Attr_filter { input = e; _ } ->
         go bound acc e
     | Standoff_join { input; candidates; _ } ->
         let acc = go bound acc input in
@@ -275,7 +277,8 @@ let rec constructs p =
   | Unary_minus e
   | Axis_step { input = e; _ }
   | Attribute_step { input = e; _ }
-  | Path_lookup { input = e; _ } ->
+  | Path_lookup { input = e; _ }
+  | Attr_filter { input = e; _ } ->
       constructs e
   | Standoff_join { input; candidates; _ } ->
       constructs input
@@ -374,6 +377,8 @@ let label plan =
   | Path_lookup { steps; _ } ->
       Printf.sprintf "path-lookup %s [dataguide]" (path_to_string steps)
   | Filter _ -> "filter"
+  | Attr_filter { attr; value; _ } ->
+      Printf.sprintf "filter [@%s = %S] [fused]" attr value
   | Path_map _ -> "path-map"
   | Call { name = "#ddo"; _ } -> "distinct-doc-order"
   | Call { name; args } -> Printf.sprintf "call %s/%d" name (List.length args)
@@ -401,7 +406,7 @@ let children plan =
   | Binop (_, a, b) -> [ (None, a); (None, b) ]
   | Unary_minus e -> [ (None, e) ]
   | Axis_step { input; _ } | Attribute_step { input; _ }
-  | Path_lookup { input; _ } ->
+  | Path_lookup { input; _ } | Attr_filter { input; _ } ->
       [ (Some "in", input) ]
   | Standoff_join { input; candidates; _ } -> (
       (Some "in", input)
@@ -457,7 +462,7 @@ let analyze_suffix plan analysis =
       let step_like =
         match plan.desc with
         | Axis_step _ | Attribute_step _ | Standoff_join _ | Filter _
-        | Path_lookup _ ->
+        | Attr_filter _ | Path_lookup _ ->
             true
         | _ -> false
       in

@@ -63,6 +63,9 @@ and desc =
               per document *)
     }
   | Filter of { input : t; predicate : t }
+  | Attr_filter of { input : t; attr : string; value : string }
+      (** [input[@attr = "value"]] fused by {!Optimize}: one pass over
+          each row's attribute slice, no predicate evaluation *)
   | Path_map of { input : t; body : t }
   | Call of { name : string; args : t list }
   | Elem_ctor of {

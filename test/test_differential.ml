@@ -67,6 +67,22 @@ let query_shapes =
         "for $x in doc(\"r.xml\")//%s return \
          <g>{count($x/%s::%s/select-narrow::%s)}</g>"
         from_n op to_n from_n);
+    (fun op from_n to_n ->
+      (* Positional and value predicates inside the loop; attribute
+         items, atomics and empty sequences as constructor content. *)
+      Printf.sprintf
+        "for $x in doc(\"r.xml\")//%s return \
+         <g s=\"{$x/@start}\">{$x/%s::%s[1]/@end, \
+         $x/%s::%s[last()]/@start, count($x/%s::%s[@start = \"10\"]), \
+         \"-\", $x/%s::%s[\"0\" = @start]}</g>"
+        from_n op to_n op to_n op to_n op to_n);
+    (fun op from_n to_n ->
+      (* General comparisons over multi-item operands, untyped against
+         untyped and against numeric literals. *)
+      Printf.sprintf
+        "for $x in doc(\"r.xml\")//%s where $x/%s::%s/@end > $x/@end \
+         or $x/%s::%s/@start = 5 return ($x/@start + 0, $x/@end != 40)"
+        from_n op to_n op to_n);
   ]
 
 let gen_case =

@@ -12,6 +12,12 @@ let items : Item.t list Alcotest.testable =
     (Fmt.Dump.list (fun fmt i -> Item.pp fmt i))
     (List.equal Item.equal)
 
+(* One iteration's sequence, read through a fresh group cursor. *)
+let sequence_of_iter t iter =
+  let c = Table.cursor t in
+  Table.seek c iter;
+  Table.group_list t c
+
 let test_make_checks () =
   Alcotest.(check bool) "decreasing iters rejected" true
     (match Table.make [| 2; 1 |] [| str "a"; str "b" |] with
@@ -25,8 +31,8 @@ let test_make_checks () =
 let test_const () =
   let t = Table.const ~loop:[| 1; 2; 3 |] [ str "x"; str "y" ] in
   Alcotest.(check int) "rows" 6 (Table.row_count t);
-  Alcotest.check items "iter 2" [ str "x"; str "y" ] (Table.sequence_of_iter t 2);
-  Alcotest.check items "absent iter" [] (Table.sequence_of_iter t 5)
+  Alcotest.check items "iter 2" [ str "x"; str "y" ] (sequence_of_iter t 2);
+  Alcotest.check items "absent iter" [] (sequence_of_iter t 5)
 
 (* The paper's running example: for $x in ("twenty","thirty")
    for $y in ("one","two") let $z := ($x,$y) return $z. *)
@@ -46,14 +52,14 @@ let test_paper_loop_lifting_example () =
   Alcotest.check items "x lifted"
     [ str "twenty"; str "twenty"; str "thirty"; str "thirty" ]
     (List.concat_map
-       (fun it -> Table.sequence_of_iter x_inner it)
+       (fun it -> sequence_of_iter x_inner it)
        (Array.to_list exp_y.Table.inner_loop));
   (* $z := ($x, $y): per-iteration concatenation. *)
   let z = Table.append2 x_inner exp_y.Table.var_table in
   Alcotest.check items "z iter 0" [ str "twenty"; str "one" ]
-    (Table.sequence_of_iter z 0);
+    (sequence_of_iter z 0);
   Alcotest.check items "z iter 3" [ str "thirty"; str "two" ]
-    (Table.sequence_of_iter z 3);
+    (sequence_of_iter z 3);
   (* return $z, mapped back through both loops: the 8-row table of the
      paper, then the final sequence. *)
   let back_y = Table.backmap z ~outer_of_inner:exp_y.Table.outer_of_inner in
@@ -66,7 +72,7 @@ let test_paper_loop_lifting_example () =
       str "twenty"; str "one"; str "twenty"; str "two";
       str "thirty"; str "one"; str "thirty"; str "two";
     ]
-    (Table.sequence_of_iter back_x 1)
+    (sequence_of_iter back_x 1)
 
 let test_expand_positions () =
   let t = Table.make [| 1; 1; 3 |] [| str "a"; str "b"; str "c" |] in
@@ -88,9 +94,9 @@ let test_append2_order () =
   let t2 = Table.make [| 1; 3 |] [| str "b"; str "d" |] in
   let t = Table.append2 t1 t2 in
   Alcotest.check items "iter 1 keeps order" [ str "a"; str "b" ]
-    (Table.sequence_of_iter t 1);
-  Alcotest.check items "iter 2" [ str "c" ] (Table.sequence_of_iter t 2);
-  Alcotest.check items "iter 3" [ str "d" ] (Table.sequence_of_iter t 3)
+    (sequence_of_iter t 1);
+  Alcotest.check items "iter 2" [ str "c" ] (sequence_of_iter t 2);
+  Alcotest.check items "iter 3" [ str "d" ] (sequence_of_iter t 3)
 
 let test_distinct_doc_order () =
   let n doc_id pre = Item.Node { Standoff_store.Collection.doc_id; pre } in
@@ -99,8 +105,8 @@ let test_distinct_doc_order () =
   in
   let d = Table.distinct_doc_order t in
   Alcotest.check items "sorted deduped" [ n 0 3; n 0 9 ]
-    (Table.sequence_of_iter d 1);
-  Alcotest.check items "iter 2 untouched" [ n 1 1 ] (Table.sequence_of_iter d 2)
+    (sequence_of_iter d 1);
+  Alcotest.check items "iter 2 untouched" [ n 1 1 ] (sequence_of_iter d 2)
 
 let test_filter_map () =
   let t = Table.make [| 1; 1; 2 |] [| int 1; int 2; int 3 |] in
@@ -115,13 +121,13 @@ let test_filter_map () =
       (function Item.Int i -> Item.Int (Int64.mul 2L i) | x -> x)
       t
   in
-  Alcotest.check items "mapped" [ int 2; int 4 ] (Table.sequence_of_iter doubled 1)
+  Alcotest.check items "mapped" [ int 2; int 4 ] (sequence_of_iter doubled 1)
 
 let test_of_rows_stable () =
   let t = Table.of_rows [ (2, str "x"); (1, str "a"); (2, str "y") ] in
   Alcotest.check items "iter 2 order preserved" [ str "x"; str "y" ]
-    (Table.sequence_of_iter t 2);
-  Alcotest.check items "iter 1" [ str "a" ] (Table.sequence_of_iter t 1)
+    (sequence_of_iter t 2);
+  Alcotest.check items "iter 1" [ str "a" ] (sequence_of_iter t 1)
 
 let test_to_sequence_guard () =
   let t = Table.make [| 1; 2 |] [| str "a"; str "b" |] in
@@ -144,8 +150,8 @@ let qcheck_lift_identity =
       Array.for_all
         (fun i ->
           List.equal Item.equal
-            (Table.sequence_of_iter lifted i)
-            (Table.sequence_of_iter t iters.(i)))
+            (sequence_of_iter lifted i)
+            (sequence_of_iter t iters.(i)))
         (Array.init (Array.length iters) Fun.id))
 
 let qcheck_append2_rowcount =

@@ -745,6 +745,47 @@ let test_durable_server () =
       check_status "in-memory server has no snapshot" 409
         (oneshot (Server.port srv) ~meth:"POST" ~target:"/admin/snapshot" ""))
 
+(* A refused write reaches neither the store nor the WAL, and its 400
+   names the cause. *)
+let refused_write_logs_nothing ~target ~body ~cause () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "standoff-server-refused-%d" (Unix.getpid ()))
+  in
+  let d, _ = Durable.open_dir ~seed:fresh_collection dir in
+  let engine =
+    Engine.create ~jobs:1 ~cache:Engine.Cache_off ~durable:d
+      (Durable.collection d)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      with_server ~engine (fun srv ->
+          let r = oneshot (Server.port srv) ~meth:"POST" ~target body in
+          check_status target 400 r;
+          Alcotest.(check bool) ("the error names: " ^ cause) true
+            (contains cause r.Http.r_body));
+      Engine.shutdown engine;
+      let d2, recovery = Durable.open_dir dir in
+      Fun.protect
+        ~finally:(fun () -> Durable.close d2)
+        (fun () ->
+          Alcotest.(check int) "nothing logged" 0 recovery.Durable.rec_replayed;
+          Alcotest.(check (option int)) "no document named \"\"" None
+            (Collection.doc_id_of_name (Durable.collection d2) "")))
+
+let test_empty_ingest_name =
+  refused_write_logs_nothing ~target:"/ingest?name=" ~body:"<a/>"
+    ~cause:"empty document name"
+
+let test_overflowing_shift =
+  refused_write_logs_nothing
+    ~target:"/update?doc=upd.xml&op=shift&from=0&by=9223372036854775807"
+    ~body:"" ~cause:"overflows"
+
 (* ---------------- admission control ---------------- *)
 
 let test_load_shed_503 () =
@@ -1053,5 +1094,9 @@ let () =
         [
           Alcotest.test_case "durable engine behind the server" `Quick
             test_durable_server;
+          Alcotest.test_case "empty ingest name refused, nothing logged"
+            `Quick test_empty_ingest_name;
+          Alcotest.test_case "overflowing shift refused for that cause"
+            `Quick test_overflowing_shift;
         ] );
     ]

@@ -222,7 +222,9 @@ let test_lifted_step () =
   let pres it =
     List.map
       (fun i -> (Item.node_exn i).Collection.pre)
-      (Table.sequence_of_iter out it)
+      (let c = Table.cursor out in
+       Table.seek c it;
+       Table.group_list out c)
   in
   Alcotest.(check (list int)) "iter 1" [ 3; 5 ] (pres 1);
   Alcotest.(check (list int)) "iter 2" [ 5; 7 ] (pres 2)

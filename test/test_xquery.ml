@@ -693,6 +693,149 @@ let test_strategies_agree_nested () =
         expected (run ~strategy q))
     Config.all_strategies
 
+(* ------------------------------------------------------------ *)
+(* Loop-lifted value operators and constructors                  *)
+
+(* General comparisons and arithmetic read both operands along the
+   loop: iterations empty on one side, multi-item operands under
+   existential [=] and [!=], literals on either side, untyped values
+   against numbers, and NaN. *)
+let test_lifted_comparisons () =
+  check "comparisons 1"
+    "false false false false false false"
+    "for $b in doc(\"books.xml\")//book return ($b/@year = $b/missing, $b/missing != $b/price)";
+  check "comparisons 2"
+    "true true false true false true"
+    "for $b in doc(\"books.xml\")//book return ($b/* = \"TCP/IP\", $b/* != \"TCP/IP\")";
+  check "comparisons 3"
+    "false false true true true false true true false"
+    "for $b in doc(\"books.xml\")//book return (\"2000\" = $b/@year, $b/@year = \"2000\", $b/@year != \"2000\")";
+  check "comparisons 4"
+    "true false false false false false true true true"
+    "for $b in doc(\"books.xml\")//book return ($b/price > 50, 100 < $b/price, $b/price = 120)";
+  check "comparisons 5"
+    "false true true false true true"
+    "let $n := 0.0 div 0 return for $x in (1, 2.5) return ($x = $n, $x != $n, $n < $x)";
+  check "comparisons 6"
+    "2 9 1 -1 3 8 4 -2 4 7 9 -3"
+    "for $x in (1, 2, 3) return ($x + 1, 10 - $x, $x * $x, - $x)";
+  check "comparisons 7"
+    "1 3"
+    "for $x in (1, (), 3) return $x";
+  check "comparisons 8"
+    "131.9 79.9 240"
+    "for $b in doc(\"books.xml\")//book return ($b/price * 2, $b/missing + 1)"
+
+(* [[1]], [[last()]] and [[@a = ...]] inside [for], and the fused
+   attribute filter over inputs that are not in document order. *)
+let test_lifted_predicates () =
+  check "predicates 1"
+    "id=\"Intro\"\nid=\"Outro\"\nstart=\"64\"\nend=\"8\""
+    "for $v in doc(\"figure1.xml\")//video return ($v/shot[1]/@id, $v/shot[last()]/@id, $v/shot[@id = \"Outro\"]/@start, $v/shot[\"Intro\" = @id]/@end)";
+  check "predicates 2"
+    "Interview Outro"
+    "for $m in doc(\"figure1.xml\")//music return string-join($m/select-wide::shot[@id != \"Intro\"][last()]/@id, \",\")";
+  check "predicates 3"
+    "1 1"
+    "for $m in doc(\"figure1.xml\")//music return count($m/select-wide::shot[@id = \"Interview\"])";
+  check "predicates 4"
+    "id=\"Outro\""
+    "for $s in reverse(doc(\"figure1.xml\")//shot) return $s[@end = \"94\"]/@id";
+  check "predicates 5"
+    "<shot id=\"Interview\" start=\"8\" end=\"64\"/>"
+    "reverse(doc(\"figure1.xml\")//shot)[@start = \"8\"]"
+
+(* Element constructors built from columns: empty enclosed
+   expressions in some iterations, adjacent atomics joined by spaces,
+   attribute items in content, nested constructors and deep copies. *)
+let test_lifted_constructors () =
+  check "constructors 1"
+    "<r/>\n<r>Data on the Web</r>\n<r>XML Queries</r>"
+    "for $b in doc(\"books.xml\")//book return <r>{$b/@missing}{$b[@year = \"2000\"]/title/text()}</r>";
+  check "constructors 2"
+    "<a>1 10 x</a>\n<a>2 20 x</a>"
+    "for $i in (1, 2) return <a>{$i, $i * 10, \"x\"}</a>";
+  check "constructors 3"
+    "<s n=\"Intro\" start=\"0\" end=\"8\"/>\n<s n=\"Interview\" start=\"8\" end=\"64\"/>\n<s n=\"Outro\" start=\"64\" end=\"94\"/>"
+    "for $s in doc(\"figure1.xml\")//shot return <s n=\"{$s/@id}\">{$s/@start, $s/@end}</s>";
+  check "constructors 4"
+    "<o i=\"1\" j=\"a1b1\"><m>1</m><k/>t</o>\n<o i=\"2\" j=\"a2b2\"><m>2</m><k/>t</o>"
+    "for $i in (1, 2) return <o i=\"{$i}\" j=\"a{$i}b{(), $i}\"><m>{$i}</m>{<k/>, \"t\"}</o>";
+  check "constructors 5"
+    "<e/>"
+    "<e>{\"\"}</e>";
+  check "constructors 6"
+    "<e> </e>\n<f>a1b</f>\n<g/>"
+    "(<e>{\"\", \"\"}</e>, <f>a{1}b</f>, <g> </g>)";
+  check "constructors 7"
+    "<q>1</q>\n<q>2</q>"
+    "(for $i in (1, 2) return <p><q>{$i}</q></p>)/q";
+  check "constructors 8"
+    "<w><video><shot id=\"Intro\" start=\"0\" end=\"8\"/><shot id=\"Interview\" start=\"8\" end=\"64\"/><shot id=\"Outro\" start=\"64\" end=\"94\"/></video></w>"
+    "<w>{doc(\"figure1.xml\")//video}</w>";
+  check "constructors 9"
+    "<w><sample><video><shot id=\"Intro\" start=\"0\" end=\"8\"/><shot id=\"Interview\" start=\"8\" end=\"64\"/><shot id=\"Outro\" start=\"64\" end=\"94\"/></video><audio><music artist=\"U2\" start=\"0\" end=\"31\"/><music artist=\"Bach\" start=\"52\" end=\"94\"/></audio></sample></w>"
+    "<w>{doc(\"figure1.xml\")}</w>";
+  check "constructors 10"
+    "<n><m x=\"1\"><l>1</l></m></n>\n<n><m x=\"2\"><l>1</l><l>2</l></m></n>"
+    "for $i in (1, 2) return <n>{<m x=\"{$i}\">{for $j in (1 to $i) return <l>{$j}</l>}</m>}</n>"
+
+(* [@*] over a context that is not in document order, order by,
+   quantifiers, set operations and ranges along the loop. *)
+let test_lifted_loops () =
+  check "loops 1"
+    "end=\"8\"\nid=\"Intro\"\nstart=\"0\"\nend=\"64\"\nid=\"Interview\"\nstart=\"8\"\nend=\"94\"\nid=\"Outro\"\nstart=\"64\""
+    "let $s := reverse(doc(\"figure1.xml\")//shot) return $s/@*";
+  check "loops 2"
+    "3"
+    "let $s := reverse(doc(\"figure1.xml\")//shot) return count($s/@id)";
+  check "loops 3"
+    "XML Queries\nTCP/IP\nData on the Web"
+    "for $b in doc(\"books.xml\")//book order by $b/price descending return $b/title/text()";
+  check "loops 4"
+    "<v>1</v>\n<v>2</v>\n<v>3</v>"
+    "for $x in (3, 1, 2) order by $x return <v>{$x}</v>";
+  check "loops 5"
+    "true"
+    "some $b in doc(\"books.xml\")//book satisfies $b/@year = \"1994\"";
+  check "loops 6"
+    "true false"
+    "for $y in (\"1994\", \"2000\") return every $b in doc(\"books.xml\")//book[@year = $y] satisfies $b/price > 60";
+  check "loops 7"
+    "<book year=\"1994\"><title>TCP/IP</title><price>65.95</price></book>\n<book year=\"1994\"><title>TCP/IP</title><price>65.95</price></book>\n<book year=\"1994\"><title>TCP/IP</title><price>65.95</price></book>\n<book year=\"2000\"><title>Data on the Web</title><price>39.95</price></book>\n<book year=\"2000\"><title>Data on the Web</title><price>39.95</price></book>\n<book year=\"1994\"><title>TCP/IP</title><price>65.95</price></book>\n<book year=\"2000\"><title>XML Queries</title><price>120</price></book>\n<book year=\"2000\"><title>XML Queries</title><price>120</price></book>"
+    "for $b in doc(\"books.xml\")//book return (doc(\"books.xml\")//book[1] | $b, $b except doc(\"books.xml\")//book[2], $b intersect doc(\"books.xml\")//book[2])";
+  check "loops 8"
+    "1 2 3 2 3"
+    "for $x in (1, 2) return ($x to 3)";
+  check "loops 9"
+    "Interview Outro"
+    "for $s in doc(\"figure1.xml\")//shot where $s/@start >= 8 return string($s/@id)"
+
+(* Per-iteration errors keep their messages under the loop-lifted
+   operators. *)
+let test_lifted_errors () =
+  let expect msg q =
+    match run q with
+    | exception Err.Error m -> Alcotest.(check string) q msg m
+    | r -> Alcotest.failf "%s: expected an error, got %S" q r
+  in
+  expect "arithmetic expects at most one item per iteration"
+    "for $x in (1, 2) return ($x, $x) + 1";
+  expect "cannot compare 1 with a" "for $x in (1, 2) return (1, 2) = \"a\"";
+  expect "cannot compare a with 1" "for $x in (1, 2) return ($x, \"a\") = 1";
+  expect "set operation operands must be node sequences"
+    "for $x in (1, 2) return (1, 2) intersect $x";
+  expect "cannot cast \"b\" to a number" "for $x in (1, 2) return $x to \"b\"";
+  expect "unary minus expects at most one item per iteration"
+    "for $x in (1, 2) return -($x, 1)";
+  expect
+    "effective boolean value undefined for a 2-item atomic sequence (1, 2)"
+    "for $x in (1, 2) return if (($x, 2)) then 1 else 0";
+  expect
+    "effective boolean value undefined for a 2-item atomic sequence (1, 1)"
+    "for $x in (1, 2) return (1, 2)[($x, 1)]";
+  expect "division by zero" "for $x in (1, 2) return $x div 0"
+
 let () =
   Alcotest.run "xquery"
     [
@@ -770,5 +913,16 @@ let () =
         [
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "timeout" `Quick test_timeout;
+        ] );
+      ( "lifted",
+        [
+          Alcotest.test_case "comparisons and arithmetic" `Quick
+            test_lifted_comparisons;
+          Alcotest.test_case "predicates in loops" `Quick test_lifted_predicates;
+          Alcotest.test_case "constructors from columns" `Quick
+            test_lifted_constructors;
+          Alcotest.test_case "attribute steps, order, sets" `Quick
+            test_lifted_loops;
+          Alcotest.test_case "per-iteration errors" `Quick test_lifted_errors;
         ] );
     ]
