@@ -50,14 +50,12 @@ let shift_annotations cat config doc ~from ~by =
       let extent = Standoff_interval.Area.extent area in
       if Int64.compare (Region.start_pos extent) from >= 0 then begin
         let add pos =
-          if
-            (Int64.compare by 0L > 0 && Int64.compare pos (Int64.sub Int64.max_int by) > 0)
-            || (Int64.compare by 0L < 0 && Int64.compare pos (Int64.sub Int64.min_int by) < 0)
-          then
+          let positive = Int64.compare by 0L > 0 in
+          let limit = Int64.sub (if positive then Int64.max_int else Int64.min_int) by in
+          if (positive && pos > limit) || ((not positive) && pos < limit) then
             invalid_arg
               (Printf.sprintf
-                 "Update.shift_annotations: shifting position %Ld by %Ld overflows"
-                 pos by);
+                 "Update.shift_annotations: shifting %Ld by %Ld overflows" pos by);
           Int64.add pos by
         in
         let start_ = add (Region.start_pos extent) in

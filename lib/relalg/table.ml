@@ -252,7 +252,8 @@ let lift t ~outer_of_inner =
       seek c outer;
       total := !total + (c.hi - c.lo))
     outer_of_inner;
-  let iters = Array.make !total 0 and items = Array.make !total (Item.Bool false) in
+  let iters = Array.make !total 0 in
+  let items = Array.make !total (Item.Bool false) in
   let c = cursor t and k = ref 0 in
   Array.iteri
     (fun inner outer ->

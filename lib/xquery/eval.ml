@@ -665,11 +665,15 @@ and eval_live env (plan : Plan.t) =
             let t = eval env e in
             Rows (t, Table.cursor t)
       in
-      let attrs = List.map (fun (n, parts) -> (n, List.map eval_part parts)) attrs in
+      let attrs =
+        List.map (fun (n, parts) -> (n, List.map eval_part parts)) attrs
+      in
       let content = List.map eval_part content in
       let b = Doc.builder () in
       let items =
-        Array.map (fun iter -> construct_element env b ~tag ~attrs ~content iter) env.loop
+        Array.map
+          (fun iter -> construct_element env b ~tag ~attrs ~content iter)
+          env.loop
       in
       Table.make (Array.copy env.loop) items
 
