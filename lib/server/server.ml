@@ -415,7 +415,8 @@ let handle_update t req =
    lock, so concurrent queries keep flowing while a batch is prepared.
    The engine then adds the batch in one exclusive section: one
    region-index and DataGuide build per document, one catalogue version
-   bump, one WAL record. *)
+   bump, one WAL record.  A part that does not parse, or that has an
+   empty name (which {!Doc} refuses), is a 400 before the lock. *)
 let handle_ingest t req =
   let request_id = fresh_request_id t in
   let convert =
@@ -426,7 +427,6 @@ let handle_ingest t req =
   in
   let docs = ref [] and blobs = ref [] in
   let add_part name payload =
-    if name = "" then raise (Http.Bad_request "empty document name");
     match convert with
     | `None -> docs := Doc.parse ~name payload :: !docs
     | `Standoff ->

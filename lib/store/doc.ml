@@ -59,8 +59,7 @@ let fresh_uid () = Atomic.fetch_and_add uid_counter 1
    closes.  [open_] holds the pres of the open elements, the document
    node at the bottom; its depth is the next node's level. *)
 type builder = {
-  b_names : Name_pool.t;
-  b_lock : Mutex.t;
+  mutable b_names : Name_pool.t;
   b_kind : kind Vec.t;
   b_size : int Vec.t;
   b_level : int Vec.t;
@@ -90,7 +89,6 @@ let builder () =
   let b =
     {
       b_names = Name_pool.create ();
-      b_lock = Mutex.create ();
       b_kind = Vec.create ();
       b_size = Vec.create ();
       b_level = Vec.create ();
@@ -119,9 +117,10 @@ let add_text b s = ignore (alloc b Text (-1) s)
 let close b pre = Vec.set b.b_size pre (Vec.length b.b_kind - pre - 1)
 let close_element b = close b (Vec.pop b.open_)
 
-(* The builder starts over after each document; the documents it
-   finishes share its name pool and index lock. *)
+(* The builder starts over after each document: the new document takes
+   the name pool, and the column vectors are cleared for reuse. *)
 let finish b ~name:doc_name =
+  if doc_name = "" then invalid_arg "Doc: empty document name";
   close b 0;
   let n = Vec.length b.b_kind in
   let attr_owner = Vec.to_array b.b_attr_owner in
@@ -148,11 +147,12 @@ let finish b ~name:doc_name =
       attr_value = Vec.to_array b.b_attr_value;
       attr_first;
       names = b.b_names;
-      index_lock = b.b_lock;
+      index_lock = Mutex.create ();
       elem_index = None;
       dataguide = None;
     }
   in
+  b.b_names <- Name_pool.create ();
   Vec.clear b.b_kind;
   List.iter Vec.clear
     [ b.b_size; b.b_level; b.b_parent; b.b_name; b.b_attr_owner; b.b_attr_name;

@@ -100,13 +100,13 @@ val close_element : builder -> unit
 
 (** [finish b ~name] is the document built so far; open elements
     other than the document node must be closed first.  [b] then
-    starts a new document.  Documents finished from one builder share
-    its name pool and index lock, so a family of small documents (one
-    per constructor iteration) pays for those once; use one builder
-    per domain. *)
+    starts a new document with a name pool of its own.  Raises
+    [Invalid_argument] when [name] is empty: every document, parsed,
+    shredded or constructed, has a name. *)
 val finish : builder -> name:string -> t
 
-(** [of_dom ~name dom] shreds a DOM document. *)
+(** [of_dom ~name dom] shreds a DOM document; an empty [name] raises
+    [Invalid_argument], as in {!finish}. *)
 val of_dom : name:string -> Standoff_xml.Dom.document -> t
 
 (** [of_columns ...] reassembles a document from stored columns — the
@@ -148,8 +148,8 @@ val kind_of : t -> int -> kind
 val name_of : t -> int -> string option
 
 (** [name_id d s] is [s]'s interned id in [d] ([d.name],
-    [d.attr_name]), or [-1] when no node or attribute of [d] is called
-    [s]. *)
+    [d.attr_name]), or [-1] when no name [s] is interned in [d]'s
+    pool. *)
 val name_id : t -> string -> int
 
 (** [name_of_id d id] is the name interned as [id] in [d]. *)

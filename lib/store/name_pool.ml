@@ -3,8 +3,11 @@ type t = {
   by_id : string Standoff_util.Vec.t;
 }
 
+(* Starts small: each constructed element is a document with a pool of
+   its own, usually holding one or two names; the table grows for large
+   documents. *)
 let create () =
-  { by_name = Hashtbl.create 64; by_id = Standoff_util.Vec.create () }
+  { by_name = Hashtbl.create 8; by_id = Standoff_util.Vec.create () }
 
 let intern pool s =
   match Hashtbl.find_opt pool.by_name s with

@@ -21,16 +21,6 @@ val escape_text : string -> string
     for a double-quoted attribute value. *)
 val escape_attr : string -> string
 
-(** [escape_into buf s ~attr] appends [s] escaped as character data,
-    or as a double-quoted attribute value when [attr]. *)
-val escape_into : Buffer.t -> string -> attr:bool -> unit
-
-(** [add_comment buf s] and [add_pi buf target data] append a comment
-    and a processing instruction, canonicalised as described above. *)
-val add_comment : Buffer.t -> string -> unit
-
-val add_pi : Buffer.t -> string -> string -> unit
-
 (** [node_to_buffer ?indent buf n] appends the serialization of [n].
     With [indent] (spaces per level), element-only content is broken
     over lines; mixed content is kept verbatim so that text round-trips

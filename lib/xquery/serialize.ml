@@ -3,45 +3,10 @@ module Collection = Standoff_store.Collection
 module Item = Standoff_relalg.Item
 module Serializer = Standoff_xml.Serializer
 
-(* A stored node, rendered from its columns exactly as
-   [Serializer.node_to_string] renders its DOM: empty text children do
-   not count against the self-closing form. *)
-let rec add_node buf (d : Doc.t) pre =
-  match d.Doc.kind.(pre) with
-  | Doc.Text -> Serializer.escape_into buf d.Doc.value.(pre) ~attr:false
-  | Doc.Comment -> Serializer.add_comment buf d.Doc.value.(pre)
-  | Doc.Pi ->
-      Serializer.add_pi buf (Doc.name_of_id d d.Doc.name.(pre)) d.Doc.value.(pre)
-  | Doc.Document -> add_node buf d (Doc.root d)
-  | Doc.Element ->
-      let tag = Doc.name_of_id d d.Doc.name.(pre) in
-      Buffer.add_char buf '<';
-      Buffer.add_string buf tag;
-      for i = d.Doc.attr_first.(pre) to d.Doc.attr_first.(pre + 1) - 1 do
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (Doc.name_of_id d d.Doc.attr_name.(i));
-        Buffer.add_string buf "=\"";
-        Serializer.escape_into buf d.Doc.attr_value.(i) ~attr:true;
-        Buffer.add_char buf '"'
-      done;
-      let empty = ref true in
-      Doc.iter_children d pre (fun c ->
-          if not (d.Doc.kind.(c) = Doc.Text && d.Doc.value.(c) = "") then
-            empty := false);
-      if !empty then Buffer.add_string buf "/>"
-      else begin
-        Buffer.add_char buf '>';
-        Doc.iter_children d pre (add_node buf d);
-        Buffer.add_string buf "</";
-        Buffer.add_string buf tag;
-        Buffer.add_char buf '>'
-      end
-
 let item coll = function
   | Item.Node n ->
-      let buf = Buffer.create 256 in
-      add_node buf (Collection.doc coll n.Collection.doc_id) n.Collection.pre;
-      Buffer.contents buf
+      let doc = Collection.doc coll n.Collection.doc_id in
+      Serializer.node_to_string (Doc.to_dom doc n.Collection.pre)
   | Item.Attribute (_, name, value) ->
       Printf.sprintf "%s=\"%s\"" name (Serializer.escape_attr value)
   | (Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _) as atom ->

@@ -98,6 +98,31 @@ let test_iter_children_leaf () =
   done;
   Alcotest.(check int) "three text nodes" 3 !texts
 
+(* Documents finished from one builder do not share names: each owns
+   the pool its own nodes were interned in. *)
+let test_builder_own_pools () =
+  let b = Doc.builder () in
+  Doc.open_element b "a";
+  Doc.add_attribute b "x" "1";
+  Doc.close_element b;
+  let d1 = Doc.finish b ~name:"one" in
+  Doc.open_element b "b";
+  Doc.close_element b;
+  let d2 = Doc.finish b ~name:"two" in
+  Alcotest.(check bool) "own names found" true
+    (Doc.name_id d1 "a" >= 0 && Doc.name_id d1 "x" >= 0
+    && Doc.name_id d2 "b" >= 0);
+  Alcotest.(check (list int)) "a sibling's names are not" [ -1; -1; -1 ]
+    [ Doc.name_id d1 "b"; Doc.name_id d2 "a"; Doc.name_id d2 "x" ];
+  Alcotest.(check (option string)) "second root" (Some "b")
+    (Doc.name_of d2 (Doc.root d2))
+
+let test_empty_name_refused () =
+  Alcotest.(check bool) "raises" true
+    (match Doc.parse ~name:"" "<a/>" with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 (* ------------------------------------------------------------ *)
 (* Random-tree invariants                                        *)
 
@@ -221,6 +246,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_shred_invariants;
           QCheck_alcotest.to_alcotest qcheck_shred_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_size_is_descendant_count;
+          Alcotest.test_case "builder documents own their names" `Quick
+            test_builder_own_pools;
+          Alcotest.test_case "empty document name refused" `Quick
+            test_empty_name_refused;
         ] );
       ( "collection",
         [
