@@ -20,34 +20,22 @@ let unpack_pre key = key land 0x7FFFFFFF
 
 (* [keys] is consumed (sorted in place). *)
 let sort_dedup_pairs keys =
-  let n = Array.length keys in
-  (* Nested annotations cluster the index like the tree, so matches
-     often emerge already sorted and duplicate-free; detect that in
-     one pass before paying for a sort. *)
-  let strictly_sorted = ref true and i = ref 1 in
-  while !strictly_sorted && !i < n do
-    if keys.(!i - 1) >= keys.(!i) then strictly_sorted := false;
-    incr i
-  done;
-  if !strictly_sorted then (Array.map unpack_iter keys, Array.map unpack_pre keys)
-  else begin
-    Radix.sort_ints keys;
-    let distinct = ref 0 in
-    Array.iteri
-      (fun i key -> if i = 0 || keys.(i - 1) <> key then incr distinct)
-      keys;
-    let iters = Array.make !distinct 0 and pres = Array.make !distinct 0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun i key ->
-        if i = 0 || keys.(i - 1) <> key then begin
-          iters.(!k) <- unpack_iter key;
-          pres.(!k) <- unpack_pre key;
-          incr k
-        end)
-      keys;
-    (iters, pres)
-  end
+  Radix.sort_ints keys;
+  let distinct = ref 0 in
+  Array.iteri
+    (fun i key -> if i = 0 || keys.(i - 1) <> key then incr distinct)
+    keys;
+  let iters = Array.make !distinct 0 and pres = Array.make !distinct 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i key ->
+      if i = 0 || keys.(i - 1) <> key then begin
+        iters.(!k) <- unpack_iter key;
+        pres.(!k) <- unpack_pre key;
+        incr k
+      end)
+    keys;
+  (iters, pres)
 
 let region_count annots pre =
   match Annots.area_of annots pre with
@@ -86,8 +74,23 @@ let finalize_narrow_multi annots (m : Matches.t) =
   done;
   sort_dedup_pairs (Vec.to_array pairs)
 
+(* Nested annotations cluster the index like the tree, so matches
+   often emerge sorted by (iter, candidate) and duplicate-free: one
+   pass over the match columns detects that, and they are the result
+   as they are.  Only unsorted matches are packed and sorted. *)
 let finalize_select op annots ~single_region (m : Matches.t) =
+  let strictly_sorted () =
+    let rec ok k =
+      k >= m.len
+      || (let i0 = m.iters.(k - 1) and i1 = m.iters.(k) in
+          i0 < i1 || (i0 = i1 && m.cands.(k - 1) < m.cands.(k)))
+         && ok (k + 1)
+    in
+    ok 1
+  in
   if (not single_region) && Op.is_narrow op then finalize_narrow_multi annots m
+  else if strictly_sorted () then
+    (Array.sub m.iters 0 m.len, Array.sub m.cands 0 m.len)
   else sort_dedup_pairs (Array.init m.len (fun k -> pack m.iters.(k) m.cands.(k)))
 
 (* The anti-joins return, per live iteration, the candidates that the

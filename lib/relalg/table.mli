@@ -7,14 +7,39 @@
     in row order).  The surrounding {e loop relation} — the sorted
     array of live iteration numbers — travels separately, because an
     iteration whose sequence is empty has no rows yet still exists
-    (this matters for anti-joins and for [count]). *)
+    (this matters for anti-joins and for [count]).
+
+    The item column has two forms.  A sequence of nodes only, the
+    output of every step and join, is a column of unboxed node
+    {!key}s; atomic values, attributes and mixed sequences are a
+    column of boxed {!Item.t}s.  Every operator that produces nodes,
+    and every operator here, keeps or builds the node form; an
+    [Item.Node] is made only when a caller asks for an item
+    ({!item_at}, {!group_list}, {!to_sequence}). *)
+
+(** {1 Node keys}
+
+    A node is packed into one int, [doc_id] in the high bits and [pre]
+    in the low 31, so document order ({!Standoff_store.Collection.compare_node})
+    is int order. *)
+
+val key : doc_id:int -> pre:int -> int
+val key_doc : int -> int
+val key_pre : int -> int
+val item_of_key : int -> Item.t
+
+(** {1 Tables} *)
+
+type column =
+  | Nodes of int array  (** node keys *)
+  | Items of Item.t array
 
 type t = private {
   iters : int array;
-  items : Item.t array;
+  col : column;
 }
-(** Invariant: [Array.length iters = Array.length items] and [iters]
-    is non-decreasing. *)
+(** Invariant: [iters] and the column have the same length and
+    [iters] is non-decreasing. *)
 
 (** {1 Construction} *)
 
@@ -22,26 +47,30 @@ type t = private {
 val empty : t
 
 (** [make iters items] checks the grouping invariant and builds a
-    table.
+    table with a boxed column, as given.  Producers of nodes use
+    {!of_nodes} or a {!builder}.
     @raise Invalid_argument when lengths differ or [iters] decreases. *)
 val make : int array -> Item.t array -> t
 
-(** [of_rows rows] builds a table from [(iter, item)] pairs, sorting
-    stably by [iter] (relative order within an iter is preserved). *)
-val of_rows : (int * Item.t) list -> t
+(** [of_nodes iters keys] is {!make} for a column of node keys. *)
+val of_nodes : int array -> int array -> t
 
 (** [const ~loop items] gives every iteration in [loop] the same
     sequence [items] — the translation of a literal under loop
     lifting. *)
 val const : loop:int array -> Item.t list -> t
 
-(** [builder ()] collects rows for a new table; [push b iter item]
-    appends one (iters must not decrease) and [build b] checks and
-    returns the table. *)
+(** [builder ()] collects rows for a new table, in the node form for
+    as long as every row is a node.  [push b iter item] and
+    [push_node b iter key] append one row, [push_row b iter t r]
+    appends row [r] of [t] under [iter]; iters must not decrease.
+    [build b] checks and returns the table. *)
 type builder
 
 val builder : unit -> builder
 val push : builder -> int -> Item.t -> unit
+val push_node : builder -> int -> int -> unit
+val push_row : builder -> int -> t -> int -> unit
 val build : builder -> t
 
 (** {1 Observation} *)
@@ -53,6 +82,15 @@ val row_count : t -> int
 val iter_at : t -> int -> int
 
 val item_at : t -> int -> Item.t
+
+(** [node_keys t] is [t]'s column as node keys when every row is a
+    node ([Some [||]] for no rows), [None] when some row is an
+    attribute or an atomic value. *)
+val node_keys : t -> int array option
+
+(** [iter_node_rows t f] calls [f r key] for every row [r] of [t]
+    that holds a node; attribute and atomic rows are skipped. *)
+val iter_node_rows : t -> (int -> int -> unit) -> unit
 
 (** {1 Group cursors}
 
@@ -91,6 +129,11 @@ val to_sequence : t -> Item.t list
     at least one row. *)
 val iters_present : t -> int array
 
+(** [doc_shards iters keys] splits node rows by document, in ascending
+    doc id: each shard is [(doc_id, iters, pres)] in row order.  A
+    table of one document is one shard that shares [iters]. *)
+val doc_shards : int array -> int array -> (int * int array * int array) list
+
 (** {1 Loop-lifted operators} *)
 
 (** [map_items f t] applies [f] row-wise. *)
@@ -99,18 +142,25 @@ val map_items : (Item.t -> Item.t) -> t -> t
 (** [filter p t] keeps rows whose item satisfies [p]. *)
 val filter : (Item.t -> bool) -> t -> t
 
+(** [restrict t ~keep] keeps the groups of the sorted iterations
+    [keep]. *)
+val restrict : t -> keep:int array -> t
+
 (** [append2 t1 t2] is per-iteration sequence concatenation
     [(e1, e2)]: for each iter, the items of [t1] before those of
     [t2]. *)
 val append2 : t -> t -> t
 
-(** [concat ts] folds {!append2} over a list. *)
+(** [concat ts] folds {!append2} over a list; a lone table is returned
+    as it is. *)
 val concat : t list -> t
 
 (** [distinct_doc_order t] sorts each iteration's sequence in document
     order and removes duplicates — the postprocessing every XPath (and
     StandOff) step requires.  All items must be nodes.  A table already
-    in that order is returned as it is, after one comparison per row. *)
+    in that order is returned as it is, after one comparison per row;
+    node keys are otherwise radix-sorted.
+    @raise Invalid_argument on an atomic item that needs ordering. *)
 val distinct_doc_order : t -> t
 
 (** [count ~loop t] is, per iteration of [loop], the number of rows —

@@ -10,10 +10,6 @@ type 'a t
 (** [create ()] is an empty vector. *)
 val create : unit -> 'a t
 
-(** [with_capacity n] is an empty vector with room for [n] elements
-    before the first reallocation. *)
-val with_capacity : int -> 'a t
-
 (** [length v] is the number of elements currently stored. *)
 val length : 'a t -> int
 

@@ -11,37 +11,23 @@ exception Not_a_node of Item.t
    their owner for the Parent axis and vanish otherwise; the document
    node participates like any other node. *)
 let partition_by_doc (context : Table.t) ~keep_attribute_owner =
-  let by_doc : (int, (int Vec.t * int Vec.t)) Hashtbl.t = Hashtbl.create 4 in
-  let doc_ids = Vec.create () in
-  let push doc_id iter pre =
-    let iters, pres =
-      match Hashtbl.find_opt by_doc doc_id with
-      | Some cols -> cols
-      | None ->
-          let cols = (Vec.create (), Vec.create ()) in
-          Hashtbl.add by_doc doc_id cols;
-          Vec.push doc_ids doc_id;
-          cols
-    in
-    Vec.push iters iter;
-    Vec.push pres pre
-  in
-  for r = 0 to Table.row_count context - 1 do
-    let iter = Table.iter_at context r in
-    match Table.item_at context r with
-    | Item.Node n -> push n.Collection.doc_id iter n.Collection.pre
-    | Item.Attribute (owner, _, _) ->
-        if keep_attribute_owner then
-          push owner.Collection.doc_id iter owner.Collection.pre
-    | (Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _) as item ->
-        raise (Not_a_node item)
-  done;
-  let ids = Vec.to_array doc_ids in
-  Array.sort compare ids;
-  Array.to_list ids
-  |> List.map (fun doc_id ->
-         let iters, pres = Hashtbl.find by_doc doc_id in
-         (doc_id, Vec.to_array iters, Vec.to_array pres))
+  match Table.node_keys context with
+  | Some keys -> Table.doc_shards context.Table.iters keys
+  | None ->
+      let iters = Vec.create () and keys = Vec.create () in
+      let push iter (n : Collection.node) =
+        Vec.push iters iter;
+        Vec.push keys (Table.key ~doc_id:n.Collection.doc_id ~pre:n.Collection.pre)
+      in
+      for r = 0 to Table.row_count context - 1 do
+        match Table.item_at context r with
+        | Item.Node n -> push (Table.iter_at context r) n
+        | Item.Attribute (owner, _, _) ->
+            if keep_attribute_owner then push (Table.iter_at context r) owner
+        | (Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _) as item ->
+            raise (Not_a_node item)
+      done;
+      Table.doc_shards (Vec.to_array iters) (Vec.to_array keys)
 
 (* A fused positional predicate: keep the [k]-th row of every
    iteration group.  Step results are per-iteration duplicate-free and
@@ -57,7 +43,7 @@ let positional (t : Table.t) k =
     while !r < n && Table.iter_at t !r = iter do
       incr r
     done;
-    if k >= 1 && lo + k - 1 < !r then Table.push b iter (Table.item_at t (lo + k - 1))
+    if k >= 1 && lo + k - 1 < !r then Table.push_row b iter t (lo + k - 1)
   done;
   Table.build b
 
@@ -84,10 +70,8 @@ let axis_step coll axis ?position ~test (context : Table.t) =
         let out_iters, out_pres =
           Axes.eval_lifted doc axis ~context_iters ~context_pres ~test
         in
-        let items =
-          Array.map (fun pre -> Item.Node { Collection.doc_id; pre }) out_pres
-        in
-        Table.make out_iters items)
+        let base = Table.key ~doc_id ~pre:0 in
+        Table.of_nodes out_iters (Array.map (fun pre -> base lor pre) out_pres))
       parts
   in
   (* Folding in ascending doc id keeps each iteration's sequence in
@@ -108,43 +92,32 @@ let attribute_step coll ~test (context : Table.t) =
   in
   let lookup = doc_lookup coll ~name in
   if all || name <> "" then
-    for r = 0 to Table.row_count context - 1 do
-      match Table.item_at context r with
-      | Item.Node n ->
-          (* Only elements own attribute rows; other slices are empty. *)
-          let _, d, name_id = lookup n.Collection.doc_id in
-          let pre = n.Collection.pre in
-          for i = d.Doc.attr_first.(pre) to d.Doc.attr_first.(pre + 1) - 1 do
-            let nid = d.Doc.attr_name.(i) in
-            if all || nid = name_id then
-              Table.push b (Table.iter_at context r)
-                (Item.Attribute (n, Doc.name_of_id d nid, d.Doc.attr_value.(i)))
-          done
-      | Item.Attribute _ | Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _
-        ->
-          ()
-    done;
+    Table.iter_node_rows context (fun r k ->
+        (* Only elements own attribute rows; other slices are empty. *)
+        let doc_id = Table.key_doc k and pre = Table.key_pre k in
+        let _, d, name_id = lookup doc_id in
+        let owner = { Collection.doc_id; pre } in
+        for i = d.Doc.attr_first.(pre) to d.Doc.attr_first.(pre + 1) - 1 do
+          let nid = d.Doc.attr_name.(i) in
+          if all || nid = name_id then
+            Table.push b (Table.iter_at context r)
+              (Item.Attribute (owner, Doc.name_of_id d nid, d.Doc.attr_value.(i)))
+        done);
   Table.distinct_doc_order (Table.build b)
 
 let attribute_filter coll ~attr ~value (context : Table.t) =
   let b = Table.builder () in
   let lookup = doc_lookup coll ~name:attr in
-  for r = 0 to Table.row_count context - 1 do
-    match Table.item_at context r with
-    | Item.Node n as item ->
-        let _, d, name_id = lookup n.Collection.doc_id in
-        let pre = n.Collection.pre in
-        let hi = d.Doc.attr_first.(pre + 1) in
-        let rec scan i =
-          i < hi
-          && ((d.Doc.attr_name.(i) = name_id
-              && String.equal d.Doc.attr_value.(i) value)
-             || scan (i + 1))
-        in
-        if scan d.Doc.attr_first.(pre) then
-          Table.push b (Table.iter_at context r) item
-    | Item.Attribute _ | Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _
-      ->
-        ()
-  done;
+  Table.iter_node_rows context (fun r k ->
+      let _, d, name_id = lookup (Table.key_doc k) in
+      let pre = Table.key_pre k in
+      let hi = d.Doc.attr_first.(pre + 1) in
+      let rec scan i =
+        i < hi
+        && ((d.Doc.attr_name.(i) = name_id
+            && String.equal d.Doc.attr_value.(i) value)
+           || scan (i + 1))
+      in
+      if scan d.Doc.attr_first.(pre) then
+        Table.push_row b (Table.iter_at context r) context r);
   Table.build b

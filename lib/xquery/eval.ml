@@ -132,32 +132,26 @@ let enter_loop env (exp : Table.expansion) ~free =
     focus = lift_focus env.focus ~outer_of_inner:exp.Table.outer_of_inner;
   }
 
-let restrict_table t ~keep =
-  let b = Table.builder () and c = Table.cursor t in
-  Array.iter
-    (fun iter ->
-      Table.seek c iter;
-      for r = c.Table.lo to c.Table.hi - 1 do
-        Table.push b iter (Table.item_at t r)
-      done)
-    keep;
-  Table.build b
-
+(* [keep] is a sub-array of [env.loop]: keeping all of it keeps
+   every table as it is. *)
 let restrict_env env ~keep =
-  {
-    env with
-    loop = keep;
-    vars = List.map (fun (n, t) -> (n, restrict_table t ~keep)) env.vars;
-    focus =
-      Option.map
-        (fun f ->
-          {
-            f_item = restrict_table f.f_item ~keep;
-            f_pos = restrict_table f.f_pos ~keep;
-            f_last = restrict_table f.f_last ~keep;
-          })
-        env.focus;
-  }
+  if Array.length keep = Array.length env.loop then env
+  else
+    let restrict t = Table.restrict t ~keep in
+    {
+      env with
+      loop = keep;
+      vars = List.map (fun (n, t) -> (n, restrict t)) env.vars;
+      focus =
+        Option.map
+          (fun f ->
+            {
+              f_item = restrict f.f_item;
+              f_pos = restrict f.f_pos;
+              f_last = restrict f.f_last;
+            })
+          env.focus;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Per-iteration helpers                                              *)
@@ -169,15 +163,20 @@ let singleton what t (c : Table.cursor) =
   | 1 -> Some (Table.item_at t c.Table.lo)
   | _ -> Err.raisef "%s expects at most one item per iteration" what
 
-(* The effective boolean value of [c]'s current group of [t]. *)
+(* The effective boolean value of [c]'s current group of [t]: a node
+   sequence is true when it is non-empty. *)
 let ebv_group env t (c : Table.cursor) =
-  match c.Table.hi - c.Table.lo with
-  | 0 -> false
-  | 1 -> Atomic.effective_boolean_value_item (Table.item_at t c.Table.lo)
-  | _ -> (
-      match Table.item_at t c.Table.lo with
-      | Item.Node _ | Item.Attribute _ -> true
-      | _ -> Atomic.effective_boolean_value env.coll (Table.group_list t c))
+  let n = c.Table.hi - c.Table.lo in
+  match t.Table.col with
+  | Table.Nodes _ -> n > 0
+  | Table.Items items -> (
+      match n with
+      | 0 -> false
+      | 1 -> Atomic.effective_boolean_value_item items.(c.Table.lo)
+      | _ -> (
+          match items.(c.Table.lo) with
+          | Item.Node _ | Item.Attribute _ -> true
+          | _ -> Atomic.effective_boolean_value env.coll (Table.group_list t c)))
 
 let ebv_mask env t =
   let c = Table.cursor t in
@@ -195,6 +194,17 @@ let loop_where env mask value =
 let bool_table env mask =
   Table.make (Array.copy env.loop)
     (Array.map (fun b -> Item.Bool b) mask)
+
+(* [t]'s node keys, or [fail] applied to its first row that is not a
+   node. *)
+let node_keys_or t fail =
+  match Table.node_keys t with
+  | Some keys -> keys
+  | None ->
+      let rec first r =
+        match Table.item_at t r with Item.Node _ -> first (r + 1) | item -> item
+      in
+      fail (first 0)
 
 (* A comparison or arithmetic operand: a literal, atomized once, or a
    table atomized row by row, read along the loop. *)
@@ -227,30 +237,25 @@ let atomic_of_literal = function
      context and candidate sizes.
    [span] receives the join statistics as trace attributes. *)
 let standoff_step env ?span ~strategy_choice ~pushdown op test context =
-  let by_doc : (int, int Vec.t * int Vec.t) Hashtbl.t = Hashtbl.create 4 in
-  let doc_ids = Vec.create () in
-  for r = 0 to Table.row_count context - 1 do
-    let iter = Table.iter_at context r in
-    match Table.item_at context r with
-    | Item.Node n ->
-        let iters, pres =
-          match Hashtbl.find_opt by_doc n.Collection.doc_id with
-          | Some cols -> cols
-          | None ->
-              let cols = (Vec.create (), Vec.create ()) in
-              Hashtbl.add by_doc n.Collection.doc_id cols;
-              Vec.push doc_ids n.Collection.doc_id;
-              cols
-        in
-        Vec.push iters iter;
-        Vec.push pres n.Collection.pre
-    | Item.Attribute _ -> ()
-    | (Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _) as item ->
-        Err.raisef "%s:: applied to a non-node item %s" (Op.to_string op)
-          (Item.to_string item)
-  done;
-  let ids = Vec.to_array doc_ids in
-  Array.sort compare ids;
+  let shards =
+    match Table.node_keys context with
+    | Some keys -> Table.doc_shards context.Table.iters keys
+    | None ->
+        (* Attribute rows have no area: they join nothing. *)
+        let iters = Vec.create () and keys = Vec.create () in
+        for r = 0 to Table.row_count context - 1 do
+          match Table.item_at context r with
+          | Item.Node n ->
+              Vec.push iters (Table.iter_at context r);
+              Vec.push keys
+                (Table.key ~doc_id:n.Collection.doc_id ~pre:n.Collection.pre)
+          | Item.Attribute _ -> ()
+          | (Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _) as item ->
+              Err.raisef "%s:: applied to a non-node item %s" (Op.to_string op)
+                (Item.to_string item)
+        done;
+        Table.doc_shards (Vec.to_array iters) (Vec.to_array keys)
+  in
   (* Per-document shards: annotation tables, candidate indexes and
      strategies resolve sequentially (they touch lazily built shared
      state), then the joins — the expensive part — run one shard per
@@ -261,10 +266,7 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
      order. *)
   let prepped =
     Array.map
-      (fun doc_id ->
-        let iters_v, pres_v = Hashtbl.find by_doc doc_id in
-        let context_iters = Vec.to_array iters_v in
-        let context_pres = Vec.to_array pres_v in
+      (fun (doc_id, context_iters, context_pres) ->
         let doc = Collection.doc env.coll doc_id in
         let annots = annots_of env doc_id doc in
         let name = if pushdown then Node_test.name_filter test else None in
@@ -290,7 +292,7 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
         in
         (doc_id, doc, annots, context_iters, context_pres, candidates,
          strategy, stats))
-      ids
+      (Array.of_list shards)
   in
   let run_shard
       (doc_id, doc, annots, context_iters, context_pres, candidates, strategy,
@@ -308,28 +310,28 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
       Join.run_lifted op strategy annots ?pool:env.pool ~deadline:env.deadline
         ?stats ~loop ~context_iters ~context_pres ~candidates ()
     in
-    let node pre = Item.Node { Collection.doc_id; pre } in
+    let base = Table.key ~doc_id ~pre:0 in
     match candidates with
     | Join.Named _ ->
         (* The name test was pushed into the candidates: every row
            already passes it. *)
-        Table.make iters (Array.map node pres)
+        Table.of_nodes iters (Array.map (fun pre -> base lor pre) pres)
     | Join.All | Join.Pres _ ->
         (* Otherwise the node test filters here (kind tests cannot be
            pushed at all), compacting in place. *)
         let n = Array.length pres in
-        let out_iters = Array.make n 0 and items = Array.make n (Item.Bool false) in
+        let out_iters = Array.make n 0 and keys = Array.make n 0 in
         let k = ref 0 in
         Array.iteri
           (fun r pre ->
             if Node_test.matches doc test pre then begin
               out_iters.(!k) <- iters.(r);
-              items.(!k) <- node pre;
+              keys.(!k) <- base lor pre;
               incr k
             end)
           pres;
-        if !k = n then Table.make out_iters items
-        else Table.make (Array.sub out_iters 0 !k) (Array.sub items 0 !k)
+        if !k = n then Table.of_nodes out_iters keys
+        else Table.of_nodes (Array.sub out_iters 0 !k) (Array.sub keys 0 !k)
   in
   let tables =
     match env.pool with
@@ -393,9 +395,10 @@ let construct_element env b ~tag ~attrs ~content iter =
   List.iter
     (function
       | Fixed _ -> ()
-      | Rows (t, c) ->
+      | Rows ({ Table.col = Table.Nodes _; _ }, _) -> ()
+      | Rows ({ Table.col = Table.Items items; _ }, c) ->
           for r = c.Table.lo to c.Table.hi - 1 do
-            match Table.item_at t r with
+            match items.(r) with
             | Item.Attribute (_, name, value) -> Doc.add_attribute b name value
             | _ -> ()
           done)
@@ -412,9 +415,16 @@ let construct_element env b ~tag ~attrs ~content iter =
   List.iter
     (function
       | Fixed s -> if not (Dom.is_ws_only s) then Doc.add_text b s
-      | Rows (t, c) ->
+      | Rows ({ Table.col = Table.Nodes keys; _ }, c) ->
           for r = c.Table.lo to c.Table.hi - 1 do
-            match Table.item_at t r with
+            let k = keys.(r) in
+            Doc.copy_node b
+              (Collection.doc env.coll (Table.key_doc k))
+              (Table.key_pre k)
+          done
+      | Rows ({ Table.col = Table.Items items; _ }, c) ->
+          for r = c.Table.lo to c.Table.hi - 1 do
+            match items.(r) with
             | Item.Node n ->
                 flush ();
                 Doc.copy_node b
@@ -432,8 +442,7 @@ let construct_element env b ~tag ~attrs ~content iter =
   (* The new document goes to the run's arena, never to the shared
      collection; it has no name anyone can look up. *)
   let doc = Doc.finish b ~name:"#constructed" in
-  let doc_id = Collection.add_constructed env.coll doc in
-  Item.Node { Collection.doc_id; pre = 1 }
+  Table.key ~doc_id:(Collection.add_constructed env.coll doc) ~pre:1
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                         *)
@@ -584,30 +593,27 @@ and eval_live env (plan : Plan.t) =
             Hashtbl.add per_doc doc_id pres;
             pres
       in
-      let iters = Vec.create () in
-      let items = Vec.create () in
+      let b = Table.builder () in
       let total = ref 0 in
-      for r = 0 to Table.row_count ctx - 1 do
-        let iter = Table.iter_at ctx r in
-        match Table.item_at ctx r with
-        | Item.Node { Collection.doc_id; pre = 0 } ->
-            let pres = lookup doc_id in
-            total := !total + Array.length pres;
-            Array.iter
-              (fun pre ->
-                Vec.push iters iter;
-                Vec.push items (Item.Node { Collection.doc_id; pre }))
-              pres
-        | item ->
-            Err.raisef "path lookup applied to non-document item %s"
-              (Item.to_string item)
-      done;
+      let not_a_document item =
+        Err.raisef "path lookup applied to non-document item %s"
+          (Item.to_string item)
+      in
+      Array.iteri
+        (fun r k ->
+          if Table.key_pre k <> 0 then not_a_document (Table.item_at ctx r);
+          let doc_id = Table.key_doc k in
+          let pres = lookup doc_id in
+          total := !total + Array.length pres;
+          let base = Table.key ~doc_id ~pre:0 in
+          Array.iter (fun pre -> Table.push_node b (Table.iter_at ctx r) (base lor pre)) pres)
+        (node_keys_or ctx not_a_document);
       (match env.span with
       | Some sp ->
           Trace.set_str sp "path" (Plan.path_to_string steps);
           Trace.add_int sp "guide_rows" !total
       | None -> ());
-      Table.make (Vec.to_array iters) (Vec.to_array items)
+      Table.build b
   | Plan.Standoff_join
       { input; op; test; position; pushdown; strategy; candidates } ->
       let ctx = eval env input in
@@ -652,11 +658,12 @@ and eval_live env (plan : Plan.t) =
       let back = Table.backmap out ~outer_of_inner:exp.Table.outer_of_inner in
       (* A path result that is all nodes is deduplicated in document
          order; sequences of atomic values keep their order. *)
-      let all_nodes = ref true in
-      for r = 0 to Table.row_count back - 1 do
-        if not (Item.is_node (Table.item_at back r)) then all_nodes := false
-      done;
-      if !all_nodes then Table.distinct_doc_order back else back
+      let all_nodes =
+        match back.Table.col with
+        | Table.Nodes _ -> true
+        | Table.Items items -> Array.for_all Item.is_node items
+      in
+      if all_nodes then Table.distinct_doc_order back else back
   | Plan.Call { name; args } -> eval_call env name args
   | Plan.Elem_ctor { tag; attrs; content } ->
       let eval_part = function
@@ -670,12 +677,8 @@ and eval_live env (plan : Plan.t) =
       in
       let content = List.map eval_part content in
       let b = Doc.builder () in
-      let items =
-        Array.map
-          (fun iter -> construct_element env b ~tag ~attrs ~content iter)
-          env.loop
-      in
-      Table.make (Array.copy env.loop) items
+      Table.of_nodes (Array.copy env.loop)
+        (Array.map (construct_element env b ~tag ~attrs ~content) env.loop)
 
 (* ---------------- order by ---------------- *)
 
@@ -730,7 +733,7 @@ and reorder_for env' (exp : Table.expansion) out order_by =
   Array.iter
     (fun inner ->
       for r = first.(inner) to first.(inner + 1) - 1 do
-        Table.push b exp.Table.outer_of_inner.(inner) (Table.item_at out r)
+        Table.push_row b exp.Table.outer_of_inner.(inner) out r
       done)
     perm;
   Table.build b
@@ -855,6 +858,15 @@ and eval_binop env op a b =
   | Ast.Op_intersect | Ast.Op_except ->
       let t1 = eval env a and t2 = eval env b in
       let keep_if_in_t2 = op = Ast.Op_intersect in
+      (match t1.Table.col with
+      | Table.Items items when not (Array.for_all Item.is_node items) ->
+          Err.raisef "set operation operands must be node sequences"
+      | _ -> ());
+      let same =
+        match (t1.Table.col, t2.Table.col) with
+        | Table.Nodes k1, Table.Nodes k2 -> fun r k -> k1.(r) = k2.(k)
+        | _ -> fun r k -> Item.equal (Table.item_at t1 r) (Table.item_at t2 k)
+      in
       let c1 = Table.cursor t1 and c2 = Table.cursor t2 in
       let b = Table.builder () in
       Array.iter
@@ -862,13 +874,8 @@ and eval_binop env op a b =
           Table.seek c1 iter;
           Table.seek c2 iter;
           for r = c1.Table.lo to c1.Table.hi - 1 do
-            let item = Table.item_at t1 r in
-            if not (Item.is_node item) then
-              Err.raisef "set operation operands must be node sequences";
-            let rec present k =
-              k < c2.Table.hi && (Item.equal item (Table.item_at t2 k) || present (k + 1))
-            in
-            if present c2.Table.lo = keep_if_in_t2 then Table.push b iter item
+            let rec present k = k < c2.Table.hi && (same r k || present (k + 1)) in
+            if present c2.Table.lo = keep_if_in_t2 then Table.push_row b iter t1 r
           done)
         env.loop;
       Table.distinct_doc_order (Table.build b)
@@ -915,14 +922,15 @@ and eval_filter env input predicate =
         | _ -> assert false
       in
       let verdict =
-        if c.Table.hi - c.Table.lo <> 1 then ebv_group env p c
-        else
-          match Table.item_at p c.Table.lo with
-          | Item.Int n -> Int64.equal (position ()) n (* positional predicate *)
-          | Item.Float f -> Float.equal (Int64.to_float (position ())) f
-          | item -> Atomic.effective_boolean_value_item item
+        match p.Table.col with
+        | Table.Items items when c.Table.hi - c.Table.lo = 1 -> (
+            match items.(c.Table.lo) with
+            | Item.Int n -> Int64.equal (position ()) n (* positional predicate *)
+            | Item.Float f -> Float.equal (Int64.to_float (position ())) f
+            | item -> Atomic.effective_boolean_value_item item)
+        | _ -> ebv_group env p c
       in
-      if verdict then Table.push b outer (Table.item_at exp.Table.var_table inner))
+      if verdict then Table.push_row b outer exp.Table.var_table inner)
     exp.Table.outer_of_inner;
   Table.build b
 
@@ -1001,7 +1009,7 @@ and eval_builtin env name args =
   | "doc", 1 ->
       let t = eval1 () in
       let get = per_iter_strings t in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           match get iter with
@@ -1009,20 +1017,25 @@ and eval_builtin env name args =
           | Some uri -> (
               match Collection.doc_id_of_name env.coll uri with
               | Some doc_id ->
-                  rows := (iter, Item.Node { Collection.doc_id; pre = 0 }) :: !rows
+                  Table.push_node rows iter (Table.key ~doc_id ~pre:0)
               | None -> Err.raisef "doc(%S): no such document" uri))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "root", 1 ->
       let t = eval1 () in
-      Table.distinct_doc_order
-        (Table.map_items
-           (fun item ->
-             match item with
-             | Item.Node n | Item.Attribute (n, _, _) ->
-                 Item.Node { n with Collection.pre = 0 }
-             | _ -> Err.raisef "root(): not a node")
-           t)
+      let rows = Table.builder () in
+      for r = 0 to Table.row_count t - 1 do
+        let doc_id =
+          match t.Table.col with
+          | Table.Nodes keys -> Table.key_doc keys.(r)
+          | Table.Items items -> (
+              match items.(r) with
+              | Item.Node n | Item.Attribute (n, _, _) -> n.Collection.doc_id
+              | _ -> Err.raisef "root(): not a node")
+        in
+        Table.push_node rows (Table.iter_at t r) (Table.key ~doc_id ~pre:0)
+      done;
+      Table.distinct_doc_order (Table.build rows)
   | "count", 1 -> Table.count ~loop:env.loop (eval1 ())
   | "exists", 1 -> Table.exists ~loop:env.loop (eval1 ())
   | "empty", 1 ->
@@ -1052,7 +1065,7 @@ and eval_builtin env name args =
       | None -> Err.raisef "string(): no context")
   | "string", 1 ->
       let get = single "string" (eval1 ()) in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let s =
@@ -1060,9 +1073,9 @@ and eval_builtin env name args =
             | None -> ""
             | Some item -> Atomic.string_value env.coll item
           in
-          rows := (iter, Item.Str s) :: !rows)
+          Table.push rows iter (Item.Str s))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "data", 1 ->
       Table.map_items
         (fun item -> Atomic.to_item (Atomic.atomize env.coll item))
@@ -1074,7 +1087,7 @@ and eval_builtin env name args =
         (eval1 ())
   | ("name" | "local-name"), 1 ->
       let get = single name (eval1 ()) in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let s =
@@ -1086,12 +1099,12 @@ and eval_builtin env name args =
             | Some (Item.Attribute (_, a, _)) -> a
             | Some _ -> Err.raisef "%s(): not a node" name
           in
-          rows := (iter, Item.Str s) :: !rows)
+          Table.push rows iter (Item.Str s))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "concat", _ when argc >= 2 ->
       let tables = List.map (fun a -> single "concat" (eval env a)) args in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let parts =
@@ -1102,13 +1115,13 @@ and eval_builtin env name args =
                 | Some item -> Atomic.string_value env.coll item)
               tables
           in
-          rows := (iter, Item.Str (String.concat "" parts)) :: !rows)
+          Table.push rows iter (Item.Str (String.concat "" parts)))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "string-join", 2 ->
       let t = eval1 () and sep_t = eval env (arg 1) in
       let items = group t and sep_of = single "string-join" sep_t in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let sep =
@@ -1117,9 +1130,9 @@ and eval_builtin env name args =
             | Some item -> Atomic.string_value env.coll item
           in
           let parts = List.map (Atomic.string_value env.coll) (items iter) in
-          rows := (iter, Item.Str (String.concat sep parts)) :: !rows)
+          Table.push rows iter (Item.Str (String.concat sep parts)))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "contains", 2 | "starts-with", 2 ->
       let t1 = eval1 () and t2 = eval env (arg 1) in
       let g1 = per_iter_strings t1 and g2 = per_iter_strings t2 in
@@ -1145,13 +1158,13 @@ and eval_builtin env name args =
   | "string-length", 1 ->
       let t = eval1 () in
       let g = per_iter_strings t in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let s = Option.value ~default:"" (g iter) in
-          rows := (iter, Item.Int (Int64.of_int (String.length s))) :: !rows)
+          Table.push rows iter (Item.Int (Int64.of_int (String.length s))))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "substring", (2 | 3) ->
       let t = eval1 () and start_t = eval env (arg 1) in
       let len_t = if argc = 3 then Some (eval env (arg 2)) else None in
@@ -1167,7 +1180,7 @@ and eval_builtin env name args =
             | Atomic.A_float f -> int_of_float (Float.round f)
             | _ -> assert false)
       in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let s = Option.value ~default:"" (g iter) in
@@ -1180,12 +1193,12 @@ and eval_builtin env name args =
           let lo = start - 1 in
           let len = max 0 (min len (String.length s - lo)) in
           let sub = if lo >= String.length s then "" else String.sub s lo len in
-          rows := (iter, Item.Str sub) :: !rows)
+          Table.push rows iter (Item.Str sub))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | ("sum" | "min" | "max" | "avg"), 1 ->
       let items = group (eval1 ()) in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let nums =
@@ -1199,7 +1212,7 @@ and eval_builtin env name args =
             | _ -> assert false
           in
           match (name, nums) with
-          | "sum", [] -> rows := (iter, Item.Int 0L) :: !rows
+          | "sum", [] -> Table.push rows iter (Item.Int 0L)
           | _, [] -> ()
           | "sum", nums ->
               let all_int =
@@ -1213,13 +1226,13 @@ and eval_builtin env name args =
                       | _ -> acc)
                     0L nums
                 in
-                rows := (iter, Item.Int s) :: !rows
+                Table.push rows iter (Item.Int s)
               else
                 let s = List.fold_left (fun acc n -> acc +. float_of n) 0.0 nums in
-                rows := (iter, Item.Float s) :: !rows
+                Table.push rows iter (Item.Float s)
           | "avg", nums ->
               let s = List.fold_left (fun acc n -> acc +. float_of n) 0.0 nums in
-              rows := (iter, Item.Float (s /. float_of_int (List.length nums))) :: !rows
+              Table.push rows iter (Item.Float (s /. float_of_int (List.length nums)))
           | op, first :: rest ->
               let better a b =
                 let c = Float.compare (float_of a) (float_of b) in
@@ -1228,9 +1241,9 @@ and eval_builtin env name args =
               let best =
                 List.fold_left (fun acc n -> if better acc n then acc else n) first rest
               in
-              rows := (iter, Atomic.to_item best) :: !rows)
+              Table.push rows iter (Atomic.to_item best))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | ("abs" | "floor" | "ceiling" | "round"), 1 ->
       let t = eval1 () in
       Table.map_items
@@ -1252,7 +1265,7 @@ and eval_builtin env name args =
   | "normalize-space", 1 ->
       let t = eval1 () in
       let g = per_iter_strings t in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let s = Option.value ~default:"" (g iter) in
@@ -1261,15 +1274,15 @@ and eval_builtin env name args =
               (String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s)
             |> List.filter (fun w -> String.length w > 0)
           in
-          rows := (iter, Item.Str (String.concat " " words)) :: !rows)
+          Table.push rows iter (Item.Str (String.concat " " words)))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "translate", 3 ->
       let t = eval1 () and from_t = eval env (arg 1) and to_t = eval env (arg 2) in
       let g = per_iter_strings t
       and gf = per_iter_strings from_t
       and gt = per_iter_strings to_t in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let s = Option.value ~default:"" (g iter) in
@@ -1283,23 +1296,24 @@ and eval_builtin env name args =
               | Some i ->
                   if i < String.length to_s then Buffer.add_char buf to_s.[i])
             s;
-          rows := (iter, Item.Str (Buffer.contents buf)) :: !rows)
+          Table.push rows iter (Item.Str (Buffer.contents buf)))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "reverse", 1 ->
-      let items = group (eval1 ()) in
-      let rows = ref [] in
+      let t = eval1 () in
+      let c = Table.cursor t and rows = Table.builder () in
       Array.iter
         (fun iter ->
-          List.iter
-            (fun item -> rows := (iter, item) :: !rows)
-            (List.rev (items iter)))
+          Table.seek c iter;
+          for r = c.Table.hi - 1 downto c.Table.lo do
+            Table.push_row rows iter t r
+          done)
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "subsequence", (2 | 3) ->
       let t = eval1 () and start_t = eval env (arg 1) in
       let len_t = if argc = 3 then Some (eval env (arg 2)) else None in
-      let items_of = group t and start_of = single "subsequence" start_t in
+      let c = Table.cursor t and start_of = single "subsequence" start_t in
       let len_of = Option.map (single "subsequence") len_t in
       let num get iter =
         match get iter with
@@ -1310,26 +1324,26 @@ and eval_builtin env name args =
             | Atomic.A_float f -> int_of_float (Float.round f)
             | _ -> assert false)
       in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
-          let items = items_of iter in
+          Table.seek c iter;
           let start = num start_of iter in
           let len =
-            match len_of with None -> List.length items | Some get -> num get iter
+            match len_of with
+            | None -> c.Table.hi - c.Table.lo
+            | Some get -> num get iter
           in
-          List.iteri
-            (fun i item ->
-              let pos = i + 1 in
-              if pos >= start && pos < start + len then
-                rows := (iter, item) :: !rows)
-            items)
+          for r = c.Table.lo to c.Table.hi - 1 do
+            let pos = r - c.Table.lo + 1 in
+            if pos >= start && pos < start + len then Table.push_row rows iter t r
+          done)
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "index-of", 2 ->
       let t = eval1 () and needle_t = eval env (arg 1) in
       let items = group t and needle_of = single "index-of" needle_t in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           match needle_of iter with
@@ -1345,13 +1359,13 @@ and eval_builtin env name args =
                     with Err.Error _ -> false
                   in
                   if ok then
-                    rows := (iter, Item.Int (Int64.of_int (i + 1))) :: !rows)
+                    Table.push rows iter (Item.Int (Int64.of_int (i + 1))))
                 (items iter))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "distinct-values", 1 ->
       let items = group (eval1 ()) in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           let seen = Hashtbl.create 8 in
@@ -1361,16 +1375,16 @@ and eval_builtin env name args =
               let key = Atomic.atomic_to_string a in
               if not (Hashtbl.mem seen key) then begin
                 Hashtbl.add seen key ();
-                rows := (iter, Atomic.to_item a) :: !rows
+                Table.push rows iter (Atomic.to_item a)
               end)
             (items iter))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | ("standoff-start" | "standoff-end"), 1 ->
       (* Region accessors: the extent bounds of a node's area under the
          current standoff configuration. *)
       let get = single name (eval1 ()) in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           match get iter with
@@ -1385,9 +1399,9 @@ and eval_builtin env name args =
                       Standoff_interval.Region.start_pos extent
                     else Standoff_interval.Region.end_pos extent
                   in
-                  rows := (iter, Item.Int v) :: !rows))
+                  Table.push rows iter (Item.Int v)))
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | ("standoff-contains" | "standoff-overlaps"), 2 ->
       (* The paper's §3.1 predicates between two area-annotations,
          honouring non-contiguous areas. *)
@@ -1413,7 +1427,7 @@ and eval_builtin env name args =
          (per Allen 1983; the 13 relations of §3). *)
       let t1 = eval1 () and t2 = eval env (arg 1) in
       let get1 = single name t1 and get2 = single name t2 in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           match (get1 iter, get2 iter) with
@@ -1425,19 +1439,17 @@ and eval_builtin env name args =
                       (Standoff_interval.Area.extent area_a)
                       (Standoff_interval.Area.extent area_b)
                   in
-                  rows :=
-                    (iter, Item.Str (Standoff_interval.Allen.to_string rel))
-                    :: !rows
+                  Table.push rows iter (Item.Str (Standoff_interval.Allen.to_string rel))
               | _ -> ())
           | _ -> ())
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | "standoff-snippet", 2 ->
       (* The BLOB content under a node's area: the regions are read in
          order and concatenated (re-assembling non-contiguous areas). *)
       let t = eval1 () and blob_t = eval env (arg 1) in
       let get = single name t and blob_of = single name blob_t in
-      let rows = ref [] in
+      let rows = Table.builder () in
       Array.iter
         (fun iter ->
           match (get iter, blob_of iter) with
@@ -1449,13 +1461,10 @@ and eval_builtin env name args =
                   match Collection.blob env.coll blob_name with
                   | None -> Err.raisef "standoff-snippet: no blob %S" blob_name
                   | Some blob ->
-                      rows :=
-                        (iter,
-                         Item.Str (Standoff_store.Blob.read_area blob area))
-                        :: !rows))
+                      Table.push rows iter (Item.Str (Standoff_store.Blob.read_area blob area))))
           | _ -> ())
         env.loop;
-      Table.of_rows (List.rev !rows)
+      Table.build rows
   | _ -> Err.raisef "unknown function %s/%d" name argc
 
 (* Function form of the StandOff joins with an explicit candidate
@@ -1463,36 +1472,31 @@ and eval_builtin env name args =
    no-candidates form with the axis form, so only the explicit case
    lands here. *)
 and standoff_function env ?span ~strategy_choice op test ctx cand_table =
-  for r = 0 to Table.row_count cand_table - 1 do
-    match Table.item_at cand_table r with
-    | Item.Node _ -> ()
-    | item -> Err.raisef "%s: candidate is not a node" (Item.to_string item)
-  done;
+  let not_a_node item =
+    Err.raisef "%s: candidate is not a node" (Item.to_string item)
+  in
+  ignore (node_keys_or cand_table not_a_node);
   (* Each iteration's own candidates, in document order; the select
      join runs against every annotation and is in document order per
      iteration like any step. *)
   let cands = Table.distinct_doc_order cand_table in
+  let cand_keys = node_keys_or cands not_a_node in
   let selected =
     standoff_step env ?span ~strategy_choice ~pushdown:false (Op.select_of op)
       test ctx
   in
+  let selected_keys = node_keys_or selected not_a_node in
   (* One merge per iteration: select ops keep the joined nodes that
      are candidates of that iteration; reject ops keep the candidates
      that are area-annotations and did not join, since
      reject(S1, S2) = S2 minus select(S1, S2). *)
   let keep_joined = Op.is_select op in
-  let iters = Vec.create () and items = Vec.create () in
-  let emit iter item =
-    Vec.push iters iter;
-    Vec.push items item
-  in
-  let is_annotation = function
-    | Item.Node n ->
-        let doc = Collection.doc env.coll n.Collection.doc_id in
-        Standoff.Annots.is_annotation
-          (annots_of env n.Collection.doc_id doc)
-          n.Collection.pre
-    | _ -> false
+  let b = Table.builder () in
+  let is_annotation k =
+    let doc_id = Table.key_doc k in
+    Standoff.Annots.is_annotation
+      (annots_of env doc_id (Collection.doc env.coll doc_id))
+      (Table.key_pre k)
   in
   let cc = Table.cursor cands and sc = Table.cursor selected in
   Array.iter
@@ -1502,23 +1506,19 @@ and standoff_function env ?span ~strategy_choice op test ctx cand_table =
       let c_hi = cc.Table.hi and s_hi = sc.Table.hi in
       let rec merge c s =
         if c < c_hi then begin
-          let cand = Table.item_at cands c in
-          let order =
-            if s < s_hi then
-              Item.compare_doc_order cand (Table.item_at selected s)
-            else -1
-          in
+          let cand = cand_keys.(c) in
+          let order = if s < s_hi then Int.compare cand selected_keys.(s) else -1 in
           if order > 0 then merge c (s + 1)
           else begin
             let joined = order = 0 in
             if
               if keep_joined then joined
               else (not joined) && is_annotation cand
-            then emit iter cand;
+            then Table.push_node b iter cand;
             merge (c + 1) (if joined then s + 1 else s)
           end
         end
       in
       merge cc.Table.lo sc.Table.lo)
     (Table.iters_present cands);
-  Table.make (Vec.to_array iters) (Vec.to_array items)
+  Table.build b

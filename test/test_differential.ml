@@ -2,7 +2,7 @@
    strategies are result-equivalent by construction (§4), and parallel
    execution must be invisible.  This suite generates random
    annotation documents and random StandOff queries (axis form,
-   function form, FLWOR) and insists that all 4 strategies x jobs {1, 4}
+   function form, FLWOR) over two documents and insists that all 4 strategies x jobs {1, 4}
    produce byte-identical serialized results — and that the traced
    rows_out of the join operators agrees across strategies.  Each
    strategy x jobs point also runs under the result cache, twice (a
@@ -30,6 +30,7 @@ let dataguide_sweep = [ false; true ]
 
 type case = {
   layers : (string * (int * int) list) list;  (* name -> (start, width) *)
+  layers2 : (string * (int * int) list) list;  (* the second document *)
   query : string;
 }
 
@@ -47,64 +48,83 @@ let doc_of_layers layers =
   Buffer.add_string b "</t>";
   Buffer.contents b
 
+(* Each shape takes the operator, the expression of the context
+   nodes named [from_n] and that of the nodes named [to_n] (both over
+   r.xml, or over r.xml and s.xml), and the name [to_n]. *)
 let query_shapes =
   [
-    (fun op from_n to_n ->
+    (fun op ctx _ to_n ->
+      Printf.sprintf "for $x in %s return <g>{count($x/%s::%s)}</g>" ctx op
+        to_n);
+    (fun op ctx cand _ -> Printf.sprintf "count(%s(%s, %s))" op ctx cand);
+    (fun op ctx _ to_n ->
       Printf.sprintf
-        "for $x in doc(\"r.xml\")//%s return <g>{count($x/%s::%s)}</g>" from_n
-        op to_n);
-    (fun op from_n to_n ->
-      Printf.sprintf "count(%s(doc(\"r.xml\")//%s, doc(\"r.xml\")//%s))" op
-        from_n to_n);
-    (fun op from_n to_n ->
-      Printf.sprintf
-        "count(for $x in doc(\"r.xml\")//%s where count($x/%s::%s) > 0 \
-         return $x)"
-        from_n op to_n);
-    (fun op from_n to_n ->
+        "count(for $x in %s where count($x/%s::%s) > 0 return $x)" ctx op to_n);
+    (fun op ctx _ to_n ->
       (* Two chained joins stress per-operator strategy resolution. *)
       Printf.sprintf
-        "for $x in doc(\"r.xml\")//%s return \
-         <g>{count($x/%s::%s/select-narrow::%s)}</g>"
-        from_n op to_n from_n);
-    (fun op from_n to_n ->
+        "for $x in %s return <g>{count($x/%s::%s/select-narrow::*)}</g>" ctx
+        op to_n);
+    (fun op ctx _ to_n ->
       (* Positional and value predicates inside the loop; attribute
          items, atomics and empty sequences as constructor content. *)
       Printf.sprintf
-        "for $x in doc(\"r.xml\")//%s return \
+        "for $x in %s return \
          <g s=\"{$x/@start}\">{$x/%s::%s[1]/@end, \
          $x/%s::%s[last()]/@start, count($x/%s::%s[@start = \"10\"]), \
          \"-\", $x/%s::%s[\"0\" = @start]}</g>"
-        from_n op to_n op to_n op to_n op to_n);
-    (fun op from_n to_n ->
+        ctx op to_n op to_n op to_n op to_n);
+    (fun op ctx _ to_n ->
       (* General comparisons over multi-item operands, untyped against
          untyped and against numeric literals. *)
       Printf.sprintf
-        "for $x in doc(\"r.xml\")//%s where $x/%s::%s/@end > $x/@end \
+        "for $x in %s where $x/%s::%s/@end > $x/@end \
          or $x/%s::%s/@start = 5 return ($x/@start + 0, $x/@end != 40)"
-        from_n op to_n op to_n);
+        ctx op to_n op to_n);
+    (fun op ctx _ to_n ->
+      (* One context sequence per iteration, spanning both documents
+         when [ctx] does. *)
+      Printf.sprintf
+        "for $i in (1, 2) return (count(%s/%s::%s), %s/%s::%s/@start)" ctx op
+        to_n ctx op to_n);
+  ]
+
+(* The nodes named [name]: of r.xml, of both documents in document
+   order, or of both with s.xml's first. *)
+let sources =
+  [
+    Printf.sprintf "doc(\"r.xml\")//%s";
+    (fun name ->
+      Printf.sprintf "(doc(\"r.xml\")//%s | doc(\"s.xml\")//%s)" name name);
+    (fun name ->
+      Printf.sprintf "(doc(\"s.xml\")//%s, doc(\"r.xml\")//%s)" name name);
   ]
 
 let gen_case =
   QCheck.Gen.(
     let layer = list_size (0 -- 10) (pair (int_bound 80) (int_bound 30)) in
     let* a = layer and* b = layer and* c = layer in
+    let* a2 = layer and* b2 = layer in
     let* op = oneofl ops in
     let* shape = oneofl query_shapes in
+    let* src = oneofl sources in
     let* from_n = oneofl [ "a"; "b"; "c" ] in
     let* to_n = oneofl [ "a"; "b"; "c" ] in
     return
       {
         layers = [ ("a", a); ("b", b); ("c", c) ];
-        query = shape op from_n to_n;
+        layers2 = [ ("a", a2); ("b", b2) ];
+        query = shape op (src from_n) (src to_n) to_n;
       })
 
 let print_case case =
-  Printf.sprintf "doc=%s\nquery=%s" (doc_of_layers case.layers) case.query
+  Printf.sprintf "doc=%s\ndoc2=%s\nquery=%s" (doc_of_layers case.layers)
+    (doc_of_layers case.layers2) case.query
 
 let coll_of_case case =
   let coll = Collection.create () in
   ignore (Collection.load_string coll ~name:"r.xml" (doc_of_layers case.layers));
+  ignore (Collection.load_string coll ~name:"s.xml" (doc_of_layers case.layers2));
   coll
 
 (* The persistence dimension: a collection that went through the
@@ -246,15 +266,17 @@ let test_corner_cases () =
   let cases =
     [
       (* Empty layers: joins over nothing. *)
-      { layers = [ ("a", []); ("b", []); ("c", []) ];
+      { layers = [ ("a", []); ("b", []); ("c", []) ]; layers2 = [];
         query = "count(select-wide(doc(\"r.xml\")//a, doc(\"r.xml\")//b))" };
       (* Identical regions in both layers: ties on every boundary. *)
       { layers = [ ("a", [ (0, 10); (0, 10) ]); ("b", [ (0, 10) ]); ("c", []) ];
+        layers2 = [];
         query =
           "for $x in doc(\"r.xml\")//a return \
            <g>{count($x/select-narrow::b)}</g>" };
       (* Zero-width regions. *)
       { layers = [ ("a", [ (5, 0) ]); ("b", [ (5, 0); (4, 2) ]); ("c", []) ];
+        layers2 = [];
         query =
           "for $x in doc(\"r.xml\")//a return \
            <g>{count($x/reject-narrow::b)}</g>" };
@@ -265,9 +287,18 @@ let test_corner_cases () =
             ("b", [ (5, 10); (20, 5); (40, 20) ]);
             ("c", [ (0, 100); (21, 2) ]);
           ];
+        layers2 = [];
         query =
           "for $x in doc(\"r.xml\")//a return \
            <g>{count($x/select-wide::b/select-narrow::c)}</g>" };
+      (* One iteration's context in two documents, out of document
+         order: each document joins only its own nodes. *)
+      { layers = [ ("a", [ (0, 50) ]); ("b", [ (5, 10); (60, 5) ]); ("c", []) ];
+        layers2 = [ ("a", [ (0, 70) ]); ("b", [ (5, 10); (60, 5) ]) ];
+        query =
+          "for $i in (1, 2) return \
+           (count((doc(\"s.xml\")//a, doc(\"r.xml\")//a)/select-narrow::b), \
+           (doc(\"s.xml\")//a, doc(\"r.xml\")//a)/reject-wide::b/@start)" };
     ]
   in
   List.iter
@@ -338,7 +369,7 @@ let test_xmark_wide_all () =
     (fun op ->
       List.iter
         (fun query ->
-          let case = { layers = []; query } in
+          let case = { layers = []; layers2 = []; query } in
           let reference =
             run_case setup.Standoff_xmark.Setup.coll
               ~strategy:Config.Loop_lifted ~jobs:1 ~dataguide:true case
