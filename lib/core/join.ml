@@ -77,7 +77,7 @@ let finalize_narrow_multi annots (m : Matches.t) =
 (* Nested annotations cluster the index like the tree, so matches
    often emerge sorted by (iter, candidate) and duplicate-free: one
    pass over the match columns detects that, and they are the result
-   as they are.  Only unsorted matches are packed and sorted. *)
+   as they are, trimmed.  Only unsorted matches are packed and sorted. *)
 let finalize_select op annots ~single_region (m : Matches.t) =
   let strictly_sorted () =
     let rec ok k =

@@ -7,6 +7,13 @@ module Collection = Standoff_store.Collection
 let key ~doc_id ~pre = (doc_id lsl 31) lor pre
 let key_doc k = k lsr 31
 let key_pre k = k land 0x7FFF_FFFF
+(* Document 0's keys are its pres. *)
+let keys_of_pres ~doc_id pres =
+  if doc_id = 0 then pres
+  else
+    let base = key ~doc_id ~pre:0 in
+    Array.map (fun pre -> base lor pre) pres
+
 let item_of_key k = Item.Node { Collection.doc_id = key_doc k; pre = key_pre k }
 
 type column =
@@ -176,12 +183,23 @@ let to_sequence t =
     invalid_arg "Table.to_sequence: more than one iteration present";
   List.init n (item_at t)
 
-let iters_present t =
-  let v = Vec.create () in
-  Array.iteri
-    (fun i it -> if i = 0 || t.iters.(i - 1) <> it then Vec.push v it)
-    t.iters;
-  Vec.to_array v
+let distinct sorted =
+  let n = Array.length sorted in
+  let first i = i = 0 || sorted.(i - 1) <> sorted.(i) in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if first i then incr count
+  done;
+  let out = Array.make !count 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    if first i then begin
+      out.(!k) <- sorted.(i);
+      incr k
+    end
+  done;
+  out
+
+let iters_present t = distinct t.iters
 
 let doc_shards iters keys =
   let n = Array.length keys in
@@ -189,7 +207,8 @@ let doc_shards iters keys =
   else
     let d0 = key_doc keys.(0) in
     let rec one_doc i = i >= n || (key_doc keys.(i) = d0 && one_doc (i + 1)) in
-    if one_doc 1 then [ (d0, iters, Array.map key_pre keys) ]
+    if one_doc 1 then
+      [ (d0, iters, if d0 = 0 then keys else Array.map key_pre keys) ]
     else begin
       let by_doc = Hashtbl.create 4 in
       Array.iteri

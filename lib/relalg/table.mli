@@ -28,6 +28,10 @@ val key_doc : int -> int
 val key_pre : int -> int
 val item_of_key : int -> Item.t
 
+(** [keys_of_pres ~doc_id pres] are the keys of [pres] in document
+    [doc_id]; document 0's keys are [pres] itself. *)
+val keys_of_pres : doc_id:int -> int array -> int array
+
 (** {1 Tables} *)
 
 type column =
@@ -129,9 +133,13 @@ val to_sequence : t -> Item.t list
     at least one row. *)
 val iters_present : t -> int array
 
+(** [distinct sorted] is the distinct values of a sorted array. *)
+val distinct : int array -> int array
+
 (** [doc_shards iters keys] splits node rows by document, in ascending
     doc id: each shard is [(doc_id, iters, pres)] in row order.  A
-    table of one document is one shard that shares [iters]. *)
+    table of one document is one shard that shares [iters] (and, for
+    document 0, [keys] as [pres]). *)
 val doc_shards : int array -> int array -> (int * int array * int array) list
 
 (** {1 Loop-lifted operators} *)

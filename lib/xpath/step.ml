@@ -70,8 +70,7 @@ let axis_step coll axis ?position ~test (context : Table.t) =
         let out_iters, out_pres =
           Axes.eval_lifted doc axis ~context_iters ~context_pres ~test
         in
-        let base = Table.key ~doc_id ~pre:0 in
-        Table.of_nodes out_iters (Array.map (fun pre -> base lor pre) out_pres))
+        Table.of_nodes out_iters (Table.keys_of_pres ~doc_id out_pres))
       parts
   in
   (* Folding in ascending doc id keeps each iteration's sequence in

@@ -297,25 +297,17 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
   let run_shard
       (doc_id, doc, annots, context_iters, context_pres, candidates, strategy,
        stats) =
-    let loop =
-      (* Distinct iters present in this document's context. *)
-      let v = Vec.create () in
-      Array.iteri
-        (fun i it ->
-          if i = 0 || context_iters.(i - 1) <> it then Vec.push v it)
-        context_iters;
-      Vec.to_array v
-    in
+    (* The distinct iters present in this document's context. *)
+    let loop = Table.distinct context_iters in
     let iters, pres =
       Join.run_lifted op strategy annots ?pool:env.pool ~deadline:env.deadline
         ?stats ~loop ~context_iters ~context_pres ~candidates ()
     in
-    let base = Table.key ~doc_id ~pre:0 in
     match candidates with
     | Join.Named _ ->
         (* The name test was pushed into the candidates: every row
            already passes it. *)
-        Table.of_nodes iters (Array.map (fun pre -> base lor pre) pres)
+        Table.of_nodes iters (Table.keys_of_pres ~doc_id pres)
     | Join.All | Join.Pres _ ->
         (* Otherwise the node test filters here (kind tests cannot be
            pushed at all), compacting in place. *)
@@ -326,7 +318,7 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
           (fun r pre ->
             if Node_test.matches doc test pre then begin
               out_iters.(!k) <- iters.(r);
-              keys.(!k) <- base lor pre;
+              keys.(!k) <- Table.key ~doc_id ~pre;
               incr k
             end)
           pres;

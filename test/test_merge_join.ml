@@ -18,6 +18,8 @@ module MJ = Standoff.Merge_join_ll
 module Matches = Standoff.Matches
 module Active_set = Standoff.Active_set
 module Region_index = Standoff.Region_index
+module Collection = Standoff_store.Collection
+module Engine = Standoff_xquery.Engine
 
 (* The (iteration, candidate) column pairs of a sweep's matches. *)
 let match_pairs (m : Matches.t) =
@@ -376,6 +378,53 @@ let test_untraced_sweep_allocation () =
         (l < 2048. && l < s +. 512.))
     small large
 
+(* A join whose result only [count] reads keeps its nodes as int
+   keys: count(//c/select-narrow::r) over [n] contained pairs builds
+   no [Item.Node] per row.  Its row columns are arrays of more than
+   256 words, which the runtime allocates in the major heap directly,
+   so the minor words of a warm run do not grow with [n], where a
+   boxed node per row (a variant and a record, five words) would; and
+   all words a run allocates stay within a few ints per row. *)
+let test_join_count_allocation () =
+  let words n =
+    let body =
+      String.concat ""
+        (List.init n (fun i ->
+             Printf.sprintf "<c start=\"%d\" end=\"%d\"/><r start=\"%d\" end=\"%d\"/>"
+               (10 * i) ((10 * i) + 8) ((10 * i) + 1) ((10 * i) + 3)))
+    in
+    let coll = Collection.create () in
+    ignore (Collection.load_string coll ~name:"alloc.xml" ("<t>" ^ body ^ "</t>"));
+    let e = Engine.create ~jobs:1 ~cache:Engine.Cache_off coll in
+    let q = "count(doc(\"alloc.xml\")//c/select-narrow::r)" in
+    (* The first run builds the annotation table, the region indexes
+       and the DataGuide; the second allocates only for the query. *)
+    Alcotest.(check string) "count" (string_of_int n)
+      (Engine.run e q).Engine.serialized;
+    (* The least of three runs: a thread of the process that allocates
+       meanwhile only adds words. *)
+    let run () =
+      let minor0, promoted0, major0 = Gc.counters () in
+      ignore (Engine.run e q);
+      let minor1, promoted1, major1 = Gc.counters () in
+      ( minor1 -. minor0,
+        minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) )
+    in
+    let runs = List.init 3 (fun _ -> run ()) in
+    Engine.shutdown e;
+    ( List.fold_left (fun acc (m, _) -> Float.min acc m) infinity runs,
+      List.fold_left (fun acc (_, a) -> Float.min acc a) infinity runs )
+  in
+  let small_minor, small_all = words 1_000 and large_minor, large_all = words 16_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f at 1k rows, %.0f at 16k" small_minor large_minor)
+    true
+    (large_minor < small_minor +. 4096.);
+  let per_row = (large_all -. small_all) /. 15_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per added row" per_row)
+    true (per_row < 24.)
+
 let test_deadline_aborts () =
   (* A deadline in the past must abort the sweep promptly. *)
   let regions =
@@ -429,6 +478,8 @@ let () =
         [
           Alcotest.test_case "untraced sweep" `Quick
             test_untraced_sweep_allocation;
+          Alcotest.test_case "join to count boxes no node" `Quick
+            test_join_count_allocation;
         ] );
       ( "deadline",
         [ Alcotest.test_case "aborts" `Quick test_deadline_aborts ] );

@@ -836,45 +836,6 @@ let test_lifted_errors () =
     "for $x in (1, 2) return (1, 2)[($x, 1)]";
   expect "division by zero" "for $x in (1, 2) return $x div 0"
 
-(* A join whose result only [count] reads keeps its nodes as int
-   keys: count(//c/select-narrow::r) over [n] contained pairs builds
-   no [Item.Node] per row.  Its row columns are arrays of more than
-   256 words, which the runtime allocates in the major heap directly,
-   so the minor words of a warm run do not grow with [n], where a
-   boxed node per row (a variant and a record, five words) would; and
-   all words a run allocates stay within a few ints per row. *)
-let test_join_count_allocation () =
-  let words n =
-    let body =
-      String.concat ""
-        (List.init n (fun i ->
-             Printf.sprintf "<c start=\"%d\" end=\"%d\"/><r start=\"%d\" end=\"%d\"/>"
-               (10 * i) ((10 * i) + 8) ((10 * i) + 1) ((10 * i) + 3)))
-    in
-    let coll = Collection.create () in
-    ignore (Collection.load_string coll ~name:"alloc.xml" ("<t>" ^ body ^ "</t>"));
-    let e = Engine.create ~jobs:1 ~cache:Engine.Cache_off coll in
-    let q = "count(doc(\"alloc.xml\")//c/select-narrow::r)" in
-    (* The first run builds the annotation table, the region indexes
-       and the DataGuide; the second allocates only for the query. *)
-    Alcotest.(check string) "count" (string_of_int n)
-      (Engine.run e q).Engine.serialized;
-    let minor0, promoted0, major0 = Gc.counters () in
-    ignore (Engine.run e q);
-    let minor1, promoted1, major1 = Gc.counters () in
-    Engine.shutdown e;
-    (minor1 -. minor0, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-  in
-  let small_minor, small_all = words 1_000 and large_minor, large_all = words 16_000 in
-  Alcotest.(check bool)
-    (Printf.sprintf "minor words %.0f at 1k rows, %.0f at 16k" small_minor large_minor)
-    true
-    (large_minor < small_minor +. 4096.);
-  let per_row = (large_all -. small_all) /. 15_000. in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per added row" per_row)
-    true (per_row < 24.)
-
 let () =
   Alcotest.run "xquery"
     [
@@ -899,11 +860,6 @@ let () =
         [
           Alcotest.test_case "builtins" `Quick test_functions;
           Alcotest.test_case "more builtins" `Quick test_more_builtins;
-        ] );
-      ( "allocation",
-        [
-          Alcotest.test_case "join to count boxes no node" `Quick
-            test_join_count_allocation;
         ] );
       ( "set-ops",
         [ Alcotest.test_case "intersect/except/union" `Quick test_set_operations ] );
