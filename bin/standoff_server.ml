@@ -280,6 +280,13 @@ let serve docs blobs db xmark host port workers queue max_body keep_alive
       exit 1
 
 let () =
+  (* Node-key tables leave most of a query's garbage in large arrays
+     that the runtime allocates in the major heap directly, not in
+     per-row boxes that die young.  At the default space overhead
+     (120) the served heap then peaks higher for the same traffic; 80
+     keeps it at or below the boxed tables' peak (EXPERIMENTS.md
+     "Node-column sequence tables"). *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
   let info =
     Cmd.info "standoff-server"
       ~doc:

@@ -26,7 +26,6 @@
 val key : doc_id:int -> pre:int -> int
 val key_doc : int -> int
 val key_pre : int -> int
-val item_of_key : int -> Item.t
 
 (** [keys_of_pres ~doc_id pres] are the keys of [pres] in document
     [doc_id]; document 0's keys are [pres] itself. *)

@@ -9,6 +9,17 @@
 (** Raised when a context item is not a node. *)
 exception Not_a_node of Standoff_relalg.Item.t
 
+(** [partition_by_doc context ~keep_attribute_owner] splits the node
+    rows of [context] by document, as {!Standoff_relalg.Table.doc_shards}
+    does: [(doc_id, iters, pres)] shards in ascending doc id.  An
+    attribute row stands for its owner element when
+    [keep_attribute_owner], and for nothing otherwise.
+    @raise Not_a_node on an atomic row. *)
+val partition_by_doc :
+  Standoff_relalg.Table.t ->
+  keep_attribute_owner:bool ->
+  (int * int array * int array) list
+
 (** [positional t k] keeps the [k]-th row of every iteration group of
     [t] — the fused form of a literal positional predicate over a
     step result (which is duplicate-free and in document order per

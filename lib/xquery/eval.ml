@@ -238,23 +238,11 @@ let atomic_of_literal = function
    [span] receives the join statistics as trace attributes. *)
 let standoff_step env ?span ~strategy_choice ~pushdown op test context =
   let shards =
-    match Table.node_keys context with
-    | Some keys -> Table.doc_shards context.Table.iters keys
-    | None ->
-        (* Attribute rows have no area: they join nothing. *)
-        let iters = Vec.create () and keys = Vec.create () in
-        for r = 0 to Table.row_count context - 1 do
-          match Table.item_at context r with
-          | Item.Node n ->
-              Vec.push iters (Table.iter_at context r);
-              Vec.push keys
-                (Table.key ~doc_id:n.Collection.doc_id ~pre:n.Collection.pre)
-          | Item.Attribute _ -> ()
-          | (Item.Bool _ | Item.Int _ | Item.Float _ | Item.Str _) as item ->
-              Err.raisef "%s:: applied to a non-node item %s" (Op.to_string op)
-                (Item.to_string item)
-        done;
-        Table.doc_shards (Vec.to_array iters) (Vec.to_array keys)
+    (* Attribute rows have no area: they join nothing. *)
+    try Step.partition_by_doc context ~keep_attribute_owner:false
+    with Step.Not_a_node item ->
+      Err.raisef "%s:: applied to a non-node item %s" (Op.to_string op)
+        (Item.to_string item)
   in
   (* Per-document shards: annotation tables, candidate indexes and
      strategies resolve sequentially (they touch lazily built shared
@@ -597,8 +585,9 @@ and eval_live env (plan : Plan.t) =
           let doc_id = Table.key_doc k in
           let pres = lookup doc_id in
           total := !total + Array.length pres;
-          let base = Table.key ~doc_id ~pre:0 in
-          Array.iter (fun pre -> Table.push_node b (Table.iter_at ctx r) (base lor pre)) pres)
+          Array.iter
+            (fun pre -> Table.push_node b (Table.iter_at ctx r) (Table.key ~doc_id ~pre))
+            pres)
         (node_keys_or ctx not_a_document);
       (match env.span with
       | Some sp ->
